@@ -2,7 +2,7 @@
 
 Reports are deterministic: floats are printed with 12 significant digits,
 exact rationals as numerator/denominator pairs.  Exit codes: 0 success,
-1 domain/usage error, 2 elimination overflow or resource failure.
+1 domain/usage error, 2 Gröbner overflow in fixtures-verify.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .solver import (
     bracket_report,
     build_system,
     certify,
+    groebner_eliminant,
     positivity_report,
     solve,
     sweep,
@@ -32,6 +33,13 @@ from .triples import dims, triples_bruteforce, triples_closed_form
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_RESOURCE = 2
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ValueError, so main exits with EXIT_DOMAIN."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _fmt(x: float) -> float:
@@ -116,6 +124,14 @@ def _solutions_json(sols: list[EinsteinSolution]) -> dict:
     return {"solutions": recs}
 
 
+def _brackets_json(n: int, sols: list[EinsteinSolution]) -> dict:
+    """bracket_report with value and bounds rounded; ok stays unrounded."""
+    return {
+        name: {k: v if k == "ok" or v is None else _fmt(v) for k, v in entry.items()}
+        for name, entry in bracket_report(n, sols).items()
+    }
+
+
 def _solutions_csv(rows: list[tuple[int, EinsteinSolution]]) -> str:
     buf = io.StringIO()
     names = sorted({name for _, s in rows for name in s.to_json()["coords"]})
@@ -177,7 +193,7 @@ def _cmd_ricci(args) -> int:
 
 def _cmd_solve(args) -> int:
     (decomp,) = _decomps(args)
-    sols = solve(build_system(decomp), strategy=args.strategy, tol=args.tol)
+    sols = solve(build_system(decomp), tol=args.tol)
     if args.format == "csv":
         payload = _solutions_csv([(decomp.n, s) for s in sols])
     elif args.format == "pretty":
@@ -193,7 +209,7 @@ def _cmd_sweep(args) -> int:
     if not parametric or blocks != [1, 3]:
         raise ValueError("sweep supports --blocks 1,3,R")
     n_values = _parse_n_range(args.n)
-    results = sweep(n_values, strategy=args.strategy, workers=args.workers)
+    results = sweep(n_values, workers=args.workers)
     rows = [(n, s) for n in n_values for s in results[n]]
     if args.format == "json":
         out = {
@@ -202,7 +218,7 @@ def _cmd_sweep(args) -> int:
                     "n": n,
                     **_solutions_json(results[n]),
                     "positivity": positivity_report([n])[0].to_json(),
-                    "brackets": bracket_report(n, results[n]),
+                    "brackets": _brackets_json(n, results[n]),
                 }
                 for n in n_values
             ]
@@ -237,20 +253,16 @@ def _cmd_certify(args) -> int:
 
 def _cmd_fixtures_verify(args) -> int:
     problems = verify_golden()
-    # recompute the (1,3,2) eliminant and compare with the stored closed form
-    from .solver import _coordinate_factors, _eliminate
-
+    # recompute the Groebner eliminants and compare with the stored closed forms
     for n in (6, 7):
-        system = build_system(BlockDecomposition((1, 3, n - 4)))
-        coeffs, _ = _eliminate(system, "auto", 200_000)
+        coeffs = groebner_eliminant(build_system(BlockDecomposition((1, 3, n - 4))))
         stored = h1_coeffs(n)
         ratio = None
         if len(coeffs) == len(stored):
             ratio = coeffs[-1] / stored[-1]
         if ratio is None or any(a != ratio * b for a, b in zip(coeffs, stored)):
             problems.append(f"recomputed x13-eliminant differs from h1 at n={n}")
-    system = build_system(BlockDecomposition((1, 4, 2)))
-    coeffs, _ = _eliminate(system, "auto", 200_000)
+    coeffs = groebner_eliminant(build_system(BlockDecomposition((1, 4, 2))))
     stored = v5r7_142_h2_coeffs()
     ratio = coeffs[-1] / stored[-1] if len(coeffs) == len(stored) else None
     if ratio is None or any(a != ratio * b for a, b in zip(coeffs, stored)):
@@ -261,7 +273,7 @@ def _cmd_fixtures_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stiefel-einstein",
         description="Invariant Einstein metrics on Stiefel manifolds SO(n)/SO(n-k).",
     )
@@ -291,16 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="find certified Einstein metrics")
     common(p)
-    p.add_argument("--strategy", choices=["groebner", "resultant", "auto"],
-                   default="auto")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--format", choices=["json", "csv", "pretty"], default="json")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("sweep", help="solve the 1,3,R family over an n-range")
     common(p)
-    p.add_argument("--strategy", choices=["groebner", "resultant", "auto"],
-                   default="auto")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", choices=["json", "csv", "pretty"], default="csv")
     p.set_defaults(func=_cmd_sweep)

@@ -30,7 +30,4 @@ class DegenerateSystemError(StiefelError, ArithmeticError):
 
 
 class EliminationOverflowError(StiefelError, RuntimeError):
-    """Buchberger exceeded its pair-reduction cap.
-
-    Callers should retry with a larger cap or fall back to resultants.
-    """
+    """Buchberger exceeded its pair-reduction cap."""

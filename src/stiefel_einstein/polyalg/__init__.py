@@ -1,6 +1,6 @@
 """Exact multivariate polynomial arithmetic, elimination, and root isolation."""
 
-from .poly import MonomialOrder, RationalPoly
+from .poly import RationalPoly
 from .groebner import buchberger, reduce_poly, s_polynomial, saturation_generators
 from .resultants import eliminate_resultant, poly_gcd, resultant
 from .sturm import (
@@ -14,7 +14,6 @@ from .sturm import (
 )
 
 __all__ = [
-    "MonomialOrder",
     "RationalPoly",
     "buchberger",
     "reduce_poly",

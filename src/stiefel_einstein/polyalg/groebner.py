@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 from ..errors import DomainError, EliminationOverflowError
-from .poly import MonomialOrder, RationalPoly
+from .poly import RationalPoly
 
 Mono = tuple[int, ...]
 ITerms = dict[Mono, int]
@@ -169,15 +169,10 @@ def _spoly(basis: _Basis, i: int, j: int) -> ITerms:
     return _content_strip(out)
 
 
-def _prepare(
-    gens: list[RationalPoly], order: MonomialOrder | None
-) -> tuple[tuple[str, ...], list[ITerms]]:
+def _prepare(gens: list[RationalPoly]) -> tuple[tuple[str, ...], list[ITerms]]:
     if not gens:
         raise DomainError("empty generator list")
-    if order is not None:
-        variables = order.variables
-    else:
-        variables = gens[0].vars
+    variables = gens[0].vars
     ints = []
     for g in gens:
         gg = g if g.vars == variables else g.reorder(variables)
@@ -191,7 +186,6 @@ def _prepare(
 
 def buchberger(
     gens: list[RationalPoly],
-    order: MonomialOrder | None = None,
     max_pair_reductions: int = DEFAULT_PAIR_CAP,
 ) -> list[RationalPoly]:
     """Reduced lex Groebner basis of the ideal generated by gens.
@@ -202,7 +196,7 @@ def buchberger(
 
     Raises EliminationOverflowError when the pair-reduction cap is hit.
     """
-    variables, ints = _prepare(gens, order)
+    variables, ints = _prepare(gens)
     basis = _Basis()
     pairs: list[tuple[int, Mono, int, int]] = []  # (sugar, lcm, i, j)
     pending: set[tuple[int, int]] = set()
@@ -251,8 +245,7 @@ def buchberger(
         reductions += 1
         if reductions > max_pair_reductions:
             raise EliminationOverflowError(
-                f"exceeded {max_pair_reductions} pair reductions; "
-                "raise the cap or fall back to resultant elimination"
+                f"exceeded {max_pair_reductions} pair reductions"
             )
         s = _spoly(basis, i, j)
         if not s:

@@ -7,27 +7,12 @@ Fraction coefficients, so equal polynomials compare equal structurally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from ..errors import DivisibilityError, DomainError
 
 Monomial = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class MonomialOrder:
-    """Lexicographic order with an explicit variable ranking."""
-
-    variables: tuple[str, ...]
-    kind: str = "lex"
-
-    def __post_init__(self) -> None:
-        if self.kind != "lex":
-            raise DomainError(f"unsupported monomial order {self.kind!r}")
-        if len(set(self.variables)) != len(self.variables):
-            raise DomainError(f"duplicate variables in order: {self.variables}")
 
 
 class RationalPoly:

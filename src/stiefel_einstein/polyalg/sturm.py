@@ -96,11 +96,8 @@ def squarefree_part(p) -> UCoeffs:
     return _strip(q)
 
 
-def sturm_chain(p) -> list[UCoeffs]:
-    """Sturm sequence of the squarefree part of p."""
-    f = squarefree_part(p)
-    if _degree(f) < 1:
-        return [f] if f else []
+def _chain(f: UCoeffs) -> list[UCoeffs]:
+    """Sturm sequence of an already square-free f of degree >= 1."""
     chain = [f, _derivative(f)]
     while _degree(chain[-1]) > 0:
         r = _rem(chain[-2], chain[-1])
@@ -108,6 +105,14 @@ def sturm_chain(p) -> list[UCoeffs]:
             break
         chain.append([-x for x in r])
     return chain
+
+
+def sturm_chain(p) -> list[UCoeffs]:
+    """Sturm sequence of the squarefree part of p."""
+    f = squarefree_part(p)
+    if _degree(f) < 1:
+        return [f] if f else []
+    return _chain(f)
 
 
 def _sign_changes(chain: list[UCoeffs], x: Fraction | None, at_inf: int = 0) -> int:
@@ -170,12 +175,7 @@ def isolate_real_roots(
     f = squarefree_part(p)
     if _degree(f) < 1:
         return []
-    chain = [f, _derivative(f)]
-    while _degree(chain[-1]) > 0:
-        r = _rem(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-x for x in r])
+    chain = _chain(f)
     bound = root_bound(f)
     a = lo if lo is not None else -bound
     b = hi if hi is not None else bound
@@ -215,13 +215,7 @@ def bisect_to_width(iv: IsolatingInterval, width: Fraction) -> IsolatingInterval
     Uses Sturm counts rather than endpoint signs, so it stays correct even
     when a bisection point lands exactly on the root.
     """
-    f = list(iv.coeffs)
-    chain = [f, _derivative(f)]
-    while _degree(chain[-1]) > 0:
-        r = _rem(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-x for x in r])
+    chain = _chain(list(iv.coeffs))
     lo, hi = iv.lo, iv.hi
     vlo = _sign_changes(chain, lo)
     while hi - lo > width:

@@ -3,15 +3,14 @@
 build_system derives the polynomial Einstein system from the general Ricci
 formula evaluated over symbolic coefficients (a small rational-function
 layer over RationalPoly), normalized by x23 = 1.  solve eliminates to a
-univariate polynomial in x13, isolates its real roots, back-substitutes by
-Newton iteration, and certifies each candidate with exact rational Ricci
-residuals.  The x13 = 1 branch is handled in closed form via the classical
-equal-off-diagonal quadratic.
+univariate polynomial in x13 by iterated resultants, isolates its real
+roots, back-substitutes by Newton iteration, and certifies each candidate
+with exact rational Ricci residuals.  The x13 = 1 branch is handled in
+closed form via the classical equal-off-diagonal quadratic.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -22,7 +21,6 @@ import numpy as np
 from .errors import (
     DegenerateSystemError,
     DomainError,
-    EliminationOverflowError,
     UnsupportedShapeError,
 )
 from .fixtures import (
@@ -48,25 +46,14 @@ from .polyalg import (
     saturation_generators,
     squarefree_part,
 )
-from .polyalg.groebner import DEFAULT_PAIR_CAP
 from .ricci import InvariantMetric, ricci, ricci_general
 from .so_algebra import BlockDecomposition, Diag, ModuleLabel, OffDiag
 from .triples import dims, triples_closed_form
-
-PAIR_CAP_ENV = "STIEFEL_EINSTEIN_PAIR_CAP"
 
 CERTIFY_TOL = 1e-10
 JENSEN_MATCH_TOL = 1e-8
 DEDUPE_TOL = 1e-8
 NEWTON_GRID = 16
-AUTO_PROBE_CAP = 120  # pair reductions tried before auto falls back to resultants
-
-
-def _pair_cap(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(PAIR_CAP_ENV)
-    return int(env) if env else DEFAULT_PAIR_CAP
 
 
 class _RF:
@@ -359,55 +346,35 @@ def _classify(
 
 # -- elimination and back-substitution --------------------------------------
 
-def _coordinate_factors(system: EinsteinSystem) -> list[RationalPoly]:
-    return [RationalPoly.var(system.variables, v) for v in system.variables]
+def _eliminate(system: EinsteinSystem) -> list[Fraction]:
+    """Univariate x13-eliminant of the system by iterated resultants, with
+    every (x13 - 1) factor divided out: that root is the closed-form branch.
 
-
-def _eliminate(
-    system: EinsteinSystem,
-    strategy: str,
-    cap: int,
-) -> tuple[list[Fraction], dict[str, RationalPoly]]:
-    """Univariate x13-eliminant of the saturated h-branch system plus any
-    shape-position basis elements (one variable linear over Q[x13])."""
-    x13 = RationalPoly.var(system.variables, "x13")
-    factors = _coordinate_factors(system) + [x13 - 1]
-    if strategy in ("groebner", "auto"):
-        # auto probes with a small cap: systems that stay tractable finish in
-        # well under AUTO_PROBE_CAP reductions, while hard ones blow up in
-        # coefficient size long before a large cap would trip
-        probe = min(cap, AUTO_PROBE_CAP) if strategy == "auto" else cap
-        try:
-            basis = buchberger(
-                saturation_generators(system.polys, factors),
-                max_pair_reductions=probe,
-            )
-            elim = None
-            shape: dict[str, RationalPoly] = {}
-            for g in basis:
-                used = g.variables_used()
-                if used <= {"x13"}:
-                    elim = g
-                elif "z" not in used and len(used - {"x13"}) == 1:
-                    (v,) = used - {"x13"}
-                    if g.degree(v) == 1:
-                        shape[v] = g
-            if elim is None:
-                raise DegenerateSystemError("no univariate eliminant in basis")
-            return elim.univariate_coeffs("x13"), shape
-        except EliminationOverflowError:
-            if strategy == "groebner":
-                raise
-    # resultant fallback: eliminate directly, then split off the x13 = 1 root
+    The eliminant may carry extraneous factors; their roots find no
+    certified lift and drop out in solve.
+    """
     elim = eliminate_resultant(system.polys, "x13")
     coeffs = [Fraction(c) for c in elim.reorder(("x13",)).univariate_coeffs("x13")]
     x_minus_1 = [Fraction(-1), Fraction(1)]
     while True:
         quo, rem = _divmod_univariate(coeffs, x_minus_1)
         if any(rem):
-            break
+            return coeffs
         coeffs = quo
-    return coeffs, {}
+
+
+def groebner_eliminant(system: EinsteinSystem) -> list[Fraction]:
+    """Exact x13-eliminant of the h-branch: the univariate member of the
+    reduced lex Gröbner basis of the system saturated by every coordinate
+    and by x13 - 1.  An independent check on the resultant route; overflow
+    of the pair-reduction cap propagates."""
+    x13 = RationalPoly.var(system.variables, "x13")
+    factors = [RationalPoly.var(system.variables, v) for v in system.variables]
+    basis = buchberger(saturation_generators(system.polys, factors + [x13 - 1]))
+    for g in basis:
+        if g.variables_used() <= {"x13"}:
+            return g.univariate_coeffs("x13")
+    raise DegenerateSystemError("no univariate eliminant in basis")
 
 
 def _divmod_univariate(
@@ -491,26 +458,6 @@ def _newton(f, jac, start: np.ndarray, maxiter: int = 60) -> np.ndarray | None:
     return None
 
 
-def _starts_from_shape(
-    shape: dict[str, RationalPoly], variables: tuple[str, ...], r13: float
-) -> list[np.ndarray] | None:
-    others = [v for v in variables if v != "x13"]
-    if not all(v in shape for v in others):
-        return None
-    start = np.zeros(len(variables))
-    start[variables.index("x13")] = r13
-    for v in others:
-        g = shape[v]
-        # g = c(x13) * v - w(x13): solve for v at the root
-        cs = g.coeffs_in(v)
-        c_val = cs[1].eval_float({"x13": r13})
-        w_val = -cs[0].eval_float({"x13": r13})
-        if abs(c_val) < 1e-300:
-            return None
-        start[variables.index(v)] = w_val / c_val
-    return [start]
-
-
 def _grid_starts(variables: tuple[str, ...], r13: float, count: int) -> list[np.ndarray]:
     rng = random.Random(2026)
     others = [v for v in variables if v != "x13"]
@@ -524,22 +471,16 @@ def _grid_starts(variables: tuple[str, ...], r13: float, count: int) -> list[np.
     return starts
 
 
-def solve(
-    system: EinsteinSystem,
-    strategy: str = "auto",
-    tol: float = CERTIFY_TOL,
-    pair_cap: int | None = None,
-    newton_grid: int = NEWTON_GRID,
-) -> list[EinsteinSolution]:
+def solve(system: EinsteinSystem, tol: float = CERTIFY_TOL) -> list[EinsteinSolution]:
     """All certified positive Einstein solutions found, sorted by x13.
 
-    The x13 = 1 branch is produced from the closed-form quadratic; the
-    remaining branch comes from the saturated eliminant's isolated real
-    roots, back-substituted by Newton iteration and certified exactly.
-    An empty h-branch is legal; elimination overflow propagates.
+    The x13 = 1 branch is produced from the closed-form quadratic.  The
+    remaining branch comes from the positive real roots of the resultant
+    eliminant (see _eliminate): each root is refined to width 1e-15, lifted
+    by Newton iteration from NEWTON_GRID seeded starts and certified
+    exactly.  Roots with no certified lift contribute nothing; an empty
+    h-branch is legal.
     """
-    if strategy not in ("groebner", "resultant", "auto"):
-        raise DomainError(f"unknown strategy {strategy!r}")
     decomp = system.decomp
     solutions: list[EinsteinSolution] = []
     seen: list[np.ndarray] = []
@@ -560,9 +501,7 @@ def solve(
             add(result)
 
     # h-branch
-    cap = _pair_cap(pair_cap)
-    coeffs, shape = _eliminate(system, strategy, cap)
-    sf = squarefree_part(coeffs)
+    sf = squarefree_part(_eliminate(system))
     if len(sf) < 2:
         solutions.sort(key=lambda s: s.coords[OffDiag(1, 3)])
         return solutions
@@ -574,9 +513,7 @@ def solve(
         r13 = float(refined.midpoint())
         if abs(r13 - 1) <= 1e-12:
             continue
-        starts = _starts_from_shape(shape, variables, r13) or []
-        starts += _grid_starts(variables, r13, newton_grid)
-        for start in starts:
+        for start in _grid_starts(variables, r13, NEWTON_GRID):
             v = _newton(f, jac, start)
             if v is None:
                 continue
@@ -699,19 +636,17 @@ def bracket_report(n: int, solutions: list[EinsteinSolution]) -> dict:
     return out
 
 
-def solve_v4(n: int, strategy: str = "auto") -> list[EinsteinSolution]:
+def solve_v4(n: int) -> list[EinsteinSolution]:
     """Solve the (1, 3, n-4) system for one n."""
     decomp = BlockDecomposition((1, 3, n - 4))
-    return solve(build_system(decomp), strategy=strategy)
+    return solve(build_system(decomp))
 
 
-def sweep(
-    n_values: list[int], strategy: str = "auto", workers: int = 1
-) -> dict[int, list[EinsteinSolution]]:
+def sweep(n_values: list[int], workers: int = 1) -> dict[int, list[EinsteinSolution]]:
     """Solve the (1, 3, n-4) family across an n-range, deterministically
     merged by n; independent n values may run in parallel workers."""
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(solve_v4, n_values, [strategy] * len(n_values)))
+            results = list(ex.map(solve_v4, n_values))
         return dict(zip(n_values, results))
-    return {n: solve_v4(n, strategy) for n in n_values}
+    return {n: solve_v4(n) for n in n_values}

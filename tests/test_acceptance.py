@@ -41,9 +41,9 @@ from stiefel_einstein.so_algebra import (
 )
 from stiefel_einstein.solver import (
     _divmod_univariate,
-    _eliminate,
     bracket_report,
     build_system,
+    groebner_eliminant,
     positivity_report,
     solve,
     sweep,
@@ -114,7 +114,7 @@ def test_criterion_3_v5r7_142_exact_eliminant():
     start = time.monotonic()
     system = build_system(BlockDecomposition((1, 4, 2)))
     # route 1: saturated Groebner eliminant must equal h2 integer-for-integer
-    coeffs, _ = _eliminate(system, "groebner", 200_000)
+    coeffs = groebner_eliminant(system)
     h2 = v5r7_142_h2_coeffs()
     assert len(coeffs) == len(h2)
     ratio = coeffs[-1] / h2[-1]

@@ -85,6 +85,8 @@ def test_sweep_json_includes_reports(capsys):
     assert entry["n"] == 9
     assert entry["positivity"]["h1_at_1"] < 0
     assert all(v["ok"] for v in entry["brackets"].values())
+    for v in entry["brackets"].values():
+        assert v["value"] == float(f"{v['value']:.12g}")
 
 
 def test_sweep_rejects_other_families(capsys):
@@ -131,6 +133,12 @@ def test_bad_usage_is_domain_error(capsys):
         capsys, "ricci", "--blocks", "1,3,2", "--coords", "x2=1"
     )
     assert code == EXIT_DOMAIN
+    code, _, err = run(capsys, "solve")  # missing --blocks
+    assert code == EXIT_DOMAIN
+    assert "--blocks" in err
+    code, _, err = run(capsys, "solve", "--blocks", "1,3,2", "--strategy", "auto")
+    assert code == EXIT_DOMAIN
+    assert "--strategy" in err
 
 
 def test_fixtures_verify(capsys):

@@ -14,10 +14,12 @@ from stiefel_einstein.so_algebra import BlockDecomposition, Diag, OffDiag
 from stiefel_einstein.solver import (
     EinsteinSolution,
     Rejection,
+    _divmod_univariate,
     _eliminate,
     bracket_report,
     build_system,
     certify,
+    groebner_eliminant,
     jensen_points,
     jensen_quadratic,
     positivity_report,
@@ -216,21 +218,19 @@ def test_substituting_jensen_form_recovers_quadratic():
 
 def test_groebner_eliminant_proportional_to_h1():
     system = build_system(BlockDecomposition((1, 3, 2)))
-    coeffs, _ = _eliminate(system, "groebner", 200_000)
+    coeffs = groebner_eliminant(system)
     h1 = h1_coeffs(6)
     assert len(coeffs) == len(h1)
     ratio = coeffs[-1] / h1[-1]
     assert all(a == ratio * b for a, b in zip(coeffs, h1))
 
 
-def test_resultant_eliminant_divisible_by_h1():
-    # the resultant route may carry extraneous factors (spurious roots are
-    # rejected later by certification) but must contain h1 exactly
-    from stiefel_einstein.solver import _divmod_univariate
-
-    system = build_system(BlockDecomposition((1, 3, 2)))
-    coeffs, _ = _eliminate(system, "resultant", 200_000)
-    quo, rem = _divmod_univariate(coeffs, h1_coeffs(6))
+@pytest.mark.parametrize("n", [6, 9, 13])
+def test_resultant_eliminant_divisible_by_h1(n):
+    # the eliminant solve uses may carry extraneous factors (spurious roots
+    # are rejected later by certification) but must contain h1 exactly
+    system = build_system(BlockDecomposition((1, 3, n - 4)))
+    quo, rem = _divmod_univariate(_eliminate(system), h1_coeffs(n))
     assert not any(rem)
 
 
@@ -254,12 +254,6 @@ def test_solve_132_full_catalog():
     for s in new:
         lo, hi = s.intervals["x13"]
         assert lo < Fraction(s.coords[OffDiag(1, 3)]).limit_denominator(10**14) <= hi
-
-
-def test_solve_rejects_unknown_strategy():
-    system = build_system(BlockDecomposition((1, 3, 2)))
-    with pytest.raises(DomainError):
-        solve(system, strategy="newton")
 
 
 def test_solve_v4_equals_sweep():
