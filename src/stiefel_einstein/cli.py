@@ -59,19 +59,22 @@ def _parse_blocks(text: str) -> tuple[list, bool]:
     return out, parametric
 
 
-def _parse_n_range(text: str) -> list[int]:
-    """Parse "7" or "6..12" into an inclusive list."""
+def _parse_n_range(text: str | None) -> list[int]:
+    """Parse "7" or "6..12" into a nonempty inclusive list."""
+    if not text:
+        raise ValueError("--n is required with a parametric block spec")
     if ".." in text:
         lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
+        out = list(range(int(lo), int(hi) + 1))
+        if not out:
+            raise ValueError(f"empty n range {text!r}")
+        return out
     return [int(text)]
 
 
 def _decomps(args) -> list[BlockDecomposition]:
     blocks, parametric = _parse_blocks(args.blocks)
     if parametric:
-        if not args.n:
-            raise ValueError("--n is required with a parametric block spec")
         k1, k2 = blocks
         return [
             BlockDecomposition((k1, k2, n - k1 - k2)) for n in _parse_n_range(args.n)

@@ -3,6 +3,13 @@
 A polynomial carries an ordered variable tuple; the tuple order IS the lex
 ranking (vars[0] ranks highest).  Terms map exponent vectors to nonzero
 Fraction coefficients, so equal polynomials compare equal structurally.
+
+Division by a single term may leave negative exponents, i.e. a Laurent
+polynomial.  Ring arithmetic, division by a scalar or term, content,
+primitive, cleared and the evaluators accept those; everything that reads
+degrees or divides by a polynomial (exact_div, the univariate views,
+Gröbner bases, resultants, gcds, Sturm) expects exponents >= 0, which
+cleared() restores.
 """
 
 from __future__ import annotations
@@ -16,7 +23,9 @@ Monomial = tuple[int, ...]
 
 
 class RationalPoly:
-    """Immutable sparse polynomial over Q.
+    """Immutable sparse polynomial over Q, or Laurent polynomial after
+    division by a term (see the module docstring for which methods accept
+    negative exponents).
 
     Do not mutate ``terms`` after construction; all operations return new
     instances.
@@ -180,6 +189,29 @@ class RationalPoly:
             k >>= 1
         return result
 
+    def __truediv__(self, other) -> "RationalPoly":
+        """Division by a nonzero scalar or by a single term; a term divisor
+        may leave negative exponents.  Any other divisor is a DomainError."""
+        if isinstance(other, (int, Fraction)):
+            other = RationalPoly.const(self.vars, other)
+        elif not isinstance(other, RationalPoly):
+            return NotImplemented
+        self._check_compat(other)
+        if other.is_zero():
+            raise ZeroDivisionError("division by zero polynomial")
+        if len(other.terms) != 1:
+            raise DomainError("divisor must be a scalar or a single term")
+        ((md, cd),) = other.terms.items()
+        return RationalPoly(
+            self.vars,
+            {tuple(a - b for a, b in zip(m, md)): c / cd for m, c in self.terms.items()},
+        )
+
+    def __rtruediv__(self, other) -> "RationalPoly":
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return RationalPoly.const(self.vars, other) / self
+
     def derivative(self, name: str) -> "RationalPoly":
         """Partial derivative with respect to one variable."""
         i = self.vars.index(name)
@@ -248,6 +280,17 @@ class RationalPoly:
         if self.leading_coefficient() < 0:
             c = -c
         return RationalPoly(self.vars, {m: v / c for m, v in self.terms.items()})
+
+    def cleared(self) -> "RationalPoly":
+        """self times the least monomial that leaves every exponent >= 0:
+        only variables with a negative minimum exponent are shifted."""
+        shift = [max(0, -min(col)) for col in zip(*self.terms)]
+        if not any(shift):
+            return self
+        return RationalPoly(
+            self.vars,
+            {tuple(a + b for a, b in zip(m, shift)): c for m, c in self.terms.items()},
+        )
 
     def monic(self) -> "RationalPoly":
         if self.is_zero():

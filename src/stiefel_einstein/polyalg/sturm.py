@@ -37,26 +37,26 @@ def _derivative(c: UCoeffs) -> UCoeffs:
     return [i * a for i, a in enumerate(c)][1:]
 
 
-def _rem(a: UCoeffs, b: UCoeffs) -> UCoeffs:
-    """Remainder of a by b over Q."""
-    a = list(a)
+def divmod_univariate(a: UCoeffs, b: UCoeffs) -> tuple[UCoeffs, UCoeffs]:
+    """Quotient and remainder of a by b over Q, both with trailing zeros
+    stripped; b must have a nonzero leading coefficient."""
+    rem = _strip(list(a))
     db, lb = _degree(b), b[-1]
-    while _degree(a) >= db:
-        q = a[-1] / lb
-        shift = _degree(a) - db
+    quo: UCoeffs = [Fraction(0)] * max(len(rem) - db, 0)
+    while _degree(rem) >= db:
+        k = _degree(rem) - db
+        q = rem[-1] / lb
+        quo[k] = q
         for i, bc in enumerate(b):
-            a[shift + i] -= q * bc
-        a.pop()
-        _strip(a)
-        if not a:
-            break
-    return a
+            rem[k + i] -= q * bc
+        _strip(rem)
+    return quo, rem
 
 
 def _gcd(a: UCoeffs, b: UCoeffs) -> UCoeffs:
     a, b = list(a), list(b)
     while b:
-        a, b = b, _rem(a, b)
+        a, b = b, divmod_univariate(a, b)[1]
     if a:
         lc = a[-1]
         a = [x / lc for x in a]
@@ -81,26 +81,14 @@ def squarefree_part(p) -> UCoeffs:
     g = _gcd(c, _derivative(c))
     if _degree(g) < 1:
         return c
-    # exact division
-    q: UCoeffs = [Fraction(0)] * (_degree(c) - _degree(g) + 1)
-    rem = list(c)
-    while _degree(rem) >= _degree(g):
-        k = _degree(rem) - _degree(g)
-        coef = rem[-1] / g[-1]
-        q[k] = coef
-        for i, gc in enumerate(g):
-            rem[k + i] -= coef * gc
-        _strip(rem)
-        if not rem:
-            break
-    return _strip(q)
+    return divmod_univariate(c, g)[0]
 
 
 def _chain(f: UCoeffs) -> list[UCoeffs]:
     """Sturm sequence of an already square-free f of degree >= 1."""
     chain = [f, _derivative(f)]
     while _degree(chain[-1]) > 0:
-        r = _rem(chain[-2], chain[-1])
+        r = divmod_univariate(chain[-2], chain[-1])[1]
         if not r:
             break
         chain.append([-x for x in r])

@@ -1,12 +1,13 @@
 """End-to-end Einstein-metric pipeline for 3-block Stiefel decompositions.
 
 build_system derives the polynomial Einstein system from the general Ricci
-formula evaluated over symbolic coefficients (a small rational-function
-layer over RationalPoly), normalized by x23 = 1.  solve eliminates to a
-univariate polynomial in x13 by iterated resultants, isolates its real
-roots, back-substitutes by Newton iteration, and certifies each candidate
-with exact rational Ricci residuals.  The x13 = 1 branch is handled in
-closed form via the classical equal-off-diagonal quadratic.
+formula evaluated over symbolic coefficients (Laurent RationalPolys: every
+denominator in the formula is a monomial), normalized by x23 = 1.  solve
+eliminates to a univariate polynomial in x13 by iterated resultants,
+isolates its real roots, back-substitutes by Newton iteration, and
+certifies each candidate with exact rational Ricci residuals.  The x13 = 1
+branch is handled in closed form via the classical equal-off-diagonal
+quadratic.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .polyalg import (
     alternating_sign_check,
     bisect_to_width,
     buchberger,
+    divmod_univariate,
     eliminate_resultant,
     isolate_real_roots,
     poly_gcd,
@@ -54,85 +56,6 @@ CERTIFY_TOL = 1e-10
 JENSEN_MATCH_TOL = 1e-8
 DEDUPE_TOL = 1e-8
 NEWTON_GRID = 16
-
-
-class _RF:
-    """Rational function num/den over RationalPoly; just enough arithmetic
-    for evaluating the Ricci formula with symbolic metric coefficients."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: RationalPoly, den: RationalPoly | None = None):
-        if den is None:
-            den = RationalPoly.const(num.vars, 1)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        self.num = num
-        self.den = den
-
-    def _coerce(self, other) -> "_RF | None":
-        if isinstance(other, _RF):
-            return other
-        if isinstance(other, RationalPoly):
-            return _RF(other)
-        if isinstance(other, (int, Fraction)):
-            return _RF(RationalPoly.const(self.num.vars, other))
-        return None
-
-    def _simplified(self) -> "_RF":
-        if self.num.is_zero():
-            return _RF(RationalPoly.zero(self.num.vars))
-        g = poly_gcd(self.num, self.den)
-        if not g.is_constant():
-            return _RF(self.num.exact_div(g), self.den.exact_div(g))
-        return self
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _RF(
-            self.num * o.den + o.num * self.den, self.den * o.den
-        )._simplified()
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _RF(-self.num, self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _RF(self.num * o.num, self.den * o.den)._simplified()
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return _RF(self.num * o.den, self.den * o.num)._simplified()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __pow__(self, k: int):
-        return _RF(self.num**k, self.den**k)
 
 
 @dataclass(frozen=True)
@@ -216,10 +139,10 @@ def build_system(decomp: BlockDecomposition) -> EinsteinSystem:
     norm = OffDiag(2, 3)
     free = _free_labels(decomp)
     variables = tuple(f"x{l.name}" for l in free)
-    coeffs: dict[ModuleLabel, _RF] = {
-        l: _RF(RationalPoly.var(variables, f"x{l.name}")) for l in free
+    coeffs: dict[ModuleLabel, RationalPoly] = {
+        l: RationalPoly.var(variables, f"x{l.name}") for l in free
     }
-    coeffs[norm] = _RF(RationalPoly.const(variables, 1))
+    coeffs[norm] = RationalPoly.const(variables, 1)
     metric = InvariantMetric(decomp, coeffs)
     r = ricci(metric).values
     chain: list[tuple[ModuleLabel, ModuleLabel]] = []
@@ -230,7 +153,7 @@ def build_system(decomp: BlockDecomposition) -> EinsteinSystem:
         (OffDiag(1, 2), norm),
         (norm, OffDiag(1, 3)),
     ]
-    polys = [(r[a] - r[b]).num.primitive() for a, b in chain]
+    polys = [(r[a] - r[b]).cleared().primitive() for a, b in chain]
     if any(p.is_zero() for p in polys):
         raise DegenerateSystemError("identically satisfied equation in chain")
     return EinsteinSystem(decomp, norm, variables, polys)
@@ -248,9 +171,9 @@ def jensen_quadratic(decomp: BlockDecomposition) -> list[Fraction]:
     (x on the so(k1+k2)-block modules, 1 on the block-3 modules)."""
     _check_shape(decomp)
     variables = ("x",)
-    x = _RF(RationalPoly.var(variables, "x"))
-    one = _RF(RationalPoly.const(variables, 1))
-    coeffs: dict[ModuleLabel, _RF] = {}
+    x = RationalPoly.var(variables, "x")
+    one = RationalPoly.const(variables, 1)
+    coeffs: dict[ModuleLabel, RationalPoly] = {}
     for lbl in dims(decomp):
         coeffs[lbl] = x if _jensen_scaled(lbl) else one
     metric = InvariantMetric(decomp, coeffs)
@@ -258,7 +181,7 @@ def jensen_quadratic(decomp: BlockDecomposition) -> list[Fraction]:
     labels = sorted(r)
     g = RationalPoly.zero(variables)
     for a, b in zip(labels, labels[1:]):
-        num = (r[a] - r[b]).num.primitive()
+        num = (r[a] - r[b]).cleared().primitive()
         if not num.is_zero():
             g = num if g.is_zero() else poly_gcd(g, num)
     if g.is_zero() or g.is_constant():
@@ -357,7 +280,7 @@ def _eliminate(system: EinsteinSystem) -> list[Fraction]:
     coeffs = [Fraction(c) for c in elim.reorder(("x13",)).univariate_coeffs("x13")]
     x_minus_1 = [Fraction(-1), Fraction(1)]
     while True:
-        quo, rem = _divmod_univariate(coeffs, x_minus_1)
+        quo, rem = divmod_univariate(coeffs, x_minus_1)
         if any(rem):
             return coeffs
         coeffs = quo
@@ -375,26 +298,6 @@ def groebner_eliminant(system: EinsteinSystem) -> list[Fraction]:
         if g.variables_used() <= {"x13"}:
             return g.univariate_coeffs("x13")
     raise DegenerateSystemError("no univariate eliminant in basis")
-
-
-def _divmod_univariate(
-    a: list[Fraction], b: list[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    db = len(b) - 1
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        k = len(a) - 1 - db
-        c = a[-1] / b[-1]
-        q[k] = c
-        for i, bc in enumerate(b):
-            a[k + i] -= c * bc
-        a.pop()
-    return q, a
 
 
 def _compile(polys: list[RationalPoly]):
@@ -478,8 +381,8 @@ def solve(system: EinsteinSystem, tol: float = CERTIFY_TOL) -> list[EinsteinSolu
     remaining branch comes from the positive real roots of the resultant
     eliminant (see _eliminate): each root is refined to width 1e-15, lifted
     by Newton iteration from NEWTON_GRID seeded starts and certified
-    exactly.  Roots with no certified lift contribute nothing; an empty
-    h-branch is legal.
+    exactly, with x13 reported as the float of the refined midpoint.  Roots
+    with no certified lift contribute nothing; an empty h-branch is legal.
     """
     decomp = system.decomp
     solutions: list[EinsteinSolution] = []
@@ -524,6 +427,7 @@ def solve(system: EinsteinSystem, tol: float = CERTIFY_TOL) -> list[EinsteinSolu
             }
             for lbl in _free_labels(decomp):
                 coords[lbl] = float(v[variables.index(f"x{lbl.name}")])
+            coords[OffDiag(1, 3)] = r13  # the refined root, not Newton's value
             result = certify(coords, decomp, tol)
             if isinstance(result, EinsteinSolution):
                 add(

@@ -25,6 +25,7 @@ from stiefel_einstein.fixtures import (
 from stiefel_einstein.polyalg import (
     alternating_sign_check,
     count_real_roots,
+    divmod_univariate,
     eliminate_resultant,
 )
 from stiefel_einstein.ricci import (
@@ -40,7 +41,6 @@ from stiefel_einstein.so_algebra import (
     bracket,
 )
 from stiefel_einstein.solver import (
-    _divmod_univariate,
     bracket_report,
     build_system,
     groebner_eliminant,
@@ -123,7 +123,7 @@ def test_criterion_3_v5r7_142_exact_eliminant():
     # route 2: the unsaturated resultant eliminant contains (x13 - 1) * h2
     raw = eliminate_resultant(system.polys, "x13")
     raw_coeffs = [Fraction(c) for c in raw.reorder(("x13",)).univariate_coeffs("x13")]
-    _, rem = _divmod_univariate(raw_coeffs, times_x_minus_1(h2))
+    _, rem = divmod_univariate(raw_coeffs, times_x_minus_1(h2))
     assert not any(rem)
     elapsed = time.monotonic() - start
     assert elapsed < 300, f"(1,4,2) elimination took {elapsed:.1f}s"
@@ -137,7 +137,7 @@ def test_criterion_4_v5r7_232_eliminant_divisibility():
     raw = eliminate_resultant(system.polys, "x13")
     raw_coeffs = [Fraction(c) for c in raw.reorder(("x13",)).univariate_coeffs("x13")]
     target = times_x_minus_1(v5r7_232_h1_coeffs())
-    _, rem = _divmod_univariate(raw_coeffs, target)
+    _, rem = divmod_univariate(raw_coeffs, target)
     assert not any(rem)
     elapsed = time.monotonic() - start
     assert elapsed < 1800, f"(2,3,2) elimination took {elapsed:.1f}s"

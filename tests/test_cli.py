@@ -139,6 +139,12 @@ def test_bad_usage_is_domain_error(capsys):
     code, _, err = run(capsys, "solve", "--blocks", "1,3,2", "--strategy", "auto")
     assert code == EXIT_DOMAIN
     assert "--strategy" in err
+    code, _, err = run(capsys, "sweep", "--blocks", "1,3,R")  # missing --n
+    assert code == EXIT_DOMAIN
+    assert err.startswith("error:") and "--n" in err
+    code, _, err = run(capsys, "sweep", "--blocks", "1,3,R", "--n", "9..7")
+    assert code == EXIT_DOMAIN
+    assert err.startswith("error:") and "9..7" in err
 
 
 def test_fixtures_verify(capsys):

@@ -18,6 +18,7 @@ from stiefel_einstein.polyalg import (
     bisect_to_width,
     buchberger,
     count_real_roots,
+    divmod_univariate,
     eliminate_resultant,
     isolate_real_roots,
     poly_gcd,
@@ -55,6 +56,51 @@ def test_exact_div_and_error():
     assert p == X + Y
     with pytest.raises(DivisibilityError):
         (X**2 + 1).exact_div(X - Y)
+
+
+def test_div_by_scalar():
+    p = (2 * X + 4 * Y) / 2
+    assert p == X + 2 * Y
+    assert (X / Fraction(1, 3)) == 3 * X
+    assert 6 / (3 * X**0) == RationalPoly.const(V, 2)
+
+
+def test_div_by_term_gives_negative_exponents():
+    p = (X + Y**2) / (2 * X**2 * Y)
+    assert p.terms == {(-1, -1): Fraction(1, 2), (-2, 1): Fraction(1, 2)}
+    assert (1 / X).terms == {(-1, 0): Fraction(1)}
+    assert (p * (2 * X**2 * Y)) == X + Y**2
+
+
+def test_div_by_multi_term_is_domain_error():
+    with pytest.raises(DomainError):
+        X / (X + Y)
+    with pytest.raises(DomainError):
+        1 / (X + 1)
+
+
+def test_div_by_zero():
+    with pytest.raises(ZeroDivisionError):
+        X / 0
+    with pytest.raises(ZeroDivisionError):
+        X / RationalPoly.zero(V)
+
+
+def test_cleared_shifts_only_negative_variables():
+    p = RationalPoly(V, {(-2, 1): Fraction(1), (1, 2): Fraction(1)})
+    # x^-2 y + x y^2 -> y + x^3 y^2: x shifts by 2, y (minimum 1) not at all
+    assert p.cleared() == Y + X**3 * Y**2
+    assert (X + Y).cleared() == X + Y
+    assert RationalPoly.zero(V).cleared().is_zero()
+
+
+def test_divmod_univariate():
+    a = [Fraction(c) for c in (1, 0, 0, 1)]  # x^3 + 1
+    b = [Fraction(c) for c in (1, 1)]  # x + 1
+    assert divmod_univariate(a, b) == ([1, -1, 1], [])
+    q, r = divmod_univariate([Fraction(c) for c in (3, 0, 2)], [Fraction(0), Fraction(2)])
+    assert (q, r) == ([0, 1], [3])
+    assert divmod_univariate([Fraction(1)], b) == ([], [1])
 
 
 def test_primitive_and_content():

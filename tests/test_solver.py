@@ -8,13 +8,12 @@ import pytest
 
 from stiefel_einstein.errors import DomainError, UnsupportedShapeError
 from stiefel_einstein.fixtures import h1_coeffs, jensen_x2, jensen_x2_142
-from stiefel_einstein.polyalg import RationalPoly
+from stiefel_einstein.polyalg import RationalPoly, divmod_univariate
 from stiefel_einstein.ricci import InvariantMetric, ricci
 from stiefel_einstein.so_algebra import BlockDecomposition, Diag, OffDiag
 from stiefel_einstein.solver import (
     EinsteinSolution,
     Rejection,
-    _divmod_univariate,
     _eliminate,
     bracket_report,
     build_system,
@@ -230,12 +229,13 @@ def test_resultant_eliminant_divisible_by_h1(n):
     # the eliminant solve uses may carry extraneous factors (spurious roots
     # are rejected later by certification) but must contain h1 exactly
     system = build_system(BlockDecomposition((1, 3, n - 4)))
-    quo, rem = _divmod_univariate(_eliminate(system), h1_coeffs(n))
+    quo, rem = divmod_univariate(_eliminate(system), h1_coeffs(n))
     assert not any(rem)
 
 
-def test_solve_132_full_catalog():
-    sols = solve(build_system(BlockDecomposition((1, 3, 2))))
+@pytest.mark.parametrize("blocks", [(1, 3, 2), (1, 4, 2)], ids=["132", "142"])
+def test_solve_132_full_catalog(blocks):
+    sols = solve(build_system(BlockDecomposition(blocks)))
     assert len(sols) == 4
     jensen = [s for s in sols if s.classification == "Jensen"]
     new = [s for s in sols if s.classification == "New"]
@@ -253,7 +253,7 @@ def test_solve_132_full_catalog():
     # new solutions carry exact x13 isolating intervals
     for s in new:
         lo, hi = s.intervals["x13"]
-        assert lo < Fraction(s.coords[OffDiag(1, 3)]).limit_denominator(10**14) <= hi
+        assert lo < Fraction(s.coords[OffDiag(1, 3)]) <= hi
 
 
 def test_solve_v4_equals_sweep():
