@@ -2,8 +2,8 @@
 
 Pipeline: orthogonal Lie algebra structure constants -> Ricci tensor of a
 diagonal invariant metric -> exact polynomial elimination of the Einstein
-system -> real-root isolation -> numerical back-substitution and
-certification.
+system -> real-root isolation -> exact back-substitution through the
+resultant pivots -> certification.
 """
 
 from .errors import (

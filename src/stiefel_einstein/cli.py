@@ -212,6 +212,8 @@ def _cmd_sweep(args) -> int:
     if not parametric or blocks != [1, 3]:
         raise ValueError("sweep supports --blocks 1,3,R")
     n_values = _parse_n_range(args.n)
+    if min(n_values) < 6:
+        raise ValueError("sweep requires n >= 6")
     results = sweep(n_values, workers=args.workers)
     rows = [(n, s) for n in n_values for s in results[n]]
     if args.format == "json":

@@ -212,17 +212,6 @@ class RationalPoly:
             return NotImplemented
         return RationalPoly.const(self.vars, other) / self
 
-    def derivative(self, name: str) -> "RationalPoly":
-        """Partial derivative with respect to one variable."""
-        i = self.vars.index(name)
-        res: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            e = m[i]
-            if e:
-                nm = tuple(x - 1 if j == i else x for j, x in enumerate(m))
-                res[nm] = res.get(nm, Fraction(0)) + c * e
-        return RationalPoly(self.vars, res)
-
     def exact_div(self, other: "RationalPoly") -> "RationalPoly":
         """Exact multivariate division; raises when the remainder is nonzero."""
         if isinstance(other, (int, Fraction)):
@@ -340,20 +329,6 @@ class RationalPoly:
         total = Fraction(0)
         for m, c in self.terms.items():
             t = c
-            for e, val in zip(m, vals):
-                if e:
-                    t *= val**e
-            total += t
-        return total
-
-    def eval_float(self, point: dict[str, float]) -> float:
-        unbound = self.variables_used() - set(point)
-        if unbound:
-            raise DomainError(f"unbound variables {sorted(unbound)}")
-        vals = [float(point.get(v, 0.0)) for v in self.vars]
-        total = 0.0
-        for m, c in self.terms.items():
-            t = float(c)
             for e, val in zip(m, vals):
                 if e:
                     t *= val**e

@@ -182,15 +182,22 @@ def _resultant_or_strip(
     return RationalPoly.const(pivot.vars, 1)
 
 
-def eliminate_resultant(gens: list[RationalPoly], keep: str) -> RationalPoly:
+def eliminate_resultant(
+    gens: list[RationalPoly], keep: str
+) -> tuple[RationalPoly, list[tuple[str, RationalPoly]]]:
     """Univariate eliminant in keep via successive pairwise resultants.
 
     Variables are eliminated in ranking order against the generator of
-    lowest degree in the variable being removed.  The root set of the result
-    contains the keep-coordinates of all system solutions off the
+    lowest degree in the variable being removed.  The root set of the
+    eliminant contains the keep-coordinates of all system solutions off the
     shared-factor loci; extraneous roots are possible and are expected to be
-    filtered by back-substitution.  The final polynomial is the gcd of all
+    filtered by back-substitution.  The eliminant is the gcd of all
     surviving univariate constraints, content-normalized.
+
+    Returns (eliminant, pivots): pivots lists (var, pivot) in elimination
+    order, each pivot a polynomial in var and the variables eliminated after
+    it.  Read backwards from keep they form a triangular set for lifting a
+    root of the eliminant to a full solution.
     """
     polys = [g.primitive() for g in gens if not g.is_zero()]
     if not polys:
@@ -199,6 +206,7 @@ def eliminate_resultant(gens: list[RationalPoly], keep: str) -> RationalPoly:
     if keep not in variables:
         raise DomainError(f"variable {keep!r} not in {variables}")
     polys = [p if p.vars == variables else p.reorder(variables) for p in polys]
+    pivots: list[tuple[str, RationalPoly]] = []
     for var in variables:
         if var == keep:
             continue
@@ -207,6 +215,7 @@ def eliminate_resultant(gens: list[RationalPoly], keep: str) -> RationalPoly:
         if not using:
             continue
         pivot = min(using, key=lambda p: (p.degree(var), p.total_degree()))
+        pivots.append((var, pivot))
         new: list[RationalPoly] = []
         for p in using:
             if p is pivot:
@@ -227,4 +236,4 @@ def eliminate_resultant(gens: list[RationalPoly], keep: str) -> RationalPoly:
         raise DegenerateSystemError(
             "surviving univariate constraints are jointly inconsistent"
         )
-    return out.primitive()
+    return out.primitive(), pivots

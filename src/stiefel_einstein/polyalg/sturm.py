@@ -200,19 +200,22 @@ def isolate_real_roots(
 def bisect_to_width(iv: IsolatingInterval, width: Fraction) -> IsolatingInterval:
     """Shrink an isolating interval by bisection until hi - lo <= width.
 
-    Uses Sturm counts rather than endpoint signs, so it stays correct even
-    when a bisection point lands exactly on the root.
+    Each step evaluates the square-free iv.coeffs once and keeps the half
+    where it changes sign.  Just right of lo its sign is that of f(lo), or
+    of f'(lo) when lo is itself a root (excluded from (lo, hi]); a midpoint
+    that lands on the root becomes hi.  With one simple root in (lo, hi]
+    these are the choices the Sturm counts would make.
     """
-    chain = _chain(list(iv.coeffs))
+    f = list(iv.coeffs)
     lo, hi = iv.lo, iv.hi
-    vlo = _sign_changes(chain, lo)
+    positive = (_eval(f, lo) or _eval(_derivative(f), lo)) > 0
     while hi - lo > width:
         mid = (lo + hi) / 2
-        vm = _sign_changes(chain, mid)
-        if vlo - vm == 1:
+        value = _eval(f, mid)
+        if value == 0 or (value > 0) != positive:
             hi = mid
         else:
-            lo, vlo = mid, vm
+            lo = mid
     return IsolatingInterval(lo, hi, iv.coeffs)
 
 

@@ -4,7 +4,8 @@ build_system derives the polynomial Einstein system from the general Ricci
 formula evaluated over symbolic coefficients (Laurent RationalPolys: every
 denominator in the formula is a monomial), normalized by x23 = 1.  solve
 eliminates to a univariate polynomial in x13 by iterated resultants,
-isolates its real roots, back-substitutes by Newton iteration, and
+isolates its real roots, lifts each root exactly through the triangular set
+of resultant pivots (one univariate root isolation per variable), and
 certifies each candidate with exact rational Ricci residuals.  The x13 = 1
 branch is handled in closed form via the classical equal-off-diagonal
 quadratic.
@@ -12,12 +13,9 @@ quadratic.
 
 from __future__ import annotations
 
-import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import (
     DegenerateSystemError,
@@ -46,7 +44,6 @@ from .polyalg import (
     isolate_real_roots,
     poly_gcd,
     saturation_generators,
-    squarefree_part,
 )
 from .ricci import InvariantMetric, ricci, ricci_general
 from .so_algebra import BlockDecomposition, Diag, ModuleLabel, OffDiag
@@ -54,8 +51,8 @@ from .triples import dims, triples_closed_form
 
 CERTIFY_TOL = 1e-10
 JENSEN_MATCH_TOL = 1e-8
-DEDUPE_TOL = 1e-8
-NEWTON_GRID = 16
+REPORT_WIDTH = Fraction(1, 10**15)
+LIFT_WIDTH = Fraction(1, 10**20)
 
 
 @dataclass(frozen=True)
@@ -269,20 +266,23 @@ def _classify(
 
 # -- elimination and back-substitution --------------------------------------
 
-def _eliminate(system: EinsteinSystem) -> list[Fraction]:
+def _eliminate(
+    system: EinsteinSystem,
+) -> tuple[list[Fraction], list[tuple[str, RationalPoly]]]:
     """Univariate x13-eliminant of the system by iterated resultants, with
     every (x13 - 1) factor divided out: that root is the closed-form branch.
+    The resultant pivots are passed on for the lift (see _lift).
 
     The eliminant may carry extraneous factors; their roots find no
     certified lift and drop out in solve.
     """
-    elim = eliminate_resultant(system.polys, "x13")
+    elim, pivots = eliminate_resultant(system.polys, "x13")
     coeffs = [Fraction(c) for c in elim.reorder(("x13",)).univariate_coeffs("x13")]
     x_minus_1 = [Fraction(-1), Fraction(1)]
     while True:
         quo, rem = divmod_univariate(coeffs, x_minus_1)
         if any(rem):
-            return coeffs
+            return coeffs, pivots
         coeffs = quo
 
 
@@ -300,78 +300,21 @@ def groebner_eliminant(system: EinsteinSystem) -> list[Fraction]:
     raise DegenerateSystemError("no univariate eliminant in basis")
 
 
-def _compile(polys: list[RationalPoly]):
-    """Precompiled float evaluator and Jacobian for Newton iteration."""
-    nv = len(polys[0].vars)
-    exps = []
-    cofs = []
-    for p in polys:
-        exps.append(np.array(list(p.terms.keys()), dtype=np.int64))
-        cofs.append(np.array([float(c) for c in p.terms.values()]))
-    jac_exps = []
-    jac_cofs = []
-    for p in polys:
-        row_e = []
-        row_c = []
-        for j in range(nv):
-            d = p.derivative(p.vars[j])
-            if d.is_zero():
-                row_e.append(np.zeros((0, nv), dtype=np.int64))
-                row_c.append(np.zeros(0))
-            else:
-                row_e.append(np.array(list(d.terms.keys()), dtype=np.int64))
-                row_c.append(np.array([float(c) for c in d.terms.values()]))
-        jac_exps.append(row_e)
-        jac_cofs.append(row_c)
+def _lift(pivots: list[tuple[str, RationalPoly]], point: dict[str, Fraction]):
+    """Yield the positive points above point on the triangular pivot set.
 
-    def f(v: np.ndarray) -> np.ndarray:
-        return np.array(
-            [np.sum(c * np.prod(v**e, axis=1)) for e, c in zip(exps, cofs)]
-        )
-
-    def jac(v: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(polys), nv))
-        for i in range(len(polys)):
-            for j in range(nv):
-                e, c = jac_exps[i][j], jac_cofs[i][j]
-                if len(c):
-                    out[i, j] = np.sum(c * np.prod(v**e, axis=1))
-        return out
-
-    return f, jac
-
-
-def _newton(f, jac, start: np.ndarray, maxiter: int = 60) -> np.ndarray | None:
-    v = start.astype(float).copy()
-    for _ in range(maxiter):
-        fv = f(v)
-        if not np.all(np.isfinite(fv)):
-            return None
-        J = jac(v)
-        try:
-            dv = np.linalg.lstsq(J, -fv, rcond=None)[0]
-        except np.linalg.LinAlgError:
-            return None
-        v = v + dv
-        if np.max(np.abs(dv)) < 1e-14:
-            break
-    fv = f(v)
-    if np.all(np.isfinite(fv)) and np.max(np.abs(fv)) < 1e-9:
-        return v
-    return None
-
-
-def _grid_starts(variables: tuple[str, ...], r13: float, count: int) -> list[np.ndarray]:
-    rng = random.Random(2026)
-    others = [v for v in variables if v != "x13"]
-    starts = []
-    for _ in range(count):
-        start = np.zeros(len(variables))
-        start[variables.index("x13")] = r13
-        for v in others:
-            start[variables.index(v)] = 10 ** rng.uniform(-1.5, 0.5)
-        starts.append(start)
-    return starts
+    The last pivot, with point substituted, is univariate in its variable;
+    each positive root is refined to width LIFT_WIDTH and its midpoint
+    extends the point for the remaining pivots.
+    """
+    if not pivots:
+        yield point
+        return
+    var, pivot = pivots[-1]
+    coeffs = pivot.subs(point).univariate_coeffs(var)
+    for iv in isolate_real_roots(coeffs, lo=Fraction(0)):
+        root = bisect_to_width(iv, LIFT_WIDTH).midpoint()
+        yield from _lift(pivots[:-1], {**point, var: root})
 
 
 def solve(system: EinsteinSystem, tol: float = CERTIFY_TOL) -> list[EinsteinSolution]:
@@ -379,67 +322,36 @@ def solve(system: EinsteinSystem, tol: float = CERTIFY_TOL) -> list[EinsteinSolu
 
     The x13 = 1 branch is produced from the closed-form quadratic.  The
     remaining branch comes from the positive real roots of the resultant
-    eliminant (see _eliminate): each root is refined to width 1e-15, lifted
-    by Newton iteration from NEWTON_GRID seeded starts and certified
-    exactly, with x13 reported as the float of the refined midpoint.  Roots
-    with no certified lift contribute nothing; an empty h-branch is legal.
+    eliminant (see _eliminate): each root is refined to width REPORT_WIDTH,
+    which gives the reported x13 (the float of the midpoint) and its
+    interval, then further to LIFT_WIDTH, lifted through the resultant
+    pivots (see _lift) and certified exactly.  Roots with no certified lift
+    contribute nothing; an empty h-branch is legal.
     """
     decomp = system.decomp
     solutions: list[EinsteinSolution] = []
-    seen: list[np.ndarray] = []
-    order = sorted(dims(decomp))
-
-    def add(cand: EinsteinSolution) -> None:
-        vec = np.array([cand.coords[l] for l in order])
-        for s in seen:
-            if np.max(np.abs(s - vec)) <= DEDUPE_TOL:
-                return
-        seen.append(vec)
-        solutions.append(cand)
-
-    # x13 = 1 branch, exact closed form
     for point in jensen_points(decomp):
         result = certify(point, decomp, tol)
         if isinstance(result, EinsteinSolution):
-            add(result)
-
-    # h-branch
-    sf = squarefree_part(_eliminate(system))
-    if len(sf) < 2:
-        solutions.sort(key=lambda s: s.coords[OffDiag(1, 3)])
-        return solutions
-    f, jac = _compile(system.polys)
-    variables = system.variables
-    width = Fraction(1, 10**15)
-    for iv in isolate_real_roots(sf, lo=Fraction(0)):
-        refined = bisect_to_width(iv, width)
+            solutions.append(result)
+    eliminant, pivots = _eliminate(system)
+    for iv in isolate_real_roots(eliminant, lo=Fraction(0)):
+        refined = bisect_to_width(iv, REPORT_WIDTH)
         r13 = float(refined.midpoint())
         if abs(r13 - 1) <= 1e-12:
             continue
-        for start in _grid_starts(variables, r13, NEWTON_GRID):
-            v = _newton(f, jac, start)
-            if v is None:
-                continue
-            if np.any(v <= 0) or abs(v[variables.index("x13")] - r13) > 1e-6:
-                continue
+        root = bisect_to_width(refined, LIFT_WIDTH).midpoint()
+        for point in _lift(pivots, {"x13": root}):
             coords: dict[ModuleLabel, float | Fraction] = {
                 system.normalization: Fraction(1)
             }
             for lbl in _free_labels(decomp):
-                coords[lbl] = float(v[variables.index(f"x{lbl.name}")])
-            coords[OffDiag(1, 3)] = r13  # the refined root, not Newton's value
+                coords[lbl] = point[f"x{lbl.name}"]
+            coords[OffDiag(1, 3)] = r13  # reported x13: lies in intervals.x13
             result = certify(coords, decomp, tol)
             if isinstance(result, EinsteinSolution):
-                add(
-                    EinsteinSolution(
-                        decomp=result.decomp,
-                        coords=result.coords,
-                        lam=result.lam,
-                        residual=result.residual,
-                        intervals={"x13": (refined.lo, refined.hi)},
-                        classification=result.classification,
-                        exact=result.exact,
-                    )
+                solutions.append(
+                    replace(result, intervals={"x13": (refined.lo, refined.hi)})
                 )
     solutions.sort(key=lambda s: s.coords[OffDiag(1, 3)])
     return solutions

@@ -121,7 +121,7 @@ def test_criterion_3_v5r7_142_exact_eliminant():
     assert ratio > 0
     assert all(a == ratio * b for a, b in zip(coeffs, h2))
     # route 2: the unsaturated resultant eliminant contains (x13 - 1) * h2
-    raw = eliminate_resultant(system.polys, "x13")
+    raw, _ = eliminate_resultant(system.polys, "x13")
     raw_coeffs = [Fraction(c) for c in raw.reorder(("x13",)).univariate_coeffs("x13")]
     _, rem = divmod_univariate(raw_coeffs, times_x_minus_1(h2))
     assert not any(rem)
@@ -134,7 +134,7 @@ def test_criterion_3_v5r7_142_exact_eliminant():
 def test_criterion_4_v5r7_232_eliminant_divisibility():
     start = time.monotonic()
     system = build_system(BlockDecomposition((2, 3, 2)))
-    raw = eliminate_resultant(system.polys, "x13")
+    raw, _ = eliminate_resultant(system.polys, "x13")
     raw_coeffs = [Fraction(c) for c in raw.reorder(("x13",)).univariate_coeffs("x13")]
     target = times_x_minus_1(v5r7_232_h1_coeffs())
     _, rem = divmod_univariate(raw_coeffs, target)

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stiefel_einstein
 from stiefel_einstein.cli import EXIT_DOMAIN, EXIT_OK, main
 
 
@@ -145,9 +150,33 @@ def test_bad_usage_is_domain_error(capsys):
     code, _, err = run(capsys, "sweep", "--blocks", "1,3,R", "--n", "9..7")
     assert code == EXIT_DOMAIN
     assert err.startswith("error:") and "9..7" in err
+    # n below the V4 R^n range is refused before solving, in every format
+    for fmt in ("json", "csv"):
+        code, out, err = run(capsys, "sweep", "--blocks", "1,3,R", "--n", "5",
+                             "--format", fmt)
+        assert code == EXIT_DOMAIN and not out
+        assert err.startswith("error:") and "n >= 6" in err
 
 
 def test_fixtures_verify(capsys):
     code, out, _ = run(capsys, "fixtures-verify")
     assert code == EXIT_OK
     assert json.loads(out) == {"ok": True, "problems": []}
+
+
+def test_solve_needs_no_numpy():
+    # the package has no runtime dependency: solve must run with numpy blocked
+    code = (
+        "import sys; sys.modules['numpy'] = None\n"
+        "from stiefel_einstein import cli\n"
+        "sys.exit(cli.main(['solve', '--blocks', '1,3,2']))"
+    )
+    src = str(Path(stiefel_einstein.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert len(json.loads(proc.stdout)["solutions"]) == 4

@@ -13,6 +13,7 @@ from stiefel_einstein.errors import (
     EliminationOverflowError,
 )
 from stiefel_einstein.polyalg import (
+    IsolatingInterval,
     RationalPoly,
     alternating_sign_check,
     bisect_to_width,
@@ -173,7 +174,7 @@ def test_resultant_of_quadratics():
 def test_eliminate_resultant_circle_line():
     circle = X**2 + Y**2 - 4
     line = X - Y
-    elim = eliminate_resultant([circle, line], "y")
+    elim, _ = eliminate_resultant([circle, line], "y")
     coeffs = elim.reorder(("y",)).univariate_coeffs("y")
     # roots must be y = +-sqrt(2)
     w = Fraction(1, 10**9)
@@ -310,6 +311,21 @@ def test_bisect_to_width():
     iv = bisect_to_width(pos, w)
     assert iv.width() <= w
     assert float(iv.midpoint()) == pytest.approx(2**0.5, abs=1e-10)
+
+
+def test_bisect_to_width_on_exact_roots():
+    w = Fraction(1, 8)
+    # x(x - 1) on (0, 2]: lo is a root outside the interval, and the first
+    # midpoint lands on the root inside it
+    f = F(0, -1, 1)
+    iv = bisect_to_width(IsolatingInterval(Fraction(0), Fraction(2), tuple(f)), w)
+    assert (iv.lo, iv.hi) == (Fraction(7, 8), Fraction(1))
+    assert count_real_roots(f, iv.lo, iv.hi) == 1
+    # x^2 - 9/16 on (0, 3]: the second midpoint lands on the root 3/4
+    f = F(Fraction(-9, 16), 0, 1)
+    iv = bisect_to_width(IsolatingInterval(Fraction(0), Fraction(3), tuple(f)), w)
+    assert (iv.lo, iv.hi) == (Fraction(21, 32), Fraction(3, 4))
+    assert count_real_roots(f, iv.lo, iv.hi) == 1
 
 
 def test_squarefree_part():

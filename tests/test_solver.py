@@ -229,11 +229,14 @@ def test_resultant_eliminant_divisible_by_h1(n):
     # the eliminant solve uses may carry extraneous factors (spurious roots
     # are rejected later by certification) but must contain h1 exactly
     system = build_system(BlockDecomposition((1, 3, n - 4)))
-    quo, rem = divmod_univariate(_eliminate(system), h1_coeffs(n))
+    eliminant, _ = _eliminate(system)
+    quo, rem = divmod_univariate(eliminant, h1_coeffs(n))
     assert not any(rem)
 
 
-@pytest.mark.parametrize("blocks", [(1, 3, 2), (1, 4, 2)], ids=["132", "142"])
+@pytest.mark.parametrize(
+    "blocks", [(1, 3, 2), (1, 4, 2), (2, 4, 3)], ids=["132", "142", "243"]
+)
 def test_solve_132_full_catalog(blocks):
     sols = solve(build_system(BlockDecomposition(blocks)))
     assert len(sols) == 4
@@ -254,6 +257,11 @@ def test_solve_132_full_catalog(blocks):
     for s in new:
         lo, hi = s.intervals["x13"]
         assert lo < Fraction(s.coords[OffDiag(1, 3)]) <= hi
+    if blocks == (2, 4, 3):
+        # both New metrics; the lift must not miss the one at x13 ~ 1.107417
+        assert [s.coords[OffDiag(1, 3)] for s in new] == pytest.approx(
+            [0.444626, 1.107417], abs=1e-6
+        )
 
 
 def test_solve_v4_equals_sweep():
