@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -85,12 +86,31 @@ def _decomps(args) -> list[BlockDecomposition]:
 
 
 def _parse_coeff(text: str) -> Fraction | float:
+    """An exact rational, or a float when written with "." or an exponent;
+    a zero denominator or a float that is not finite is a usage error."""
     text = text.strip()
     if "/" in text:
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"coordinate {text!r} has a zero denominator") from None
     if "." in text or "e" in text or "E" in text:
-        return float(text)
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"coordinate {text!r} is not finite")
+        return value
     return Fraction(int(text))
+
+
+def _parse_tol(text: str) -> float:
+    """A tolerance: a float >= 0 (so not NaN)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
+    return value
 
 
 def _parse_coords(text: str, decomp: BlockDecomposition) -> dict[ModuleLabel, object]:
@@ -101,6 +121,8 @@ def _parse_coords(text: str, decomp: BlockDecomposition) -> dict[ModuleLabel, ob
         key = key.strip()
         if key not in by_name:
             raise ValueError(f"unknown coordinate {key!r}")
+        if by_name[key] in out:
+            raise ValueError(f"repeated coordinate {key!r}")
         out[by_name[key]] = _parse_coeff(val)
     missing = set(by_name) - {f"x{l.name}" for l in out}
     if missing:
@@ -308,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="find certified Einstein metrics")
     common(p)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_parse_tol, default=1e-10)
     p.add_argument("--format", choices=["json", "csv", "pretty"], default="json")
     p.set_defaults(func=_cmd_solve)
 
@@ -321,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="certify a candidate coordinate vector")
     common(p)
     p.add_argument("--coords", required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_parse_tol, default=1e-10)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("fixtures-verify",

@@ -1,12 +1,18 @@
 """Real-root counting, isolation, and refinement via Sturm chains.
 
-Univariate polynomials are handled as ascending Fraction coefficient lists;
-the RationalPoly entry points convert.  All interval logic is half-open
-(lo, hi], matching the Sturm count V(lo) - V(hi).
+Univariate polynomials are ascending coefficient lists.  Each entry point
+reads its input once into a primitive integer list (coefficient gcd 1); the
+square-free part, the Sturm chain and every sign evaluation then stay in
+integers.  Chain members are content-free pseudo-remainders, each a
+positive multiple of the member over Q, and the sign at a rational n/d
+(d > 0) is that of d^deg f(n/d), so every count is the one over Q.  All
+interval logic is half-open (lo, hi], matching the Sturm count
+V(lo) - V(hi).  divmod_univariate is long division over Q.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -14,26 +20,20 @@ from ..errors import DomainError
 from .poly import RationalPoly
 
 UCoeffs = list[Fraction]
+ZCoeffs = list[int]
 
 
-def _strip(c: UCoeffs) -> UCoeffs:
+def _strip(c: list) -> list:
     while c and c[-1] == 0:
         c.pop()
     return c
 
 
-def _degree(c: UCoeffs) -> int:
+def _degree(c: list) -> int:
     return len(c) - 1
 
 
-def _eval(c: UCoeffs, x: Fraction) -> Fraction:
-    total = Fraction(0)
-    for a in reversed(c):
-        total = total * x + a
-    return total
-
-
-def _derivative(c: UCoeffs) -> UCoeffs:
+def _derivative(c: list) -> list:
     return [i * a for i, a in enumerate(c)][1:]
 
 
@@ -53,49 +53,92 @@ def divmod_univariate(a: UCoeffs, b: UCoeffs) -> tuple[UCoeffs, UCoeffs]:
     return quo, rem
 
 
-def _gcd(a: UCoeffs, b: UCoeffs) -> UCoeffs:
-    a, b = list(a), list(b)
+def _primitive(c: ZCoeffs) -> ZCoeffs:
+    """c divided by the (positive) gcd of its coefficients."""
+    g = math.gcd(*c)
+    return [a // g for a in c] if g > 1 else c
+
+
+def _prem(a: ZCoeffs, b: ZCoeffs) -> ZCoeffs:
+    """The remainder of a by b over Q times a positive rational, with
+    content 1: pseudo-division by b, each step scaled by |lc(b)|."""
+    rem = list(a)
+    db, lb = _degree(b), abs(b[-1])
+    sign = 1 if b[-1] > 0 else -1
+    while _degree(rem) >= db:
+        k = _degree(rem) - db
+        q = sign * rem[-1]
+        rem = [lb * x for x in rem]
+        for i, bc in enumerate(b):
+            rem[k + i] -= q * bc
+        _strip(rem)
+    return _primitive(rem)
+
+
+def _gcd(a: ZCoeffs, b: ZCoeffs) -> ZCoeffs:
+    """gcd of a and b up to a constant factor, by the primitive PRS."""
+    a, b = _primitive(a), _primitive(b)
     while b:
-        a, b = b, divmod_univariate(a, b)[1]
-    if a:
-        lc = a[-1]
-        a = [x / lc for x in a]
+        a, b = b, _prem(a, b)
     return a
 
 
-def _normalize_input(p) -> UCoeffs:
+def _exact_quotient(a: ZCoeffs, b: ZCoeffs) -> ZCoeffs:
+    """a / b for a primitive b dividing a: integral by Gauss's lemma."""
+    rem = list(a)
+    db, lb = _degree(b), b[-1]
+    quo = [0] * (len(a) - db)
+    for k in reversed(range(len(quo))):
+        q = quo[k] = rem[k + db] // lb
+        for i, bc in enumerate(b):
+            rem[k + i] -= q * bc
+    return quo
+
+
+def _sign_at(c: ZCoeffs, x: Fraction) -> int:
+    """Sign of c(x), read from sum c_i n^i d^(deg - i) = d^deg c(n/d)."""
+    n, d = x.numerator, x.denominator
+    total, dk = 0, 1
+    for a in reversed(c):
+        total = total * n + a * dk
+        dk *= d
+    return (total > 0) - (total < 0)
+
+
+def _normalize_input(p) -> ZCoeffs:
     if isinstance(p, RationalPoly):
         used = sorted(p.variables_used())
         if len(used) > 1:
             raise DomainError(f"not univariate: uses {used}")
         name = used[0] if used else (p.vars[0] if p.vars else "x")
-        return _strip([Fraction(c) for c in p.univariate_coeffs(name)])
-    return _strip([Fraction(c) for c in p])
+        p = p.univariate_coeffs(name)
+    c = _strip([Fraction(a) for a in p])
+    den = math.lcm(*(a.denominator for a in c))
+    return _primitive([a.numerator * (den // a.denominator) for a in c])
 
 
-def squarefree_part(p) -> UCoeffs:
-    """p / gcd(p, p'), normalized monic-free (content irrelevant here)."""
+def squarefree_part(p) -> ZCoeffs:
+    """p / gcd(p, p') as a primitive integer list, leading coefficient > 0."""
     c = _normalize_input(p)
-    if _degree(c) < 1:
-        return c
-    g = _gcd(c, _derivative(c))
-    if _degree(g) < 1:
-        return c
-    return divmod_univariate(c, g)[0]
+    if _degree(c) >= 1:
+        g = _gcd(c, _derivative(c))
+        if _degree(g) >= 1:
+            c = _exact_quotient(c, g)
+    return c if not c or c[-1] > 0 else [-a for a in c]
 
 
-def _chain(f: UCoeffs) -> list[UCoeffs]:
+def _chain(f: ZCoeffs) -> list[ZCoeffs]:
     """Sturm sequence of an already square-free f of degree >= 1."""
     chain = [f, _derivative(f)]
     while _degree(chain[-1]) > 0:
-        r = divmod_univariate(chain[-2], chain[-1])[1]
+        r = _prem(chain[-2], chain[-1])
         if not r:
             break
         chain.append([-x for x in r])
     return chain
 
 
-def sturm_chain(p) -> list[UCoeffs]:
+def sturm_chain(p) -> list[ZCoeffs]:
     """Sturm sequence of the squarefree part of p."""
     f = squarefree_part(p)
     if _degree(f) < 1:
@@ -103,16 +146,13 @@ def sturm_chain(p) -> list[UCoeffs]:
     return _chain(f)
 
 
-def _sign_changes(chain: list[UCoeffs], x: Fraction | None, at_inf: int = 0) -> int:
+def _sign_changes(chain: list[ZCoeffs], x: Fraction | None, at_inf: int = 0) -> int:
     """Sign variation count at x, or at +-infinity when at_inf is +-1."""
     signs = []
     for c in chain:
-        if at_inf:
-            s = c[-1] * (at_inf ** _degree(c)) if c else Fraction(0)
-        else:
-            s = _eval(c, x)
+        s = c[-1] * at_inf ** _degree(c) if at_inf else _sign_at(c, x)
         if s != 0:
-            signs.append(1 if s > 0 else -1)
+            signs.append(s > 0)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -128,22 +168,24 @@ def count_real_roots(
     return va - vb
 
 
-def root_bound(c: UCoeffs) -> Fraction:
-    """Cauchy bound: all real roots lie in [-M, M]."""
+def root_bound(c: list) -> Fraction:
+    """Cauchy bound: all real roots lie in [-M, M].  Unchanged by scaling c."""
     c = _strip(list(c))
     if _degree(c) < 1:
         return Fraction(1)
     lc = abs(c[-1])
-    return 1 + max(abs(a) / lc for a in c[:-1])
+    return 1 + max(Fraction(abs(a), lc) for a in c[:-1])
 
 
 @dataclass(frozen=True)
 class IsolatingInterval:
-    """Half-open interval (lo, hi] certified to contain exactly one real root."""
+    """Half-open interval (lo, hi] certified to contain exactly one real root
+    of the square-free polynomial coeffs (primitive integers as built by
+    isolate_real_roots; bisect_to_width also accepts rational ones)."""
 
     lo: Fraction
     hi: Fraction
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
 
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
@@ -181,7 +223,7 @@ def isolate_real_roots(
             return
         mid = (x + y) / 2
         # nudge off a root so interval endpoints stay off the variety
-        while _eval(f, mid) == 0:
+        while _sign_at(f, mid) == 0:
             mid = mid + (y - x) / 16
         vm = _sign_changes(chain, mid)
         recurse(x, mid, vx, vm)
@@ -206,12 +248,12 @@ def bisect_to_width(iv: IsolatingInterval, width: Fraction) -> IsolatingInterval
     that lands on the root becomes hi.  With one simple root in (lo, hi]
     these are the choices the Sturm counts would make.
     """
-    f = list(iv.coeffs)
+    f = _normalize_input(iv.coeffs)
     lo, hi = iv.lo, iv.hi
-    positive = (_eval(f, lo) or _eval(_derivative(f), lo)) > 0
+    positive = (_sign_at(f, lo) or _sign_at(_derivative(f), lo)) > 0
     while hi - lo > width:
         mid = (lo + hi) / 2
-        value = _eval(f, mid)
+        value = _sign_at(f, mid)
         if value == 0 or (value > 0) != positive:
             hi = mid
         else:

@@ -156,6 +156,22 @@ def test_bad_usage_is_domain_error(capsys):
                              "--format", fmt)
         assert code == EXIT_DOMAIN and not out
         assert err.startswith("error:") and "n >= 6" in err
+    # coordinates that are not finite numbers, or a coordinate given twice
+    for cmd, coords in [
+        ("certify", "x2=1e400,x12=1,x13=1,x23=1"),
+        ("ricci", "x2=1e400,x12=1,x13=1,x23=1"),
+        ("ricci", "x2=1/0,x12=1,x13=1,x23=1"),
+        ("certify", "x2=1,x12=1,x13=1,x23=1,x2=2"),
+    ]:
+        code, out, err = run(capsys, cmd, "--blocks", "1,3,2", "--coords", coords)
+        assert code == EXIT_DOMAIN and not out
+        assert err.startswith("error:")
+    # a negative or NaN tolerance
+    for cmd, extra in [("solve", []), ("certify", ["--coords", "x2=1,x12=1,x13=1,x23=1"])]:
+        for tol in ("-1", "nan"):
+            code, out, err = run(capsys, cmd, "--blocks", "1,3,2", *extra, f"--tol={tol}")
+            assert code == EXIT_DOMAIN and not out
+            assert err.startswith("error:") and "--tol" in err
 
 
 def test_fixtures_verify(capsys):

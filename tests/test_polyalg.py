@@ -355,3 +355,20 @@ def test_rationalpoly_entrypoint_for_sturm():
     assert count_real_roots(p) == 2
     with pytest.raises(DomainError):
         count_real_roots(X * Y - 1)
+
+
+def test_squarefree_part_is_primitive_integer():
+    # 3/4 (x - 1)^2 (2x + 1) and its negative -> 2x^2 - x - 1
+    p = [Fraction(3, 4) * c for c in (1, 0, -3, 2)]
+    for q in (p, [-c for c in p]):
+        sf = squarefree_part(q)
+        assert sf == [-1, -1, 2]
+        assert all(type(c) is int for c in sf)
+
+
+def test_isolation_is_scale_invariant():
+    p = ((X - 1) ** 2 * (X - 2) * (X + Fraction(1, 3)) * (3 * X - 7)).univariate_coeffs("x")
+    ivs = isolate_real_roots(p)
+    assert len(ivs) == 4
+    assert ivs == isolate_real_roots([-Fraction(7, 3) * c for c in p])
+    assert all(type(c) is int for iv in ivs for c in iv.coeffs)

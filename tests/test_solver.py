@@ -8,7 +8,7 @@ import pytest
 
 from stiefel_einstein.errors import DomainError, UnsupportedShapeError
 from stiefel_einstein.fixtures import h1_coeffs, jensen_x2, jensen_x2_142
-from stiefel_einstein.polyalg import RationalPoly, divmod_univariate
+from stiefel_einstein.polyalg import RationalPoly, divmod_univariate, isolate_real_roots
 from stiefel_einstein.ricci import InvariantMetric, ricci
 from stiefel_einstein.so_algebra import BlockDecomposition, Diag, OffDiag
 from stiefel_einstein.solver import (
@@ -234,15 +234,35 @@ def test_resultant_eliminant_divisible_by_h1(n):
     assert not any(rem)
 
 
+def test_eliminant_positive_roots_match_sympy():
+    # the (2,3,2) eliminant also vanishes at x13 = 0, so sympy's closed-interval
+    # count_roots(0, ...) reads 3; its isolating intervals separate that root
+    sympy = pytest.importorskip("sympy")
+    eliminant, _ = _eliminate(build_system(BlockDecomposition((2, 3, 2))))
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(eliminant)], x)
+    positive = sum(1 for (_, hi), _ in poly.intervals() if hi > 0)
+    assert positive == 2
+    assert len(isolate_real_roots(eliminant, lo=Fraction(0))) == positive
+
+
 @pytest.mark.parametrize(
-    "blocks", [(1, 3, 2), (1, 4, 2), (2, 4, 3)], ids=["132", "142", "243"]
+    "blocks, new_x13",
+    [
+        ((1, 3, 2), [0.316954, 1.133845]),
+        ((1, 4, 2), [0.253386, 1.161367]),
+        # the lift must not miss the New metric at x13 ~ 1.107417
+        ((2, 4, 3), [0.444626, 1.107417]),
+        ((3, 3, 2), [0.381453, 0.641696, 0.875734, 1.141899, 1.558371, 2.621555]),
+    ],
+    ids=["132", "142", "243", "332"],
 )
-def test_solve_132_full_catalog(blocks):
+def test_solve_132_full_catalog(blocks, new_x13):
     sols = solve(build_system(BlockDecomposition(blocks)))
-    assert len(sols) == 4
     jensen = [s for s in sols if s.classification == "Jensen"]
     new = [s for s in sols if s.classification == "New"]
-    assert len(jensen) == 2 and len(new) == 2
+    assert len(jensen) == 2 and len(new) == len(new_x13)
     for s in sols:
         assert s.residual < 1e-10
         assert all(c > 0 for c in s.coords.values())
@@ -257,11 +277,7 @@ def test_solve_132_full_catalog(blocks):
     for s in new:
         lo, hi = s.intervals["x13"]
         assert lo < Fraction(s.coords[OffDiag(1, 3)]) <= hi
-    if blocks == (2, 4, 3):
-        # both New metrics; the lift must not miss the one at x13 ~ 1.107417
-        assert [s.coords[OffDiag(1, 3)] for s in new] == pytest.approx(
-            [0.444626, 1.107417], abs=1e-6
-        )
+    assert [s.coords[OffDiag(1, 3)] for s in new] == pytest.approx(new_x13, abs=1e-6)
 
 
 def test_solve_v4_equals_sweep():
