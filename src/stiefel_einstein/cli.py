@@ -2,7 +2,7 @@
 
 Reports are deterministic: floats are printed with 12 significant digits,
 exact rationals as numerator/denominator pairs.  Exit codes: 0 success,
-1 domain/usage error, 2 Gröbner overflow in fixtures-verify.
+1 domain/usage error, 2 an elimination over its fixed cost limit.
 """
 
 from __future__ import annotations
@@ -236,6 +236,8 @@ def _cmd_sweep(args) -> int:
     n_values = _parse_n_range(args.n)
     if min(n_values) < 6:
         raise ValueError("sweep requires n >= 6")
+    if args.workers < 1:
+        raise ValueError("--workers must be >= 1")
     results = sweep(n_values, workers=args.workers)
     rows = [(n, s) for n in n_values for s in results[n]]
     if args.format == "json":

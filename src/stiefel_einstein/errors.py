@@ -30,4 +30,4 @@ class DegenerateSystemError(StiefelError, ArithmeticError):
 
 
 class EliminationOverflowError(StiefelError, RuntimeError):
-    """Buchberger exceeded its pair-reduction cap."""
+    """An elimination exceeded its fixed cost limit (pair cap, resultant budget)."""

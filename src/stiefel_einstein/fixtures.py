@@ -187,15 +187,6 @@ def v5r7_142_h2_coeffs() -> list[Fraction]:
     return [Fraction(c) for c in reversed(V5R7_142_H2_DESC)]
 
 
-def times_x_minus_1(coeffs: list[Fraction]) -> list[Fraction]:
-    """Ascending coefficients of (x - 1) * p from those of p."""
-    out = [Fraction(0)] * (len(coeffs) + 1)
-    for i, c in enumerate(coeffs):
-        out[i] -= c
-        out[i + 1] += c
-    return out
-
-
 # -- classical equal-off-diagonal Einstein points ---------------------------
 
 def sqrt_fraction(value: Fraction, digits: int = 50) -> Fraction:

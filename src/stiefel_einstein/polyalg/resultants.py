@@ -1,30 +1,24 @@
 """Resultants, multivariate gcds, and resultant-based elimination.
 
-The resultant uses the subresultant polynomial remainder sequence, which
-keeps every intermediate division exact over the integers.  The gcd is the
-classical primitive-PRS algorithm, recursing on the number of variables.
-Elimination chains resultants against a low-degree pivot, stripping shared
-factors whenever a resultant degenerates to zero.
+The resultant evaluates and interpolates modulo 61-bit primes (Collins, JACM
+18, 1971).  Degree bounds and the Goldstein-Graham coefficient bound (SIAM
+Review 16, 1974) fix its points and primes, hence its cost, before any
+evaluation.  The gcd is the classical primitive-PRS algorithm, recursing on
+the number of variables.  Elimination chains resultants against a low-degree
+pivot; it strips shared factors whenever a resultant degenerates to zero,
+and the content and every monomial factor from each resultant.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import prod
 
-from ..errors import DegenerateSystemError, DomainError
+from ..errors import DegenerateSystemError, DomainError, EliminationOverflowError
 from .poly import RationalPoly
 
-
-def _lc(p: RationalPoly, var: str) -> RationalPoly:
-    """Leading coefficient of p viewed as a polynomial in var."""
-    i = p.vars.index(var)
-    d = p.degree(var)
-    terms = {
-        tuple(0 if j == i else e for j, e in enumerate(m)): c
-        for m, c in p.terms.items()
-        if m[i] == d
-    }
-    return RationalPoly(p.vars, terms)
+# Most primes x evaluation points one resultant may take; the largest call
+# of a (3,3,2) solve takes 7 x 205 = 1435.
+RESULTANT_BUDGET = 50_000
 
 
 def pseudo_remainder(a: RationalPoly, b: RationalPoly, var: str) -> RationalPoly:
@@ -37,7 +31,7 @@ def pseudo_remainder(a: RationalPoly, b: RationalPoly, var: str) -> RationalPoly
     da = a.degree(var)
     if da < db:
         return a
-    lb = _lc(b, var)
+    lb = b.coeffs_in(var)[-1]
     xv = RationalPoly.var(a.vars, var)
     r = a
     e = da - db + 1
@@ -45,68 +39,140 @@ def pseudo_remainder(a: RationalPoly, b: RationalPoly, var: str) -> RationalPoly
         dr = r.degree(var)
         if dr < db:
             break
-        lr = _lc(r, var)
-        r = r * lb - b * lr * xv ** (dr - db)
+        r = r * lb - b * r.coeffs_in(var)[-1] * xv ** (dr - db)
         e -= 1
     if e > 0:
         r = r * lb**e
     return r
 
 
+def _primes():
+    """Primes in (2^60, 2^61), descending (Miller-Rabin, exact below 3.3e24)."""
+    n = 2**61 + 1
+    while True:
+        n -= 2
+        s = ((n - 1) & (1 - n)).bit_length() - 1
+        d = (n - 1) >> s
+        if all(pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s))
+               for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)):
+            yield n
+
+
+def _res_univariate(a: list[int], b: list[int], p: int) -> int:
+    """Res(a, b) mod p by Euclid, for ascending lists with nonzero leads:
+    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, a mod b)."""
+    res = 1
+    while len(b) > 1:
+        r, inv, n = a[:], pow(b[-1], -1, p), len(b) - 1
+        for k in range(len(r) - 1, n - 1, -1):
+            c = r[k] * inv % p
+            r[k - n:k] = [(u - c * v) % p for u, v in zip(r[k - n:k], b)]
+        del r[n:]
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            return 0
+        res = res * (-1) ** ((len(a) - 1) * n) * pow(b[-1], len(a) - len(r), p) % p
+        a, b = b, r
+    return res * pow(b[0], len(a) - 1, p) % p
+
+
+def _res_mod(f: dict, g: dict, df: int, dg: int, bounds: list[int], p: int):
+    """Res_var(f, g) mod p as {exponents of the other variables: residue},
+    or None when a leading coefficient in var vanishes mod p.
+
+    f and g map (exponents of the other variables, exponent of var) to
+    residues; bounds[i] bounds the result's degree in the i-th other
+    variable.  The first is set to bounds[0] + 1 points where both leading
+    coefficients survive, the rest recurse, and Newton interpolation
+    rebuilds each coefficient.
+    """
+    if not (any(m[-1] == df for m in f) and any(m[-1] == dg for m in g)):
+        return None
+    if not bounds:
+        r = _res_univariate([f.get((e,), 0) for e in range(df + 1)],
+                            [g.get((e,), 0) for e in range(dg + 1)], p)
+        return {(): r} if r else {}
+    split: list[dict] = [{}, {}]  # {rest of the key: [(first exponent, c)]}
+    for part, h in zip(split, (f, g)):
+        for m, c in h.items():
+            part.setdefault(m[1:], []).append((m[0], c))
+    xs, vals, x = [], [], 0
+    while len(xs) <= bounds[0]:
+        fx, gx = ({k: v for k, t in part.items() if (v := sum(c * x**e for e, c in t) % p)}
+                  for part in split)
+        r = _res_mod(fx, gx, df, dg, bounds[1:], p)
+        if r is not None:
+            xs.append(x)
+            vals.append(r)
+        x += 1
+    inv = [0, 1]  # inverses of 1 .. xs[-1] mod p
+    for k in range(2, xs[-1] + 1):
+        inv.append(-(p // k) * inv[p % k] % p)
+    n, out = len(xs), {}
+    for key in set().union(*vals):
+        c = [v.get(key, 0) for v in vals]  # Newton divided differences
+        for j in range(1, n):
+            c[j:] = [(c[i] - c[i - 1]) * inv[xs[i] - xs[i - j]] % p for i in range(j, n)]
+        coeffs: list[int] = []  # Newton form to monomial form, Horner-wise
+        for i in range(n - 1, -1, -1):
+            coeffs = [(u - xs[i] * v) % p for u, v in zip([0] + coeffs, coeffs + [0])]
+            coeffs[0] = (coeffs[0] + c[i]) % p
+        out.update(((e,) + key, v) for e, v in enumerate(coeffs) if v)
+    return out
+
+
 def resultant(p: RationalPoly, q: RationalPoly, var: str) -> RationalPoly:
-    """Resultant of p and q with respect to var, via the subresultant PRS.
+    """Resultant of p and q with respect to var: the Sylvester determinant.
 
     The result is a polynomial in the remaining variables (a constant when
     both inputs are univariate); it is identically zero exactly when p and q
-    share a factor of positive degree in var.
+    share a factor of positive degree in var.  It is computed modulo primes
+    (see the module docstring) and raises EliminationOverflowError, before
+    any evaluation, when primes x points would exceed RESULTANT_BUDGET.
     """
     if q.vars != p.vars:
         q = q.reorder(p.vars)
     variables = p.vars
     if p.is_zero() or q.is_zero():
         return RationalPoly.zero(variables)
-    dp, dq = p.degree(var), q.degree(var)
-    if dp == 0:
-        return p**dq if dq > 0 else RationalPoly.const(variables, 1)
-    if dq == 0:
-        return q**dp
-    sign = 1
-    A, B = p, q
-    if dp < dq:
-        A, B = B, A
-        if dp % 2 == 1 and dq % 2 == 1:
-            sign = -sign
-    # pull out rational contents; they scale the resultant by a^degB * b^degA
-    ca, cb = A.content(), B.content()
-    A = A * (1 / ca)
-    B = B * (1 / cb)
-    scale = ca ** B.degree(var) * cb ** A.degree(var)
-    one = RationalPoly.const(variables, 1)
-    g = h = one
-    while True:
-        dA, dB = A.degree(var), B.degree(var)
-        delta = dA - dB
-        if dA % 2 == 1 and dB % 2 == 1:
-            sign = -sign
-        R = pseudo_remainder(A, B, var)
-        A = B
-        B = R.exact_div(g * h**delta)
-        if B.is_zero():
-            return RationalPoly.zero(variables)
-        g = _lc(A, var)
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = (g**delta).exact_div(h ** (delta - 1))
-        if B.degree(var) == 0:
-            break
-    dA = A.degree(var)
-    lB = B  # constant in var: already a polynomial in the other variables
-    if dA == 1:
-        res = lB
-    else:
-        res = (lB**dA).exact_div(h ** (dA - 1))
-    return res * Fraction(sign) * scale
+    dp, dq, cp, cq = p.degree(var), q.degree(var), p.content(), q.content()
+    i = variables.index(var)
+    order = [j for j in range(len(variables)) if j != i] + [i]
+    f, g = ({tuple(m[j] for j in order): int(c / ch) for m, c in h.terms.items()}
+            for h, ch in ((p, cp), (q, cq)))
+    bounds = [dq * p.degree(variables[j]) + dp * q.degree(variables[j]) for j in order[:-1]]
+    # Goldstein-Graham: no coefficient of the Sylvester determinant exceeds
+    # B, the product over its rows of the 2-norm of the entries' L1 norms
+    l1 = [[0] * (dp + 1), [0] * (dq + 1)]
+    for row, h in zip(l1, (f, g)):
+        for m, c in h.items():
+            row[m[-1]] += abs(c)
+    bound2 = sum(v * v for v in l1[0]) ** dq * sum(v * v for v in l1[1]) ** dp  # B^2
+    nprimes = -(-((bound2.bit_length() + 1) // 2 + 1) // 60)  # 2^(60 nprimes) > 2B
+    points = prod(d + 1 for d in bounds)
+    if nprimes * points > RESULTANT_BUDGET:
+        raise EliminationOverflowError(
+            f"resultant in {var}: {nprimes} primes x {points} points "
+            f"exceeds the budget {RESULTANT_BUDGET}"
+        )
+    terms, modulus, primes = {}, 1, _primes()
+    while modulus**2 <= 4 * bound2:  # until the modulus exceeds 2B
+        prime = next(primes)
+        fp, gp = ({m: c % prime for m, c in h.items() if c % prime} for h in (f, g))
+        r = _res_mod(fp, gp, dp, dq, bounds, prime)
+        if r is None:
+            continue  # a leading coefficient in var vanishes mod prime
+        inv = pow(modulus, -1, prime)
+        for key in terms.keys() | r.keys():  # CRT
+            x = terms.get(key, 0)
+            terms[key] = x + modulus * ((r.get(key, 0) - x) * inv % prime)
+        modulus *= prime
+    lifted = {
+        key[:i] + (0,) + key[i:]: x - modulus if 2 * x > modulus else x
+        for key, x in terms.items()
+    }
+    return RationalPoly(variables, lifted) * (cp**dq * cq**dp)
 
 
 def _content_pp(p: RationalPoly, var: str) -> tuple[RationalPoly, RationalPoly]:
@@ -182,6 +248,12 @@ def _resultant_or_strip(
     return RationalPoly.const(pivot.vars, 1)
 
 
+def _strip_monomial(p: RationalPoly) -> RationalPoly:
+    """The primitive part of a nonzero p over its largest monomial factor,
+    which has no root with every coordinate positive."""
+    return p.primitive() / RationalPoly(p.vars, {tuple(map(min, zip(*p.terms))): 1})
+
+
 def eliminate_resultant(
     gens: list[RationalPoly], keep: str
 ) -> tuple[RationalPoly, list[tuple[str, RationalPoly]]]:
@@ -216,14 +288,9 @@ def eliminate_resultant(
             continue
         pivot = min(using, key=lambda p: (p.degree(var), p.total_degree()))
         pivots.append((var, pivot))
-        new: list[RationalPoly] = []
-        for p in using:
-            if p is pivot:
-                continue
-            r = _resultant_or_strip(pivot, p, var)
-            if not r.is_constant():
-                new.append(r.primitive())
-        polys = rest + new
+        new = (_strip_monomial(_resultant_or_strip(pivot, p, var))
+               for p in using if p is not pivot)
+        polys = rest + [r for r in new if not r.is_constant()]
     final = [p for p in polys if keep in p.variables_used()]
     if not final:
         raise DegenerateSystemError(

@@ -460,9 +460,9 @@ def solve_v4(n: int) -> list[EinsteinSolution]:
 
 def sweep(n_values: list[int], workers: int = 1) -> dict[int, list[EinsteinSolution]]:
     """Solve the (1, 3, n-4) family across an n-range, deterministically
-    merged by n; independent n values may run in parallel workers."""
+    merged by n; n values may run in parallel, at most one worker per n."""
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
+        with ProcessPoolExecutor(max_workers=min(workers, len(n_values))) as ex:
             results = list(ex.map(solve_v4, n_values))
         return dict(zip(n_values, results))
     return {n: solve_v4(n) for n in n_values}

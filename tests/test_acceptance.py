@@ -18,7 +18,6 @@ from stiefel_einstein.fixtures import (
     h3_coeffs,
     jensen_x2,
     jensen_x2_142,
-    times_x_minus_1,
     v5r7_232_h1_coeffs,
     v5r7_142_h2_coeffs,
 )
@@ -53,6 +52,8 @@ from stiefel_einstein.triples import (
     triples_bruteforce,
     triples_closed_form,
 )
+
+from helpers import times_x_minus_1
 
 SWEEP_RANGE = list(range(6, 31))
 

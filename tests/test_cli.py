@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import stiefel_einstein
-from stiefel_einstein.cli import EXIT_DOMAIN, EXIT_OK, main
+from stiefel_einstein import solver
+from stiefel_einstein.cli import EXIT_DOMAIN, EXIT_OK, EXIT_RESOURCE, main
+from stiefel_einstein.polyalg import resultants
 
 
 def run(capsys, *argv):
@@ -98,6 +100,43 @@ def test_sweep_rejects_other_families(capsys):
     code, _, err = run(capsys, "sweep", "--blocks", "2,3,R", "--n", "7")
     assert code == EXIT_DOMAIN
     assert "1,3,R" in err
+
+
+def test_sweep_workers_are_bounded(capsys, monkeypatch):
+    for workers in ("0", "-2"):
+        code, out, err = run(capsys, "sweep", "--blocks", "1,3,R", "--n", "6",
+                             "--workers", workers)
+        assert code == EXIT_DOMAIN and not out
+        assert err.startswith("error:") and "--workers" in err
+    asked = []
+
+    class Recorder:
+        """Stands in for the process pool: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(solver, "ProcessPoolExecutor", Recorder)
+    code, out, _ = run(capsys, "sweep", "--blocks", "1,3,R", "--n", "6..8",
+                       "--workers", "64")
+    assert code == EXIT_OK and len(out.strip().splitlines()) == 1 + 12
+    assert asked == [3]
+
+
+def test_resultant_over_budget_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(resultants, "RESULTANT_BUDGET", 10)
+    code, out, err = run(capsys, "solve", "--blocks", "1,3,2")
+    assert code == EXIT_RESOURCE and not out
+    assert err.startswith("error:") and "budget" in err
 
 
 def test_certify_accept_and_reject(capsys):

@@ -22,12 +22,13 @@ from stiefel_einstein.fixtures import (
     jensen_x2,
     jensen_x2_142,
     sqrt_fraction,
-    times_x_minus_1,
     v5r7_232_h1_coeffs,
     v5r7_142_h2_coeffs,
     verify_golden,
 )
 from stiefel_einstein.polyalg import alternating_sign_check, count_real_roots
+
+from helpers import times_x_minus_1
 
 
 def _eval(coeffs, x: Fraction) -> Fraction:

@@ -1,0 +1,92 @@
+"""The modular resultant against the Sylvester determinant, and its budget.
+
+The oracle is the determinant of sympy's Sylvester matrix, which is the
+definition of the resultant.  sympy.resultant agrees with it except when
+deg p < deg q with both degrees odd: there it returns Res(q, p), e.g. 1 for
+Res_x(x + 1, x^3), whose Sylvester determinant is -1.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+from stiefel_einstein.errors import EliminationOverflowError
+from stiefel_einstein.polyalg import RationalPoly, resultant, resultants
+
+sympy = pytest.importorskip("sympy")
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+from sympy.polys.subresultants_qq_zz import sylvester  # noqa: E402
+
+V = ("x", "y", "z")
+X, Y, Z = RationalPoly.gens(V)
+
+
+def _to_sympy(f: RationalPoly):
+    syms = sympy.symbols(f.vars)
+    return sympy.Add(*(
+        sympy.Rational(c.numerator, c.denominator)
+        * sympy.Mul(*(s**e for s, e in zip(syms, m)))
+        for m, c in f.terms.items()
+    ))
+
+
+def _matches_sylvester(p: RationalPoly, q: RationalPoly, var: str) -> bool:
+    want = sylvester(_to_sympy(p), _to_sympy(q), sympy.Symbol(var)).det(method="berkowitz")
+    return sympy.expand(_to_sympy(resultant(p, q, var)) - want) == 0
+
+
+CASES = {
+    "rational": (
+        Fraction(1, 2) * X**2 + Fraction(3, 4) * X * Y - Fraction(2, 3),
+        Fraction(5, 7) * X**2 - Y**2 * X + Fraction(1, 3),
+    ),
+    "three_variables": (X**2 * Y + Z * X - 1, X**3 - Y * Z + Z**2 * X),
+    "shared_factor": ((X - Y * Z) * (X + 1), (X - Y * Z) * (X**2 - 3)),
+    # the leading coefficient y vanishes at y = 0, the first point tried
+    "lc_vanishes_at_a_point": (Y * X**2 + X + 1, X**2 - Y),
+    # deg p < deg q, both odd: Res(p, q) = -Res(q, p)
+    "odd_degrees_swapped": (X + Y, X**3 - 2 * Y * X + 5),
+    "constant_in_var": (Y**2 + 1, X**2 + Y),
+    # 2^61 - 1 is the first prime tried; it is dropped
+    "lc_vanishes_mod_first_prime": ((2**61 - 1) * X**2 + X + Y, X**2 - Y),
+}
+
+
+@pytest.mark.parametrize("p, q", CASES.values(), ids=CASES.keys())
+def test_resultant_matches_sylvester_determinant(p, q):
+    assert _matches_sylvester(p, q, "x")
+
+
+def test_resultant_sign_and_zero():
+    assert resultant(X + Y, X**3 - 2 * Y * X + 5, "x") == -(Y**3) + 2 * Y**2 + 5
+    assert resultant(X**3 - 2 * Y * X + 5, X + Y, "x") == Y**3 - 2 * Y**2 - 5
+    assert resultant(*CASES["shared_factor"], "x").is_zero()
+
+
+_small_bivariate = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 2), st.just(0)),
+    st.integers(-9, 9).filter(bool),
+    min_size=1,
+    max_size=5,
+).map(lambda terms: RationalPoly(V, terms))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(_small_bivariate, _small_bivariate)
+def test_resultant_matches_sylvester_on_random_bivariates(p, q):
+    assert _matches_sylvester(p, q, "x")
+
+
+def test_resultant_budget_refuses_before_evaluating(monkeypatch):
+    def evaluate(*args):
+        raise AssertionError("evaluation started")
+
+    monkeypatch.setattr(resultants, "_res_mod", evaluate)
+    p = X**30 + 10**90 * Y**200 * X + Z**150
+    q = X**25 - 7**120 * Y**100 * Z**200 + 1
+    with pytest.raises(EliminationOverflowError, match="budget"):
+        resultant(p, q, "x")

@@ -235,8 +235,9 @@ def test_resultant_eliminant_divisible_by_h1(n):
 
 
 def test_eliminant_positive_roots_match_sympy():
-    # the (2,3,2) eliminant also vanishes at x13 = 0, so sympy's closed-interval
-    # count_roots(0, ...) reads 3; its isolating intervals separate that root
+    # monomial factors are stripped from every resultant, so the (2,3,2)
+    # eliminant does not vanish at x13 = 0 (its constant term is
+    # 5733089280000); sympy's isolating intervals count its positive roots
     sympy = pytest.importorskip("sympy")
     eliminant, _ = _eliminate(build_system(BlockDecomposition((2, 3, 2))))
     x = sympy.Symbol("x")
