@@ -73,16 +73,18 @@ def _parse_n_range(text: str | None) -> list[int]:
     return [int(text)]
 
 
-def _decomps(args) -> list[BlockDecomposition]:
+def _decomp(args) -> BlockDecomposition:
+    """The one shape of a single-shape command (k1,k2,R takes one --n)."""
     blocks, parametric = _parse_blocks(args.blocks)
-    if parametric:
-        k1, k2 = blocks
-        return [
-            BlockDecomposition((k1, k2, n - k1 - k2)) for n in _parse_n_range(args.n)
-        ]
-    if args.n:
-        raise ValueError("--n is only valid with a parametric block spec")
-    return [BlockDecomposition(tuple(blocks))]
+    if not parametric:
+        if args.n:
+            raise ValueError("--n is only valid with a parametric block spec")
+        return BlockDecomposition(tuple(blocks))
+    n_values = _parse_n_range(args.n)
+    if len(n_values) != 1:
+        raise ValueError(f"--n {args.n} gives {len(n_values)} shapes; "
+                         f"{args.command} takes one shape")
+    return BlockDecomposition((*blocks, n_values[0] - sum(blocks)))
 
 
 def _parse_coeff(text: str) -> Fraction | float:
@@ -190,7 +192,7 @@ def _solutions_pretty(sols: list[EinsteinSolution]) -> str:
 
 
 def _cmd_triples(args) -> int:
-    (decomp,) = _decomps(args)
+    decomp = _decomp(args)
     table = (
         triples_bruteforce(decomp) if args.method == "brute"
         else triples_closed_form(decomp)
@@ -201,7 +203,7 @@ def _cmd_triples(args) -> int:
 
 
 def _cmd_ricci(args) -> int:
-    (decomp,) = _decomps(args)
+    decomp = _decomp(args)
     coords = _parse_coords(args.coords, decomp)
     comp = ricci(InvariantMetric(decomp, coords))
     values = {
@@ -217,7 +219,7 @@ def _cmd_ricci(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    (decomp,) = _decomps(args)
+    decomp = _decomp(args)
     sols = solve(build_system(decomp), tol=args.tol)
     if args.format == "csv":
         payload = _solutions_csv([(decomp.n, s) for s in sols])
@@ -264,7 +266,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    (decomp,) = _decomps(args)
+    decomp = _decomp(args)
     coords = _parse_coords(args.coords, decomp)
     try:
         result = certify(coords, decomp, tol=args.tol)

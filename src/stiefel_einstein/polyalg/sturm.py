@@ -179,9 +179,9 @@ def root_bound(c: list) -> Fraction:
 
 @dataclass(frozen=True)
 class IsolatingInterval:
-    """Half-open interval (lo, hi] certified to contain exactly one real root
-    of the square-free polynomial coeffs (primitive integers as built by
-    isolate_real_roots; bisect_to_width also accepts rational ones)."""
+    """Half-open interval (lo, hi] holding exactly one real root of the
+    square-free polynomial coeffs (primitive integers from isolate_real_roots;
+    bisect_to_width takes rational ones too); simplest() is its shortest point."""
 
     lo: Fraction
     hi: Fraction
@@ -189,6 +189,19 @@ class IsolatingInterval:
 
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
+
+    def simplest(self) -> Fraction:
+        """The rational of least denominator in (lo, hi], at most ceil(1 /
+        width), by the continued-fraction (Stern-Brocot) walk."""
+        lo, hi, lo_open = self.lo, self.hi, True
+        a, b, c, d = 1, 0, 0, 1  # the point is (a*y + b) / (c*y + d)
+        while True:  # the least integer y in the interval, else y = k + 1/z
+            k = math.floor(lo)
+            n = k + 1 if lo_open or lo != k else k
+            if hi is None or (n <= hi if lo_open else n < hi):
+                return Fraction(a * n + b, c * n + d)
+            lo, hi = 1 / (hi - k), (None if lo == k else 1 / (lo - k))
+            a, b, c, d, lo_open = a * k + b, a, c * k + d, c, not lo_open
 
     def width(self) -> Fraction:
         return self.hi - self.lo

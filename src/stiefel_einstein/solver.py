@@ -304,8 +304,9 @@ def _lift(pivots: list[tuple[str, RationalPoly]], point: dict[str, Fraction]):
     """Yield the positive points above point on the triangular pivot set.
 
     The last pivot, with point substituted, is univariate in its variable;
-    each positive root is refined to width LIFT_WIDTH and its midpoint
-    extends the point for the remaining pivots.
+    each positive root is refined to width LIFT_WIDTH, and the simplest
+    rational in that interval (denominator at most 1 / LIFT_WIDTH, so the
+    next pivots stay short) extends the point for the remaining pivots.
     """
     if not pivots:
         yield point
@@ -313,7 +314,7 @@ def _lift(pivots: list[tuple[str, RationalPoly]], point: dict[str, Fraction]):
     var, pivot = pivots[-1]
     coeffs = pivot.subs(point).univariate_coeffs(var)
     for iv in isolate_real_roots(coeffs, lo=Fraction(0)):
-        root = bisect_to_width(iv, LIFT_WIDTH).midpoint()
+        root = bisect_to_width(iv, LIFT_WIDTH).simplest()
         yield from _lift(pivots[:-1], {**point, var: root})
 
 
@@ -324,8 +325,9 @@ def solve(system: EinsteinSystem, tol: float = CERTIFY_TOL) -> list[EinsteinSolu
     remaining branch comes from the positive real roots of the resultant
     eliminant (see _eliminate): each root is refined to width REPORT_WIDTH,
     which gives the reported x13 (the float of the midpoint) and its
-    interval, then further to LIFT_WIDTH, lifted through the resultant
-    pivots (see _lift) and certified exactly.  Roots with no certified lift
+    interval, then further to LIFT_WIDTH; the simplest rational in that
+    interval is lifted through the resultant pivots (see _lift) and
+    certified exactly.  Roots with no certified lift
     contribute nothing; an empty h-branch is legal.
     """
     decomp = system.decomp
@@ -338,9 +340,7 @@ def solve(system: EinsteinSystem, tol: float = CERTIFY_TOL) -> list[EinsteinSolu
     for iv in isolate_real_roots(eliminant, lo=Fraction(0)):
         refined = bisect_to_width(iv, REPORT_WIDTH)
         r13 = float(refined.midpoint())
-        if abs(r13 - 1) <= 1e-12:
-            continue
-        root = bisect_to_width(refined, LIFT_WIDTH).midpoint()
+        root = bisect_to_width(refined, LIFT_WIDTH).simplest()
         for point in _lift(pivots, {"x13": root}):
             coords: dict[ModuleLabel, float | Fraction] = {
                 system.normalization: Fraction(1)

@@ -211,6 +211,13 @@ def test_bad_usage_is_domain_error(capsys):
             code, out, err = run(capsys, cmd, "--blocks", "1,3,2", *extra, f"--tol={tol}")
             assert code == EXIT_DOMAIN and not out
             assert err.startswith("error:") and "--tol" in err
+    # a parametric range where the command takes one shape
+    for cmd, extra in [("solve", []), ("triples", []),
+                       ("ricci", ["--coords", "x2=1,x12=1,x13=1,x23=1"]),
+                       ("certify", ["--coords", "x2=1,x12=1,x13=1,x23=1"])]:
+        code, out, err = run(capsys, cmd, "--blocks", "1,3,R", "--n", "6..8", *extra)
+        assert code == EXIT_DOMAIN and not out
+        assert err.startswith("error:") and "--n" in err and "one shape" in err
 
 
 def test_fixtures_verify(capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from stiefel_einstein import solver
 from stiefel_einstein.errors import DomainError, UnsupportedShapeError
 from stiefel_einstein.fixtures import h1_coeffs, jensen_x2, jensen_x2_142
 from stiefel_einstein.polyalg import RationalPoly, divmod_univariate, isolate_real_roots
@@ -232,6 +233,32 @@ def test_resultant_eliminant_divisible_by_h1(n):
     eliminant, _ = _eliminate(system)
     quo, rem = divmod_univariate(eliminant, h1_coeffs(n))
     assert not any(rem)
+
+
+@pytest.mark.parametrize("blocks", [(1, 3, 2), (2, 3, 2), (2, 4, 3), (3, 3, 2)])
+def test_eliminant_has_no_root_at_one(blocks):
+    # every (x13 - 1) factor is divided out, so solve skips no root near 1
+    eliminant, _ = _eliminate(build_system(BlockDecomposition(blocks)))
+    assert sum(eliminant) != 0
+
+
+def test_lift_points_have_short_denominators(monkeypatch):
+    # each level is seeded with the simplest rational in an interval of
+    # width LIFT_WIDTH, not its midpoint, whose denominator grows with the
+    # leading coefficients of the pivots (thousands of bits on (2,4,3))
+    points = []
+
+    def recording_lift(pivots, point):
+        for p in lift(pivots, point):
+            points.append(p)
+            yield p
+
+    lift = solver._lift
+    monkeypatch.setattr(solver, "_lift", recording_lift)
+    sols = solve(build_system(BlockDecomposition((2, 4, 3))))
+    assert len(sols) == 4 and points
+    for p in points:
+        assert all(c.denominator <= 2 * 10**20 for c in p.values()), p
 
 
 def test_eliminant_positive_roots_match_sympy():
