@@ -52,25 +52,26 @@ def _parse_blocks(text: str) -> tuple[list, bool]:
     """Parse "k1,k2,k3" or "k1,k2,R"; returns (parts, parametric)."""
     parts = text.split(",")
     if len(parts) != 3:
-        raise ValueError("expected three comma-separated blocks")
+        raise ValueError(f"--blocks {text!r}: expected three comma-separated blocks")
     parametric = parts[2].strip().upper() == "R"
-    out = [int(p) for p in parts[:2]]
-    if not parametric:
-        out.append(int(parts[2]))
-    return out, parametric
+    try:
+        return [int(p) for p in parts[:2 if parametric else 3]], parametric
+    except ValueError:
+        raise ValueError(f"--blocks {text!r}: expected integers k1,k2,k3 or k1,k2,R") from None
 
 
 def _parse_n_range(text: str | None) -> list[int]:
     """Parse "7" or "6..12" into a nonempty inclusive list."""
     if not text:
         raise ValueError("--n is required with a parametric block spec")
-    if ".." in text:
-        lo, hi = text.split("..")
-        out = list(range(int(lo), int(hi) + 1))
-        if not out:
-            raise ValueError(f"empty n range {text!r}")
-        return out
-    return [int(text)]
+    lo, sep, hi = text.partition("..")
+    try:
+        out = list(range(int(lo), int(hi if sep else lo) + 1))
+    except ValueError:
+        raise ValueError(f"--n {text!r}: expected an integer n or a range lo..hi") from None
+    if not out:
+        raise ValueError(f"empty n range {text!r}")
+    return out
 
 
 def _decomp(args) -> BlockDecomposition:

@@ -1,9 +1,9 @@
 """Resultants, multivariate gcds, and resultant-based elimination.
 
 The resultant evaluates and interpolates modulo 61-bit primes (Collins, JACM
-18, 1971).  Degree bounds and the Goldstein-Graham coefficient bound (SIAM
-Review 16, 1974) fix its points and primes, hence its cost, before any
-evaluation.  The gcd is the classical primitive-PRS algorithm, recursing on
+18, 1971).  Degree windows, from assignments over the Sylvester matrix, and
+the Goldstein-Graham coefficient bound (SIAM Review 16, 1974) fix its points
+and primes, hence its cost, before any evaluation.  The gcd is the classical primitive-PRS algorithm, recursing on
 the number of variables.  Elimination chains resultants against a low-degree
 pivot; it strips shared factors whenever a resultant degenerates to zero,
 and the content and every monomial factor from each resultant.
@@ -11,13 +11,13 @@ and the content and every monomial factor from each resultant.
 
 from __future__ import annotations
 
-from math import prod
+from math import inf, prod
 
 from ..errors import DegenerateSystemError, DomainError, EliminationOverflowError
 from .poly import RationalPoly
 
 # Most primes x evaluation points one resultant may take; the largest call
-# of a (3,3,2) solve takes 7 x 205 = 1435.
+# of a (3,3,2) solve takes 7 x 117 = 819.
 RESULTANT_BUDGET = 50_000
 
 
@@ -77,34 +77,89 @@ def _res_univariate(a: list[int], b: list[int], p: int) -> int:
     return res * pow(b[0], len(a) - 1, p) % p
 
 
-def _res_mod(f: dict, g: dict, df: int, dg: int, bounds: list[int], p: int):
+def _assignment(weights: list[list]) -> int | None:
+    """Least sum of weights[i][perm[i]] over permutations perm that avoid the
+    None entries; None when none does.  Hungarian algorithm with potentials:
+    rows and columns count from 1, and column 0 holds the row being placed."""
+    n = len(weights)
+    cost = [[]] + [[0] + [inf if w is None else w for w in row] for row in weights]
+    u, v, match, way = ([0] * (n + 1) for _ in range(4))
+    for i in range(1, n + 1):
+        match[0], j0, slack, used = i, 0, [inf] * (n + 1), [False] * (n + 1)
+        while match[j0]:
+            used[j0], i0, delta, j1 = True, match[j0], inf, 0
+            for j in range(1, n + 1):
+                if not used[j]:
+                    if (c := cost[i0][j] - u[i0] - v[j]) < slack[j]:
+                        slack[j], way[j] = c, j0
+                    if slack[j] < delta:
+                        delta, j1 = slack[j], j
+            for j in range(n + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            if delta == inf:  # the rows reached see too few columns (Hall)
+                return None
+            j0 = j1
+        while j0:  # augment along the alternating path
+            match[j0], j0 = match[way[j0]], way[j0]
+    return sum(cost[match[j]][j] for j in range(1, n + 1))
+
+
+def _windows(f: dict, g: dict, df: int, dg: int) -> list[tuple[int, int]] | None:
+    """For each other variable y, a window [lo, hi] holding every y-exponent
+    of Res_var(f, g) (keyed as in _res_mod), or None when Res is 0: each term
+    of the Sylvester determinant is a product of nonzero entries along a
+    permutation, so its y-exponents lie between the least assignment of the
+    entries' lowest y-exponents and the greatest of their y-degrees."""
+    rows = []  # Sylvester rows {column: exponent keys of the entry}: f's, then g's
+    for h, d, shifts in ((f, df, dg), (g, dg, df)):
+        coeffs: dict = {}  # var exponent k -> keys; in shift i it sits in column i + d - k
+        for m in h:
+            coeffs.setdefault(m[-1], []).append(m)
+        rows += [{i + d - k: ms for k, ms in coeffs.items()} for i in range(shifts)]
+    out = []
+    for t in range(len(next(iter(f))) - 1):
+        lo, hi = (_assignment([[sign * pick(m[t] for m in row[j]) if j in row else None
+                                for j in range(df + dg)] for row in rows])
+                  for sign, pick in ((1, min), (-1, max)))
+        if lo is None:
+            return None
+        out.append((lo, -hi))
+    return out
+
+
+def _res_mod(f: dict, g: dict, df: int, dg: int, windows: list[tuple[int, int]], p: int):
     """Res_var(f, g) mod p as {exponents of the other variables: residue},
     or None when a leading coefficient in var vanishes mod p.
 
     f and g map (exponents of the other variables, exponent of var) to
-    residues; bounds[i] bounds the result's degree in the i-th other
-    variable.  The first is set to bounds[0] + 1 points where both leading
-    coefficients survive, the rest recurse, and Newton interpolation
-    rebuilds each coefficient.
+    residues; windows[i] = (lo, hi) holds the result's exponents in the i-th
+    other variable (see _windows).  The first is set to hi - lo + 1 points
+    x = 1, 2, ... where both leading coefficients survive, the rest recurse,
+    and Newton interpolation rebuilds each coefficient times x^-lo.
     """
     if not (any(m[-1] == df for m in f) and any(m[-1] == dg for m in g)):
         return None
-    if not bounds:
+    if not windows:
         r = _res_univariate([f.get((e,), 0) for e in range(df + 1)],
                             [g.get((e,), 0) for e in range(dg + 1)], p)
         return {(): r} if r else {}
+    lo, hi = windows[0]
     split: list[dict] = [{}, {}]  # {rest of the key: [(first exponent, c)]}
     for part, h in zip(split, (f, g)):
         for m, c in h.items():
             part.setdefault(m[1:], []).append((m[0], c))
-    xs, vals, x = [], [], 0
-    while len(xs) <= bounds[0]:
+    xs, vals, x = [], [], 1
+    while len(xs) <= hi - lo:
         fx, gx = ({k: v for k, t in part.items() if (v := sum(c * x**e for e, c in t) % p)}
                   for part in split)
-        r = _res_mod(fx, gx, df, dg, bounds[1:], p)
+        r = _res_mod(fx, gx, df, dg, windows[1:], p)
         if r is not None:
             xs.append(x)
-            vals.append(r)
+            vals.append({k: v * pow(x, -lo, p) % p for k, v in r.items()})
         x += 1
     inv = [0, 1]  # inverses of 1 .. xs[-1] mod p
     for k in range(2, xs[-1] + 1):
@@ -118,7 +173,7 @@ def _res_mod(f: dict, g: dict, df: int, dg: int, bounds: list[int], p: int):
         for i in range(n - 1, -1, -1):
             coeffs = [(u - xs[i] * v) % p for u, v in zip([0] + coeffs, coeffs + [0])]
             coeffs[0] = (coeffs[0] + c[i]) % p
-        out.update(((e,) + key, v) for e, v in enumerate(coeffs) if v)
+        out.update(((e + lo,) + key, v) for e, v in enumerate(coeffs) if v)
     return out
 
 
@@ -141,7 +196,9 @@ def resultant(p: RationalPoly, q: RationalPoly, var: str) -> RationalPoly:
     order = [j for j in range(len(variables)) if j != i] + [i]
     f, g = ({tuple(m[j] for j in order): int(c / ch) for m, c in h.terms.items()}
             for h, ch in ((p, cp), (q, cq)))
-    bounds = [dq * p.degree(variables[j]) + dp * q.degree(variables[j]) for j in order[:-1]]
+    windows = _windows(f, g, dp, dq)
+    if windows is None:
+        return RationalPoly.zero(variables)
     # Goldstein-Graham: no coefficient of the Sylvester determinant exceeds
     # B, the product over its rows of the 2-norm of the entries' L1 norms
     l1 = [[0] * (dp + 1), [0] * (dq + 1)]
@@ -150,7 +207,7 @@ def resultant(p: RationalPoly, q: RationalPoly, var: str) -> RationalPoly:
             row[m[-1]] += abs(c)
     bound2 = sum(v * v for v in l1[0]) ** dq * sum(v * v for v in l1[1]) ** dp  # B^2
     nprimes = -(-((bound2.bit_length() + 1) // 2 + 1) // 60)  # 2^(60 nprimes) > 2B
-    points = prod(d + 1 for d in bounds)
+    points = prod(hi - lo + 1 for lo, hi in windows)
     if nprimes * points > RESULTANT_BUDGET:
         raise EliminationOverflowError(
             f"resultant in {var}: {nprimes} primes x {points} points "
@@ -160,7 +217,7 @@ def resultant(p: RationalPoly, q: RationalPoly, var: str) -> RationalPoly:
     while modulus**2 <= 4 * bound2:  # until the modulus exceeds 2B
         prime = next(primes)
         fp, gp = ({m: c % prime for m, c in h.items() if c % prime} for h in (f, g))
-        r = _res_mod(fp, gp, dp, dq, bounds, prime)
+        r = _res_mod(fp, gp, dp, dq, windows, prime)
         if r is None:
             continue  # a leading coefficient in var vanishes mod prime
         inv = pow(modulus, -1, prime)

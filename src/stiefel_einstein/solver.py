@@ -219,12 +219,13 @@ def certify(
     coords: dict[ModuleLabel, float | Fraction],
     decomp: BlockDecomposition,
     tol: float = CERTIFY_TOL,
+    jensen: list[dict[ModuleLabel, Fraction]] | None = None,
 ) -> EinsteinSolution | Rejection:
     """Exact-rational certification of a candidate coordinate vector.
 
     The Ricci components are evaluated with Fraction arithmetic at the given
     coordinates; the candidate is accepted iff max |r_i - mean| / mean <= tol
-    and all coordinates are positive.
+    and all coordinates are positive; jensen is jensen_points(decomp), if known.
     """
     exact = {}
     for lbl, c in coords.items():
@@ -237,7 +238,7 @@ def certify(
     residual = float(comp.residual())
     if not residual <= tol:
         return Rejection(f"Einstein residual {residual:.3e} exceeds {tol:.1e}")
-    classification, exact_out = _classify(exact, decomp)
+    classification, exact_out = _classify(exact, decomp, jensen)
     return EinsteinSolution(
         decomp=decomp,
         coords={l: float(c) for l, c in exact.items()},
@@ -249,7 +250,7 @@ def certify(
 
 
 def _classify(
-    exact: dict[ModuleLabel, Fraction], decomp: BlockDecomposition
+    exact: dict[ModuleLabel, Fraction], decomp: BlockDecomposition, jensen: list | None
 ) -> tuple[str, dict[ModuleLabel, Fraction] | None]:
     unit = [c for l, c in exact.items() if not _jensen_scaled(l)]
     scaled = [c for l, c in exact.items() if _jensen_scaled(l)]
@@ -257,7 +258,7 @@ def _classify(
         return "New", None
     if max(scaled) - min(scaled) > JENSEN_MATCH_TOL:
         return "New", None
-    for point in jensen_points(decomp):
+    for point in jensen_points(decomp) if jensen is None else jensen:
         ref = next(c for l, c in point.items() if _jensen_scaled(l))
         if all(abs(d - ref) <= JENSEN_MATCH_TOL for d in scaled):
             return "Jensen", point
@@ -332,8 +333,9 @@ def solve(system: EinsteinSystem, tol: float = CERTIFY_TOL) -> list[EinsteinSolu
     """
     decomp = system.decomp
     solutions: list[EinsteinSolution] = []
-    for point in jensen_points(decomp):
-        result = certify(point, decomp, tol)
+    jensen = jensen_points(decomp)
+    for point in jensen:
+        result = certify(point, decomp, tol, jensen)
         if isinstance(result, EinsteinSolution):
             solutions.append(result)
     eliminant, pivots = _eliminate(system)
@@ -348,7 +350,7 @@ def solve(system: EinsteinSystem, tol: float = CERTIFY_TOL) -> list[EinsteinSolu
             for lbl in _free_labels(decomp):
                 coords[lbl] = point[f"x{lbl.name}"]
             coords[OffDiag(1, 3)] = r13  # reported x13: lies in intervals.x13
-            result = certify(coords, decomp, tol)
+            result = certify(coords, decomp, tol, jensen)
             if isinstance(result, EinsteinSolution):
                 solutions.append(
                     replace(result, intervals={"x13": (refined.lo, refined.hi)})

@@ -139,6 +139,14 @@ def test_resultant_over_budget_exits_2(capsys, monkeypatch):
     assert err.startswith("error:") and "budget" in err
 
 
+def test_resultant_budget_counts_the_assignment_window(capsys, monkeypatch):
+    # the last (2,3,2) resultant takes 4 primes x 81 points inside its degree
+    # window; the row-sum degree bound asked for 4 x 161 = 644
+    monkeypatch.setattr(resultants, "RESULTANT_BUDGET", 400)
+    code, out, err = run(capsys, "solve", "--blocks", "2,3,2")
+    assert code == EXIT_OK and len(json.loads(out)["solutions"]) == 4, err
+
+
 def test_certify_accept_and_reject(capsys):
     code, out, _ = run(
         capsys, "certify", "--blocks", "1,4,2",
@@ -189,6 +197,12 @@ def test_bad_usage_is_domain_error(capsys):
     code, _, err = run(capsys, "sweep", "--blocks", "1,3,R", "--n", "9..7")
     assert code == EXIT_DOMAIN
     assert err.startswith("error:") and "9..7" in err
+    # malformed values name the option and the value
+    for option, value in [("--n", "6..7..8"), ("--n", "abc"), ("--blocks", "1,x,2")]:
+        argv = {"--n": "6..8", "--blocks": "1,3,R", option: value}
+        code, out, err = run(capsys, "sweep", *(w for kv in argv.items() for w in kv))
+        assert code == EXIT_DOMAIN and not out
+        assert err.startswith("error:") and option in err and repr(value) in err
     # n below the V4 R^n range is refused before solving, in every format
     for fmt in ("json", "csv"):
         code, out, err = run(capsys, "sweep", "--blocks", "1,3,R", "--n", "5",

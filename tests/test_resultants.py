@@ -14,6 +14,8 @@ import pytest
 
 from stiefel_einstein.errors import EliminationOverflowError
 from stiefel_einstein.polyalg import RationalPoly, resultant, resultants
+from stiefel_einstein.so_algebra import BlockDecomposition
+from stiefel_einstein.solver import build_system
 
 sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
@@ -53,6 +55,8 @@ CASES = {
     "constant_in_var": (Y**2 + 1, X**2 + Y),
     # 2^61 - 1 is the first prime tried; it is dropped
     "lc_vanishes_mod_first_prime": ((2**61 - 1) * X**2 + X + Y, X**2 - Y),
+    # the windows, y in [2, 3] and z in [2, 4], are the result's exponent ranges
+    "window_above_zero": (Y * X**2 + Z * Y**2, Z * X - Y * Z**2 + Y * Z),
 }
 
 
@@ -67,6 +71,17 @@ def test_resultant_sign_and_zero():
     assert resultant(*CASES["shared_factor"], "x").is_zero()
 
 
+def test_resultant_without_permutation_is_zero_before_evaluating(monkeypatch):
+    # both Sylvester rows of Res_x(x, x) put their only nonzero entry in
+    # the first column, so no permutation avoids the zero entries
+    def evaluate(*args):
+        raise AssertionError("evaluation started")
+
+    monkeypatch.setattr(resultants, "_res_mod", evaluate)
+    assert resultant(X, X, "x").is_zero()
+    assert resultant(X * Y, X**2 + X * Z, "x").is_zero()
+
+
 _small_bivariate = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 2), st.just(0)),
     st.integers(-9, 9).filter(bool),
@@ -79,6 +94,50 @@ _small_bivariate = st.dictionaries(
 @given(_small_bivariate, _small_bivariate)
 def test_resultant_matches_sylvester_on_random_bivariates(p, q):
     assert _matches_sylvester(p, q, "x")
+
+
+# a monomial factor in y and z lifts the lower ends of their windows
+_small_trivariate = st.builds(
+    lambda terms, a, b: RationalPoly(V, terms) * Y**a * Z**b,
+    st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+        st.integers(-9, 9).filter(bool),
+        min_size=2,
+        max_size=4,
+    ),
+    st.integers(0, 2),
+    st.integers(0, 2),
+)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(_small_trivariate, _small_trivariate)
+def test_resultant_matches_sylvester_on_random_trivariates(p, q):
+    assert _matches_sylvester(p, q, "x")
+
+
+def test_windows_hold_every_exponent_of_the_232_resultants(monkeypatch):
+    calls = []
+
+    def recording_windows(*args):
+        calls.append(windows(*args))
+        return calls[-1]
+
+    def checked_resultant(p, q, var):
+        r = res(p, q, var)
+        others = [j for j, v in enumerate(p.vars) if v != var]
+        for j, (lo, hi) in zip(others, calls[-1]):
+            assert lo <= min(m[j] for m in r.terms) and max(m[j] for m in r.terms) <= hi
+        return r
+
+    windows, res = resultants._windows, resultants.resultant
+    monkeypatch.setattr(resultants, "_windows", recording_windows)
+    monkeypatch.setattr(resultants, "resultant", checked_resultant)
+    resultants.eliminate_resultant(build_system(BlockDecomposition((2, 3, 2))).polys, "x13")
+    assert len(calls) == 6
+    # the last step, in x12, interpolates x13 over 81 points (the row-sum
+    # degree bound asked for 161); the result has x13-degree 80
+    assert calls[-1] == [(0, 0), (0, 0), (16, 96)]
 
 
 def test_resultant_budget_refuses_before_evaluating(monkeypatch):

@@ -261,6 +261,21 @@ def test_lift_points_have_short_denominators(monkeypatch):
         assert all(c.denominator <= 2 * 10**20 for c in p.values()), p
 
 
+def test_solve_computes_jensen_points_once(monkeypatch):
+    # classification of the certified Jensen candidates reuses solve's points
+    calls = []
+
+    def counting(decomp, *args):
+        calls.append(decomp)
+        return jensen(decomp, *args)
+
+    jensen = solver.jensen_points
+    monkeypatch.setattr(solver, "jensen_points", counting)
+    sols = solve(build_system(BlockDecomposition((1, 3, 2))))
+    assert [s.classification for s in sols].count("Jensen") == 2
+    assert len(calls) == 1
+
+
 def test_eliminant_positive_roots_match_sympy():
     # monomial factors are stripped from every resultant, so the (2,3,2)
     # eliminant does not vanish at x13 = 0 (its constant term is
