@@ -88,21 +88,19 @@ def _decomp(args) -> BlockDecomposition:
     return BlockDecomposition((*blocks, n_values[0] - sum(blocks)))
 
 
-def _parse_coeff(text: str) -> Fraction | float:
+def _parse_coeff(text: str) -> Fraction | float | None:
     """An exact rational, or a float when written with "." or an exponent;
-    a zero denominator or a float that is not finite is a usage error."""
+    None for anything else, a zero denominator or a float that is not finite."""
     text = text.strip()
-    if "/" in text:
-        try:
+    try:
+        if "/" in text:
             return Fraction(text)
-        except ZeroDivisionError:
-            raise ValueError(f"coordinate {text!r} has a zero denominator") from None
-    if "." in text or "e" in text or "E" in text:
-        value = float(text)
-        if not math.isfinite(value):
-            raise ValueError(f"coordinate {text!r} is not finite")
-        return value
-    return Fraction(int(text))
+        if "." in text or "e" in text or "E" in text:
+            value = float(text)
+            return value if math.isfinite(value) else None
+        return Fraction(int(text))
+    except (ValueError, ZeroDivisionError):
+        return None
 
 
 def _parse_tol(text: str) -> float:
@@ -126,7 +124,11 @@ def _parse_coords(text: str, decomp: BlockDecomposition) -> dict[ModuleLabel, ob
             raise ValueError(f"unknown coordinate {key!r}")
         if by_name[key] in out:
             raise ValueError(f"repeated coordinate {key!r}")
-        out[by_name[key]] = _parse_coeff(val)
+        value = _parse_coeff(val)
+        if value is None:
+            raise ValueError(f"--coords {key}={val!r}: expected an integer, "
+                             "a fraction n/d or a finite float")
+        out[by_name[key]] = value
     missing = set(by_name) - {f"x{l.name}" for l in out}
     if missing:
         raise ValueError(f"missing coordinates: {sorted(missing)}")

@@ -17,7 +17,6 @@ from importlib import resources
 from math import isqrt
 
 from .errors import DomainError
-from .polyalg import RationalPoly
 
 
 def _f(n: int) -> Fraction:
@@ -150,11 +149,6 @@ def h3_coeffs(n: int) -> list[Fraction]:
         0: 640 * (4 * m**2 + 24 * m + 37) * (n - 3) ** 2,
     }
     return [c[d] for d in range(11)]
-
-
-def h_poly(coeffs: list[Fraction], var: str) -> RationalPoly:
-    """Univariate RationalPoly from an ascending coefficient list."""
-    return RationalPoly.from_univariate_coeffs((var,), var, coeffs)
 
 
 # -- SO(7)/SO(2) eliminant factors (fixed descending integer vectors)

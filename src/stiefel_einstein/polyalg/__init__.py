@@ -8,7 +8,6 @@ from .sturm import (
     alternating_sign_check,
     bisect_to_width,
     count_real_roots,
-    divmod_univariate,
     isolate_real_roots,
     squarefree_part,
     sturm_chain,
@@ -27,7 +26,6 @@ __all__ = [
     "alternating_sign_check",
     "bisect_to_width",
     "count_real_roots",
-    "divmod_univariate",
     "isolate_real_roots",
     "squarefree_part",
     "sturm_chain",

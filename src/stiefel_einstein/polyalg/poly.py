@@ -6,10 +6,9 @@ Fraction coefficients, so equal polynomials compare equal structurally.
 
 Division by a single term may leave negative exponents, i.e. a Laurent
 polynomial.  Ring arithmetic, division by a scalar or term, content,
-primitive, cleared and the evaluators accept those; everything that reads
-degrees or divides by a polynomial (exact_div, the univariate views,
-Gröbner bases, resultants, gcds, Sturm) expects exponents >= 0, which
-cleared() restores.
+primitive, cleared and subs accept those; everything that reads degrees or
+divides by a polynomial (exact_div, the univariate views, Gröbner bases,
+resultants, gcds) expects exponents >= 0, which cleared() restores.
 """
 
 from __future__ import annotations
@@ -82,13 +81,6 @@ class RationalPoly:
 
     def is_constant(self) -> bool:
         return all(not any(m) for m in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        if not self.is_constant():
-            raise DomainError("not a constant polynomial")
-        return next(iter(self.terms.values()))
 
     def degree(self, name: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
@@ -320,21 +312,6 @@ class RationalPoly:
                 res.pop(nm, None)
         return RationalPoly(self.vars, res)
 
-    def eval_rational(self, point: dict[str, Fraction]) -> Fraction:
-        """Exact evaluation; every occurring variable must be bound."""
-        unbound = self.variables_used() - set(point)
-        if unbound:
-            raise DomainError(f"unbound variables {sorted(unbound)}")
-        vals = [Fraction(point.get(v, 0)) for v in self.vars]
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            t = c
-            for e, val in zip(m, vals):
-                if e:
-                    t *= val**e
-            total += t
-        return total
-
     # -- univariate views --------------------------------------------------
 
     def univariate_coeffs(self, name: str) -> list[Fraction]:
@@ -350,19 +327,6 @@ class RationalPoly:
         for m, c in self.terms.items():
             out[m[i]] += c
         return out
-
-    @classmethod
-    def from_univariate_coeffs(
-        cls, variables, name: str, coeffs: list[Fraction]
-    ) -> "RationalPoly":
-        variables = tuple(variables)
-        i = variables.index(name)
-        terms = {}
-        for e, c in enumerate(coeffs):
-            if c:
-                mono = tuple(e if j == i else 0 for j in range(len(variables)))
-                terms[mono] = Fraction(c)
-        return cls(variables, terms)
 
     def coeffs_in(self, name: str) -> list["RationalPoly"]:
         """Ascending coefficients as polynomials in the remaining variables.
@@ -380,39 +344,7 @@ class RationalPoly:
             buckets[m[i]][nm] = buckets[m[i]].get(nm, Fraction(0)) + c
         return [RationalPoly(self.vars, b) for b in buckets]
 
-    @classmethod
-    def from_coeffs_in(
-        cls, name: str, coeffs: list["RationalPoly"]
-    ) -> "RationalPoly":
-        if not coeffs:
-            raise DomainError("empty coefficient list")
-        variables = coeffs[0].vars
-        i = variables.index(name)
-        terms: dict[Monomial, Fraction] = {}
-        for e, p in enumerate(coeffs):
-            for m, c in p.terms.items():
-                nm = tuple(e if j == i else x for j, x in enumerate(m))
-                terms[nm] = terms.get(nm, Fraction(0)) + c
-        return cls(variables, terms)
-
-    # -- serialization and display ----------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "vars": list(self.vars),
-            "terms": [
-                {"exps": list(m), "num": c.numerator, "den": c.denominator}
-                for m, c in sorted(self.terms.items(), reverse=True)
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RationalPoly":
-        variables = tuple(data["vars"])
-        terms = {
-            tuple(t["exps"]): Fraction(t["num"], t["den"]) for t in data["terms"]
-        }
-        return cls(variables, terms)
+    # -- display ----------------------------------------------------------
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -3,10 +3,11 @@
 The resultant evaluates and interpolates modulo 61-bit primes (Collins, JACM
 18, 1971).  Degree windows, from assignments over the Sylvester matrix, and
 the Goldstein-Graham coefficient bound (SIAM Review 16, 1974) fix its points
-and primes, hence its cost, before any evaluation.  The gcd is the classical primitive-PRS algorithm, recursing on
-the number of variables.  Elimination chains resultants against a low-degree
-pivot; it strips shared factors whenever a resultant degenerates to zero,
-and the content and every monomial factor from each resultant.
+and primes, hence its cost, before any evaluation.  The gcd is the classical
+primitive-PRS algorithm, recursing on the number of variables.  Elimination
+chains resultants against a low-degree pivot; it strips shared factors
+whenever a resultant degenerates to zero, and the content and every
+monomial factor from each resultant.
 """
 
 from __future__ import annotations

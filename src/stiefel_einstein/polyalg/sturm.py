@@ -1,13 +1,14 @@
 """Real-root counting, isolation, and refinement via Sturm chains.
 
-Univariate polynomials are ascending coefficient lists.  Each entry point
-reads its input once into a primitive integer list (coefficient gcd 1); the
+Univariate polynomials are ascending coefficient lists, integer or
+rational.  Each entry point reads its list once into a primitive integer
+list (coefficient gcd 1), and an IsolatingInterval carries one; the
 square-free part, the Sturm chain and every sign evaluation then stay in
 integers.  Chain members are content-free pseudo-remainders, each a
 positive multiple of the member over Q, and the sign at a rational n/d
 (d > 0) is that of d^deg f(n/d), so every count is the one over Q.  All
 interval logic is half-open (lo, hi], matching the Sturm count
-V(lo) - V(hi).  divmod_univariate is long division over Q.
+V(lo) - V(hi).
 """
 
 from __future__ import annotations
@@ -16,10 +17,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..errors import DomainError
-from .poly import RationalPoly
-
-UCoeffs = list[Fraction]
 ZCoeffs = list[int]
 
 
@@ -35,22 +32,6 @@ def _degree(c: list) -> int:
 
 def _derivative(c: list) -> list:
     return [i * a for i, a in enumerate(c)][1:]
-
-
-def divmod_univariate(a: UCoeffs, b: UCoeffs) -> tuple[UCoeffs, UCoeffs]:
-    """Quotient and remainder of a by b over Q, both with trailing zeros
-    stripped; b must have a nonzero leading coefficient."""
-    rem = _strip(list(a))
-    db, lb = _degree(b), b[-1]
-    quo: UCoeffs = [Fraction(0)] * max(len(rem) - db, 0)
-    while _degree(rem) >= db:
-        k = _degree(rem) - db
-        q = rem[-1] / lb
-        quo[k] = q
-        for i, bc in enumerate(b):
-            rem[k + i] -= q * bc
-        _strip(rem)
-    return quo, rem
 
 
 def _primitive(c: ZCoeffs) -> ZCoeffs:
@@ -105,13 +86,8 @@ def _sign_at(c: ZCoeffs, x: Fraction) -> int:
     return (total > 0) - (total < 0)
 
 
-def _normalize_input(p) -> ZCoeffs:
-    if isinstance(p, RationalPoly):
-        used = sorted(p.variables_used())
-        if len(used) > 1:
-            raise DomainError(f"not univariate: uses {used}")
-        name = used[0] if used else (p.vars[0] if p.vars else "x")
-        p = p.univariate_coeffs(name)
+def _normalize_input(p: list) -> ZCoeffs:
+    """The integer or rational coefficient list p as a primitive integer list."""
     c = _strip([Fraction(a) for a in p])
     den = math.lcm(*(a.denominator for a in c))
     return _primitive([a.numerator * (den // a.denominator) for a in c])
@@ -180,8 +156,8 @@ def root_bound(c: list) -> Fraction:
 @dataclass(frozen=True)
 class IsolatingInterval:
     """Half-open interval (lo, hi] holding exactly one real root of the
-    square-free polynomial coeffs (primitive integers from isolate_real_roots;
-    bisect_to_width takes rational ones too); simplest() is its shortest point."""
+    square-free polynomial coeffs, primitive integers as isolate_real_roots
+    gives them; simplest() is its shortest point."""
 
     lo: Fraction
     hi: Fraction
@@ -255,13 +231,13 @@ def isolate_real_roots(
 def bisect_to_width(iv: IsolatingInterval, width: Fraction) -> IsolatingInterval:
     """Shrink an isolating interval by bisection until hi - lo <= width.
 
-    Each step evaluates the square-free iv.coeffs once and keeps the half
+    Each step evaluates the square-free f = iv.coeffs once and keeps the half
     where it changes sign.  Just right of lo its sign is that of f(lo), or
     of f'(lo) when lo is itself a root (excluded from (lo, hi]); a midpoint
     that lands on the root becomes hi.  With one simple root in (lo, hi]
     these are the choices the Sturm counts would make.
     """
-    f = _normalize_input(iv.coeffs)
+    f = iv.coeffs
     lo, hi = iv.lo, iv.hi
     positive = (_sign_at(f, lo) or _sign_at(_derivative(f), lo)) > 0
     while hi - lo > width:

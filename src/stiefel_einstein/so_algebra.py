@@ -118,11 +118,6 @@ class BlockDecomposition:
                 return i
         raise AssertionError("unreachable")
 
-    def block_range(self, a: int) -> range:
-        """1-based index range of block a."""
-        start = 1 + sum(self.blocks[: a - 1])
-        return range(start, start + self.blocks[a - 1])
-
     def basis(self) -> list[BasisElement]:
         """All of so(n)'s basis elements e_ab, a < b."""
         n = self.n

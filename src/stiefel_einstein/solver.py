@@ -13,9 +13,9 @@ quadratic.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import (
     DegenerateSystemError,
@@ -39,7 +39,6 @@ from .polyalg import (
     alternating_sign_check,
     bisect_to_width,
     buchberger,
-    divmod_univariate,
     eliminate_resultant,
     isolate_real_roots,
     poly_gcd,
@@ -53,6 +52,7 @@ CERTIFY_TOL = 1e-10
 JENSEN_MATCH_TOL = 1e-8
 REPORT_WIDTH = Fraction(1, 10**15)
 LIFT_WIDTH = Fraction(1, 10**20)
+JENSEN_DIGITS = 50  # decimals of the closed-form equal-off-diagonal roots
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,6 @@ class EinsteinSolution:
     residual: float
     intervals: dict[str, tuple[Fraction, Fraction]] = field(default_factory=dict)
     classification: str = "New"  # "Jensen" | "New"
-    exact: dict[ModuleLabel, Fraction] | None = None
 
     @property
     def branch(self) -> str:
@@ -186,10 +185,9 @@ def jensen_quadratic(decomp: BlockDecomposition) -> list[Fraction]:
     return g.primitive().univariate_coeffs("x")
 
 
-def jensen_points(
-    decomp: BlockDecomposition, digits: int = 50
-) -> list[dict[ModuleLabel, Fraction]]:
-    """High-precision coordinates of the equal-off-diagonal Einstein metrics."""
+def jensen_points(decomp: BlockDecomposition) -> list[dict[ModuleLabel, Fraction]]:
+    """Coordinates of the equal-off-diagonal Einstein metrics, to
+    JENSEN_DIGITS decimals."""
     quad = jensen_quadratic(decomp)
     roots: list[Fraction] = []
     if len(quad) == 3:
@@ -197,10 +195,10 @@ def jensen_points(
         disc = b * b - 4 * a * c
         if disc < 0:
             return []
-        s = sqrt_fraction(disc, digits)
+        s = sqrt_fraction(disc, JENSEN_DIGITS)
         roots = [(-b - s) / (2 * a), (-b + s) / (2 * a)]
     else:
-        width = Fraction(1, 10 ** max(digits, 20))
+        width = Fraction(1, 10**JENSEN_DIGITS)
         for iv in isolate_real_roots(quad, lo=Fraction(0)):
             roots.append(bisect_to_width(iv, width).midpoint())
     out = []
@@ -238,53 +236,51 @@ def certify(
     residual = float(comp.residual())
     if not residual <= tol:
         return Rejection(f"Einstein residual {residual:.3e} exceeds {tol:.1e}")
-    classification, exact_out = _classify(exact, decomp, jensen)
     return EinsteinSolution(
         decomp=decomp,
         coords={l: float(c) for l, c in exact.items()},
         lam=float(lam),
         residual=residual,
-        classification=classification,
-        exact=exact_out,
+        classification=_classify(exact, decomp, jensen),
     )
 
 
 def _classify(
     exact: dict[ModuleLabel, Fraction], decomp: BlockDecomposition, jensen: list | None
-) -> tuple[str, dict[ModuleLabel, Fraction] | None]:
+) -> str:
     unit = [c for l, c in exact.items() if not _jensen_scaled(l)]
     scaled = [c for l, c in exact.items() if _jensen_scaled(l)]
     if any(abs(c - 1) > JENSEN_MATCH_TOL for c in unit):
-        return "New", None
+        return "New"
     if max(scaled) - min(scaled) > JENSEN_MATCH_TOL:
-        return "New", None
+        return "New"
     for point in jensen_points(decomp) if jensen is None else jensen:
         ref = next(c for l, c in point.items() if _jensen_scaled(l))
         if all(abs(d - ref) <= JENSEN_MATCH_TOL for d in scaled):
-            return "Jensen", point
-    return "New", None
+            return "Jensen"
+    return "New"
 
 
 # -- elimination and back-substitution --------------------------------------
 
 def _eliminate(
     system: EinsteinSystem,
-) -> tuple[list[Fraction], list[tuple[str, RationalPoly]]]:
-    """Univariate x13-eliminant of the system by iterated resultants, with
-    every (x13 - 1) factor divided out: that root is the closed-form branch.
+) -> tuple[list[int], list[tuple[str, RationalPoly]]]:
+    """Univariate x13-eliminant of the system by iterated resultants, as
+    primitive integer coefficients with every (x13 - 1) factor divided out:
+    that root is the closed-form branch.  x13 - 1 is monic, so synthetic
+    division keeps the quotient integral (and primitive, by Gauss's lemma).
     The resultant pivots are passed on for the lift (see _lift).
 
     The eliminant may carry extraneous factors; their roots find no
     certified lift and drop out in solve.
     """
     elim, pivots = eliminate_resultant(system.polys, "x13")
-    coeffs = [Fraction(c) for c in elim.reorder(("x13",)).univariate_coeffs("x13")]
-    x_minus_1 = [Fraction(-1), Fraction(1)]
-    while True:
-        quo, rem = divmod_univariate(coeffs, x_minus_1)
-        if any(rem):
-            return coeffs, pivots
-        coeffs = quo
+    coeffs = [int(c) for c in elim.reorder(("x13",)).univariate_coeffs("x13")]
+    while len(coeffs) > 1 and sum(coeffs) == 0:
+        # quotient coefficient k is c_(k+1) + ... + c_deg
+        coeffs = list(accumulate(coeffs[:0:-1]))[::-1]
+    return coeffs, pivots
 
 
 def groebner_eliminant(system: EinsteinSystem) -> list[Fraction]:
@@ -464,6 +460,10 @@ def sweep(n_values: list[int], workers: int = 1) -> dict[int, list[EinsteinSolut
     """Solve the (1, 3, n-4) family across an n-range, deterministically
     merged by n; n values may run in parallel, at most one worker per n."""
     if workers > 1:
+        # imported here: loading multiprocessing adds about 1.7 MB to the
+        # peak RSS of every run that does not use it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(n_values))) as ex:
             results = list(ex.map(solve_v4, n_values))
         return dict(zip(n_values, results))

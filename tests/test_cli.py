@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -11,7 +12,6 @@ from pathlib import Path
 import pytest
 
 import stiefel_einstein
-from stiefel_einstein import solver
 from stiefel_einstein.cli import EXIT_DOMAIN, EXIT_OK, EXIT_RESOURCE, main
 from stiefel_einstein.polyalg import resultants
 
@@ -125,7 +125,7 @@ def test_sweep_workers_are_bounded(capsys, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(solver, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     code, out, _ = run(capsys, "sweep", "--blocks", "1,3,R", "--n", "6..8",
                        "--workers", "64")
     assert code == EXIT_OK and len(out.strip().splitlines()) == 1 + 12
@@ -219,6 +219,17 @@ def test_bad_usage_is_domain_error(capsys):
         code, out, err = run(capsys, cmd, "--blocks", "1,3,2", "--coords", coords)
         assert code == EXIT_DOMAIN and not out
         assert err.startswith("error:")
+    # a malformed coordinate names --coords, the coordinate and the value
+    for key, item in [("x12", "x12=abc"), ("x2", "x2"), ("x2", "x2=1.2.3"),
+                      ("x2", "x2=1/x")]:
+        value = item.partition("=")[2]
+        coords = ",".join([item] + [f"{k}=1" for k in ("x2", "x12", "x13", "x23")
+                                    if k != key])
+        for cmd in ("certify", "ricci"):
+            code, out, err = run(capsys, cmd, "--blocks", "1,3,2", "--coords", coords)
+            assert code == EXIT_DOMAIN and not out
+            assert err.startswith("error:") and "--coords" in err
+            assert f"{key}={value!r}" in err
     # a negative or NaN tolerance
     for cmd, extra in [("solve", []), ("certify", ["--coords", "x2=1,x12=1,x13=1,x23=1"])]:
         for tol in ("-1", "nan"):
