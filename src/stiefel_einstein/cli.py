@@ -116,22 +116,23 @@ def _parse_tol(text: str) -> float:
 
 def _parse_coords(text: str, decomp: BlockDecomposition) -> dict[ModuleLabel, object]:
     by_name = {f"x{l.name}": l for l in dims(decomp)}
+    expected = f"expected each of {', '.join(by_name)} once"
     out = {}
     for item in text.split(","):
         key, _, val = item.partition("=")
         key = key.strip()
         if key not in by_name:
-            raise ValueError(f"unknown coordinate {key!r}")
+            raise ValueError(f"--coords: unknown coordinate {key!r}; {expected}")
         if by_name[key] in out:
-            raise ValueError(f"repeated coordinate {key!r}")
+            raise ValueError(f"--coords: repeated coordinate {key!r}; {expected}")
         value = _parse_coeff(val)
         if value is None:
             raise ValueError(f"--coords {key}={val!r}: expected an integer, "
                              "a fraction n/d or a finite float")
         out[by_name[key]] = value
-    missing = set(by_name) - {f"x{l.name}" for l in out}
+    missing = [key for key, lbl in by_name.items() if lbl not in out]
     if missing:
-        raise ValueError(f"missing coordinates: {sorted(missing)}")
+        raise ValueError(f"--coords: missing {', '.join(missing)}; {expected}")
     return out
 
 

@@ -47,15 +47,21 @@ def pseudo_remainder(a: RationalPoly, b: RationalPoly, var: str) -> RationalPoly
     return r
 
 
+# The first primes below 2^61: no catalog shape needs more than 7
+PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45, 2**61 - 229,
+          2**61 - 259, 2**61 - 283, 2**61 - 339, 2**61 - 391)
+
+
 def _primes():
-    """Primes in (2^60, 2^61), descending (Miller-Rabin, exact below 3.3e24)."""
-    n = 2**61 + 1
+    """Primes in (2^60, 2^61), descending: PRIMES, then by Miller-Rabin."""
+    yield from PRIMES
+    n = PRIMES[-1]
     while True:
         n -= 2
         s = ((n - 1) & (1 - n)).bit_length() - 1
         d = (n - 1) >> s
         if all(pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s))
-               for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)):
+               for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)):  # exact < 3.3e24
             yield n
 
 

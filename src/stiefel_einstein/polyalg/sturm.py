@@ -8,7 +8,9 @@ integers.  Chain members are content-free pseudo-remainders, each a
 positive multiple of the member over Q, and the sign at a rational n/d
 (d > 0) is that of d^deg f(n/d), so every count is the one over Q.  All
 interval logic is half-open (lo, hi], matching the Sturm count
-V(lo) - V(hi).
+V(lo) - V(hi).  Refinement returns the cell that halving an isolating
+interval ends in, reached by quadratic interval refinement on the grid of
+those cells.
 """
 
 from __future__ import annotations
@@ -76,14 +78,27 @@ def _exact_quotient(a: ZCoeffs, b: ZCoeffs) -> ZCoeffs:
     return quo
 
 
-def _sign_at(c: ZCoeffs, x: Fraction) -> int:
-    """Sign of c(x), read from sum c_i n^i d^(deg - i) = d^deg c(n/d)."""
-    n, d = x.numerator, x.denominator
-    total, dk = 0, 1
+def _scaled(c: ZCoeffs, d: int) -> list[int]:
+    """c_deg, c_(deg-1) d, ..., c_0 d^deg, whose _horner at n is d^deg c(n/d)."""
+    out, dk = [], 1
     for a in reversed(c):
-        total = total * n + a * dk
+        out.append(a * dk)
         dk *= d
-    return (total > 0) - (total < 0)
+    return out
+
+
+def _horner(desc: list[int], n: int) -> int:
+    """The descending coefficient list desc evaluated at the integer n."""
+    total = 0
+    for a in desc:
+        total = total * n + a
+    return total
+
+
+def _sign_at(c: ZCoeffs, x: Fraction) -> int:
+    """Sign of c(x), read from d^deg c(n/d) for x = n/d."""
+    v = _horner(_scaled(c, x.denominator), x.numerator)
+    return (v > 0) - (v < 0)
 
 
 def _normalize_input(p: list) -> ZCoeffs:
@@ -229,25 +244,57 @@ def isolate_real_roots(
 
 
 def bisect_to_width(iv: IsolatingInterval, width: Fraction) -> IsolatingInterval:
-    """Shrink an isolating interval by bisection until hi - lo <= width.
+    """The cell of (lo, hi] that halving to hi - lo <= width ends in, found by
+    quadratic interval refinement (Abbott, ACM Commun. Comput. Algebra 48,
+    2014) on the grid of those cells, with one shared denominator.
 
-    Each step evaluates the square-free f = iv.coeffs once and keeps the half
-    where it changes sign.  Just right of lo its sign is that of f(lo), or
-    of f'(lo) when lo is itself a root (excluded from (lo, hi]); a midpoint
-    that lands on the root becomes hi.  With one simple root in (lo, hi]
-    these are the choices the Sturm counts would make.
-    """
-    f = iv.coeffs
-    lo, hi = iv.lo, iv.hi
-    positive = (_sign_at(f, lo) or _sign_at(_derivative(f), lo)) > 0
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        value = _sign_at(f, mid)
-        if value == 0 or (value > 0) != positive:
-            hi = mid
-        else:
-            lo = mid
-    return IsolatingInterval(lo, hi, iv.coeffs)
+    Each step evaluates f = iv.coeffs at the grid point nearest the secant
+    root and 1/N of the bracket beyond it, toward the root; N is squared
+    when that leaves a bracket at most 1/N as wide, its square root is taken
+    otherwise, and N = 2 is a halving.  Signs are read as halving reads
+    them: just right of lo the sign is that of f(lo), or of f'(lo) when lo
+    is a root; a root on a grid point is its cell's hi.  A linear f takes
+    its cell from its exact root."""
+    f, lo, hi = iv.coeffs, iv.lo, iv.hi
+    span = hi - lo
+    if span <= width:
+        return iv
+    levels = (math.ceil(span / width) - 1).bit_length()
+    # grid point m is (base + m * step) / den, for m = 0 .. 2^levels
+    den = math.lcm(lo.denominator, hi.denominator)
+    base = lo.numerator * (den // lo.denominator) << levels
+    step = hi.numerator * (den // hi.denominator) - (base >> levels)
+    den <<= levels
+    if len(f) == 2:
+        a = math.ceil((Fraction(-f[0], f[1]) - lo) / span * (1 << levels)) - 1
+    else:
+        scaled = _scaled(f, den)
+        at_lo = _horner(scaled, base)
+        # the sign just right of lo, so g > 0 left of the root, g < 0 right
+        sign = 1 if (at_lo or _sign_at(_derivative(f), lo)) > 0 else -1
+
+        def g(m: int) -> int:
+            return sign * _horner(scaled, base + m * step)
+
+        a, b, ga, gb, n = 0, 1 << levels, sign * at_lo, g(1 << levels), 4
+        while b - a > 1 and gb:
+            if n == 2:
+                m, w = (a + b) // 2, 0
+            else:  # the grid point nearest the secant root, inside (a, b)
+                m = a + (2 * (b - a) * ga + ga - gb) // (2 * (ga - gb))
+                m, w = min(max(m, a + 1), b - 1), max(1, (b - a) // n)
+            gm = g(m)
+            a, ga, b, gb = (m, gm, b, gb) if gm > 0 else (a, ga, m, gm)
+            probe = m + w if gm > 0 else m - w
+            if gm and a < probe < b:
+                gp = g(probe)
+                a, ga, b, gb = (probe, gp, b, gb) if gp > 0 else (a, ga, probe, gp)
+            n = 4 if n == 2 else n * n if b - a <= w else math.isqrt(n)
+        if not gb:  # the root is the grid point b
+            a = b - 1
+    return IsolatingInterval(
+        Fraction(base + a * step, den), Fraction(base + (a + 1) * step, den), f
+    )
 
 
 def alternating_sign_check(p) -> bool:

@@ -72,7 +72,6 @@ def ricci_general(table: TripleTable, metric: InvariantMetric) -> RicciComponent
     if table.decomp != metric.decomp:
         raise DomainError("triple table and metric use different decompositions")
     x = metric.coeffs
-    labels = table.labels()
     sample = next(iter(x.values()))
     if isinstance(sample, Fraction):
         one = Fraction(1)
@@ -81,19 +80,13 @@ def ricci_general(table: TripleTable, metric: InvariantMetric) -> RicciComponent
     else:
         one = sample / sample  # multiplicative identity of a symbolic scalar
     out: dict[ModuleLabel, Scalar] = {}
-    for k in labels:
+    for k, (plus, minus) in table.terms.items():
         dk = table.dims[k]
         val = one / (2 * x[k])
-        for j in labels:
-            for i in labels:
-                t = table.value(k, j, i)
-                if t:
-                    val += (one * t.numerator / t.denominator) * x[k] / (4 * dk * x[j] * x[i])
-        for j in labels:
-            for i in labels:
-                t = table.value(j, k, i)
-                if t:
-                    val -= (one * t.numerator / t.denominator) * x[j] / (2 * dk * x[k] * x[i])
+        for j, i, t in plus:
+            val += (one * t.numerator / t.denominator) * x[k] / (4 * dk * x[j] * x[i])
+        for j, i, t in minus:
+            val -= (one * t.numerator / t.denominator) * x[j] / (2 * dk * x[k] * x[i])
         out[k] = val
     return RicciComponents(out)
 

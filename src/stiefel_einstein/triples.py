@@ -15,6 +15,7 @@ only.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -96,6 +97,16 @@ class TripleTable:
             if val != 0 and key not in admissible:
                 raise DomainError(f"inadmissible nonzero triple shape {key}")
 
+    @functools.cached_property
+    def terms(self) -> dict[ModuleLabel, tuple[tuple, tuple]]:
+        """For each label k, the nonzero (j, i, [k;ji]) and (j, i, [j;ki]) over
+        ordered label pairs: the terms of the Ricci component r_k."""
+        pairs = [(j, i) for j in self.labels() for i in self.labels()]
+        return {k: (
+            tuple((j, i, t) for j, i in pairs if (t := self.value(k, j, i))),
+            tuple((j, i, t) for j, i in pairs if (t := self.value(j, k, i))),
+        ) for k in self.labels()}
+
     def value(self, i: ModuleLabel, j: ModuleLabel, k: ModuleLabel) -> Fraction:
         return self.entries.get(triple_key(i, j, k), Fraction(0))
 
@@ -161,8 +172,10 @@ def triples_bruteforce(decomp: BlockDecomposition) -> TripleTable:
     return TripleTable(decomp, entries)
 
 
+@functools.cache
 def triples_closed_form(decomp: BlockDecomposition) -> TripleTable:
-    """Triples from the closed forms; only the seven admissible shapes."""
+    """Triples from the closed forms; only the seven admissible shapes.  One
+    table per decomposition, shared by every caller."""
     if len(decomp.blocks) != 3:
         raise DomainError("triples are defined for 3-block decompositions")
     k = decomp.blocks

@@ -230,6 +230,18 @@ def test_bad_usage_is_domain_error(capsys):
             assert code == EXIT_DOMAIN and not out
             assert err.startswith("error:") and "--coords" in err
             assert f"{key}={value!r}" in err
+    # an unknown, repeated or missing coordinate names --coords and the
+    # accepted coordinates
+    for coords, what in [
+        ("x9=1,x2=1,x12=1,x13=1,x23=1", "'x9'"),
+        ("x2=1,x12=1,x13=1,x23=1,x12=2", "'x12'"),
+        ("x2=1", "x12, x13, x23"),
+    ]:
+        for cmd in ("certify", "ricci"):
+            code, out, err = run(capsys, cmd, "--blocks", "1,3,2", "--coords", coords)
+            assert code == EXIT_DOMAIN and not out
+            assert err.startswith("error: --coords") and what in err
+            assert "x2, x12, x13, x23" in err
     # a negative or NaN tolerance
     for cmd, extra in [("solve", []), ("certify", ["--coords", "x2=1,x12=1,x13=1,x23=1"])]:
         for tol in ("-1", "nan"):
@@ -251,12 +263,32 @@ def test_fixtures_verify(capsys):
     assert json.loads(out) == {"ok": True, "problems": []}
 
 
+def test_ricci_float_report(capsys):
+    # the report of the per-call table lookups, byte for byte
+    code, out, _ = run(capsys, "ricci", "--blocks", "2,3,2", "--coords",
+                       "x1=0.37,x2=1.3,x12=0.731,x13=1.1,x23=1")
+    assert code == EXIT_OK
+    assert out == (
+        '{\n "components": {\n  "r1": 0.134440882592,\n  "r12": 0.197705618316,\n'
+        '  "r13": 0.378748612226,\n  "r2": 0.411742765946,\n  "r23": 0.277429299838\n'
+        ' },\n "lambda_candidate": 0.280013435784,\n "residual": 0.519877029415\n}\n'
+    )
+
+
 def test_solve_needs_no_numpy():
-    # the package has no runtime dependency: solve must run with numpy blocked
+    # the package has no runtime dependency: solve and a one-worker sweep
+    # run with numpy blocked and load only the standard library and the
+    # package itself, and never the process-pool machinery
     code = (
-        "import sys; sys.modules['numpy'] = None\n"
+        "import json, os, sys; sys.modules['numpy'] = None\n"
+        "before = set(sys.modules)\n"
         "from stiefel_einstein import cli\n"
-        "sys.exit(cli.main(['solve', '--blocks', '1,3,2']))"
+        "code = cli.main(['solve', '--blocks', '1,3,2'])\n"
+        "code = code or cli.main(['sweep', '--blocks', '1,3,R', '--n', '6',\n"
+        "                         '--workers', '1', '--output', os.devnull])\n"
+        "new = [m for m in sys.modules if m not in before]\n"
+        "print(json.dumps({'new': new, 'all': list(sys.modules)}), file=sys.stderr)\n"
+        "sys.exit(code)"
     )
     src = str(Path(stiefel_einstein.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -267,3 +299,9 @@ def test_solve_needs_no_numpy():
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     assert len(json.loads(proc.stdout)["solutions"]) == 4
+    modules = json.loads(proc.stderr.splitlines()[-1])
+    foreign = [m for m in modules["new"] if m.partition(".")[0] not in
+               sys.stdlib_module_names | {"stiefel_einstein"}]
+    assert not foreign
+    assert "stiefel_einstein.solver" in modules["new"]
+    assert not {"concurrent.futures", "multiprocessing"} & set(modules["all"])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -29,6 +30,8 @@ from stiefel_einstein.polyalg import (
     squarefree_part,
     sturm_chain,
 )
+from stiefel_einstein.polyalg import resultants, sturm
+from helpers import halving_oracle
 
 V = ("x", "y")
 
@@ -309,6 +312,85 @@ def test_bisect_to_width_on_exact_roots():
     iv = bisect_to_width(IsolatingInterval(Fraction(0), Fraction(3), tuple(f)), w)
     assert (iv.lo, iv.hi) == (Fraction(21, 32), Fraction(3, 4))
     assert count_real_roots(f, iv.lo, iv.hi) == 1
+
+
+def _evaluations(monkeypatch) -> list:
+    """The integer points at which sturm evaluates a polynomial from now on."""
+    points = []
+    horner = sturm._horner
+
+    def counted(desc, n):
+        points.append(n)
+        return horner(desc, n)
+
+    monkeypatch.setattr(sturm, "_horner", counted)
+    return points
+
+
+def test_refinement_edge_cases_match_halving(monkeypatch):
+    cases = [
+        ([0, -1, 1], 0, Fraction(3, 2)),  # lo is a root, f'(lo) < 0
+        ([0, 2, -3, 1], 1, Fraction(5, 2)),  # lo is a root, f'(lo) < 0, root 2
+        ([0, 2, -3, 1], 0, Fraction(3, 2)),  # lo is a root, f'(lo) > 0, root 1
+        ([-9, 0, 16], Fraction(1, 2), Fraction(3, 4)),  # hi is a root
+        ([-9, 0, 16], Fraction(1, 3), Fraction(3, 4)),  # hi is a root, off-grid lo
+        ([-3, 8], 0, 1),  # degree 1, the root on a grid point
+        ([-3, 8], Fraction(1, 3), Fraction(3, 8)),  # degree 1, the root at hi
+        ([5, -7], 0, 1),  # degree 1, the root off the grid
+    ]
+    for f, lo, hi in cases:
+        iv = IsolatingInterval(Fraction(lo), Fraction(hi), tuple(f))
+        assert count_real_roots(f, iv.lo, iv.hi) == 1
+        for width in (Fraction(1, 10**9), Fraction(1, 3), iv.width() / 2):
+            assert bisect_to_width(iv, width) == halving_oracle(iv, width), (f, width)
+    # a width already met returns the interval unevaluated; so does degree 1
+    points = _evaluations(monkeypatch)
+    iv = IsolatingInterval(Fraction(1), Fraction(2), (-2, 0, 1))
+    for width in (Fraction(1), Fraction(2)):
+        assert bisect_to_width(iv, width) == iv
+    iv = IsolatingInterval(Fraction(0), Fraction(1), (5, -7))
+    assert bisect_to_width(iv, Fraction(1, 10**20)).hi - Fraction(5, 7) < 10**-20
+    assert points == []
+
+
+def test_refinement_evaluation_counts(monkeypatch):
+    width = Fraction(1, 10**20)
+    points = _evaluations(monkeypatch)
+    (_, sqrt2) = isolate_real_roots([-2, 0, 1])
+    points.clear()
+    iv = bisect_to_width(sqrt2, width)
+    assert len(points) <= 20
+    points.clear()
+    assert halving_oracle(sqrt2, width) == iv
+    assert len(points) >= 67
+    # two roots 10^-30 apart, refined from intervals of width 1e-30 and about 1
+    a = Fraction(7, 5)
+    b = a + Fraction(1, 10**30)
+    f = (int(a * b * 25 * 10**30), int(-(a + b) * 25 * 10**30), 25 * 10**30)
+    ivs = isolate_real_roots(list(f)) + [
+        IsolatingInterval(Fraction(0), (a + b) / 2, f),
+        IsolatingInterval((a + b) / 2, Fraction(3), f),
+    ]
+    for iv in ivs:
+        for width in (Fraction(1, 10**35), Fraction(1, 10**50)):
+            points.clear()
+            refined = bisect_to_width(iv, width)
+            qir = len(points)
+            points.clear()
+            assert halving_oracle(iv, width) == refined
+            assert qir <= 2 * len(points)
+
+
+def test_first_primes_are_the_primes_below_2_61(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    below = [2**61]
+    for _ in range(9):
+        below.append(sympy.prevprime(below[-1]))
+    assert resultants.PRIMES == tuple(below[1:9])
+    assert list(islice(resultants._primes(), 9)) == below[1:]
+    # the first eight come without a primality test, whose every step is a pow
+    monkeypatch.setattr(resultants, "pow", None, raising=False)
+    assert tuple(islice(resultants._primes(), 8)) == resultants.PRIMES
 
 
 def test_squarefree_part():

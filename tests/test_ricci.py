@@ -15,7 +15,12 @@ from stiefel_einstein.ricci import (
     ricci_specialized,
 )
 from stiefel_einstein.so_algebra import BlockDecomposition, Diag, OffDiag
-from stiefel_einstein.triples import dims, triples_bruteforce, triples_closed_form
+from stiefel_einstein.triples import (
+    TripleTable,
+    dims,
+    triples_bruteforce,
+    triples_closed_form,
+)
 
 
 def _random_metric(decomp, rng):
@@ -131,3 +136,26 @@ def test_float_metric_route():
     rf = ricci(floats).values
     for lbl in re_:
         assert rf[lbl] == pytest.approx(float(re_[lbl]), rel=1e-12)
+
+
+def test_float_ricci_is_unchanged(monkeypatch):
+    # the reprs the per-call table lookups gave; the term lists must keep
+    # every float operation, and ricci must not look up triples per call
+    d = BlockDecomposition((2, 3, 2))
+    triples_closed_form(d).terms
+    monkeypatch.setattr(TripleTable, "value", None)
+    metric = InvariantMetric(d, {Diag(1): 0.37, Diag(2): 1.3, OffDiag(1, 2): 0.731,
+                                 OffDiag(1, 3): 1.1, OffDiag(2, 3): 1.0})
+    got = {l.name: repr(v) for l, v in ricci(metric).values.items()}
+    assert got == {
+        "1": "0.13444088259212383",
+        "2": "0.41174276594632864",
+        "12": "0.19770561831625244",
+        "13": "0.3787486122259782",
+        "23": "0.2774292998383286",
+    }
+
+
+def test_closed_form_table_is_built_once():
+    d = BlockDecomposition((2, 3, 2))
+    assert triples_closed_form(d) is triples_closed_form(BlockDecomposition((2, 3, 2)))

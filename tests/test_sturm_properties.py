@@ -1,4 +1,4 @@
-"""Hypothesis properties of the Sturm layer's interval points."""
+"""Hypothesis properties of the Sturm layer's interval points and refinement."""
 
 from __future__ import annotations
 
@@ -7,7 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from stiefel_einstein.polyalg import IsolatingInterval
+from stiefel_einstein.polyalg import (
+    IsolatingInterval,
+    bisect_to_width,
+    isolate_real_roots,
+    squarefree_part,
+)
+from helpers import halving_oracle
 
 pytest.importorskip("hypothesis")
 
@@ -41,3 +47,52 @@ def test_simplest_examples():
     assert simplest(Fraction(-7, 3), Fraction(-9, 4)) == Fraction(-9, 4)
     pi_bracket = (Fraction(314159, 10**5), Fraction(314160, 10**5))
     assert simplest(*pi_bracket) == Fraction(355, 113)
+
+
+_widths = st.builds(lambda p, e: Fraction(p, 10**e), st.integers(1, 9), st.integers(0, 30))
+_coeffs = st.lists(st.integers(-30, 30), min_size=2, max_size=7).filter(lambda c: c[-1])
+
+
+def _times(p: list, q: list) -> list:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_coeffs, _widths)
+def test_refinement_matches_halving(coeffs, width):
+    for iv in isolate_real_roots(squarefree_part(coeffs)):
+        assert bisect_to_width(iv, width) == halving_oracle(iv, width)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.lists(_rationals, min_size=1, max_size=3, unique=True),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=3).filter(lambda c: c[-1]),
+    st.integers(0, 60),
+    st.integers(0, 2**60),
+    st.fractions(0, 1).filter(lambda u: u < 1),
+)
+def test_refinement_matches_halving_with_roots_on_the_grid(roots, cofactor, levels,
+                                                           k, u):
+    # a rational root r is grid point k of (lo, hi] at the halving level that
+    # width asks for, 1 <= k <= 2^levels (k = 2^levels puts r at hi)
+    f = cofactor
+    for r in roots:
+        f = _times(f, [-r.numerator, r.denominator])
+    f = squarefree_part(f)
+    r = roots[0]
+    iv = next(iv for iv in isolate_real_roots(f) if iv.lo < r <= iv.hi)
+    cells = 2**levels
+    k = 1 + k % cells
+    step = (r - iv.lo) / cells
+    if iv.hi > r:
+        step = min(step, (iv.hi - r) / cells)
+    else:  # r is the hi of its isolating interval, and stays hi
+        k = cells
+    grid = IsolatingInterval(r - k * step, r + (cells - k) * step, iv.coeffs)
+    width = step * (1 + u)
+    assert bisect_to_width(grid, width) == halving_oracle(grid, width)
