@@ -8,7 +8,6 @@ resultant pivots -> certification.
 
 from .errors import (
     DegenerateSystemError,
-    DivisibilityError,
     DomainError,
     EliminationOverflowError,
     InvalidElementError,
@@ -45,7 +44,6 @@ __all__ = [
     "UndefinedKillingRatioError",
     "DomainError",
     "UnsupportedShapeError",
-    "DivisibilityError",
     "DegenerateSystemError",
     "EliminationOverflowError",
     "ISOTROPY",

@@ -2,7 +2,8 @@
 
 Reports are deterministic: floats are printed with 12 significant digits,
 exact rationals as numerator/denominator pairs.  Exit codes: 0 success,
-1 domain/usage error, 2 an elimination over its fixed cost limit.
+1 domain/usage error or a degenerate elimination, 2 an elimination over its
+fixed cost limit.
 """
 
 from __future__ import annotations
@@ -289,19 +290,15 @@ def _cmd_certify(args) -> int:
 def _cmd_fixtures_verify(args) -> int:
     problems = verify_golden()
     # recompute the Groebner eliminants and compare with the stored closed forms
-    for n in (6, 7):
-        coeffs = groebner_eliminant(build_system(BlockDecomposition((1, 3, n - 4))))
-        stored = h1_coeffs(n)
-        ratio = None
-        if len(coeffs) == len(stored):
-            ratio = coeffs[-1] / stored[-1]
+    checks = [((1, 3, n - 4), h1_coeffs(n),
+               f"recomputed x13-eliminant differs from h1 at n={n}") for n in (6, 7)]
+    checks.append(((1, 4, 2), v5r7_142_h2_coeffs(),
+                   "recomputed (1,4,2) eliminant differs from stored factor"))
+    for blocks, stored, problem in checks:
+        coeffs = groebner_eliminant(build_system(BlockDecomposition(blocks)))
+        ratio = coeffs[-1] / stored[-1] if len(coeffs) == len(stored) else None
         if ratio is None or any(a != ratio * b for a, b in zip(coeffs, stored)):
-            problems.append(f"recomputed x13-eliminant differs from h1 at n={n}")
-    coeffs = groebner_eliminant(build_system(BlockDecomposition((1, 4, 2))))
-    stored = v5r7_142_h2_coeffs()
-    ratio = coeffs[-1] / stored[-1] if len(coeffs) == len(stored) else None
-    if ratio is None or any(a != ratio * b for a, b in zip(coeffs, stored)):
-        problems.append("recomputed (1,4,2) eliminant differs from stored factor")
+            problems.append(problem)
     out = {"ok": not problems, "problems": problems}
     _emit(args, json.dumps(out, indent=1, sort_keys=True) + "\n")
     return EXIT_OK if not problems else EXIT_DOMAIN

@@ -21,12 +21,10 @@ class UnsupportedShapeError(StiefelError, NotImplementedError):
     """A block decomposition outside the shapes this pipeline handles."""
 
 
-class DivisibilityError(StiefelError, ArithmeticError):
-    """Exact polynomial division left a nonzero remainder."""
-
-
 class DegenerateSystemError(StiefelError, ArithmeticError):
-    """A resultant vanished identically; the system needs a different route."""
+    """An elimination degenerated (a resultant vanished identically, or an
+    expected constraint is missing or malformed); the system needs a
+    different route."""
 
 
 class EliminationOverflowError(StiefelError, RuntimeError):

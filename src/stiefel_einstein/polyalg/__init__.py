@@ -2,7 +2,7 @@
 
 from .poly import RationalPoly
 from .groebner import buchberger, reduce_poly, s_polynomial, saturation_generators
-from .resultants import eliminate_resultant, poly_gcd, resultant
+from .resultants import eliminate_resultant, resultant
 from .sturm import (
     IsolatingInterval,
     alternating_sign_check,
@@ -20,7 +20,6 @@ __all__ = [
     "s_polynomial",
     "saturation_generators",
     "eliminate_resultant",
-    "poly_gcd",
     "resultant",
     "IsolatingInterval",
     "alternating_sign_check",

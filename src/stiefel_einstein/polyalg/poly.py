@@ -7,8 +7,8 @@ Fraction coefficients, so equal polynomials compare equal structurally.
 Division by a single term may leave negative exponents, i.e. a Laurent
 polynomial.  Ring arithmetic, division by a scalar or term, content,
 primitive, cleared and subs accept those; everything that reads degrees or
-divides by a polynomial (exact_div, the univariate views, Gröbner bases,
-resultants, gcds) expects exponents >= 0, which cleared() restores.
+divides by a polynomial (the univariate view, Gröbner bases, resultants)
+expects exponents >= 0, which cleared() restores.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from ..errors import DivisibilityError, DomainError
+from ..errors import DomainError
 
 Monomial = tuple[int, ...]
 
@@ -204,40 +204,6 @@ class RationalPoly:
             return NotImplemented
         return RationalPoly.const(self.vars, other) / self
 
-    def exact_div(self, other: "RationalPoly") -> "RationalPoly":
-        """Exact multivariate division; raises when the remainder is nonzero."""
-        if isinstance(other, (int, Fraction)):
-            other = RationalPoly.const(self.vars, other)
-        self._check_compat(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        lm_d = other.leading_monomial()
-        lc_d = other.terms[lm_d]
-        rem = dict(self.terms)
-        quo: dict[Monomial, Fraction] = {}
-        while rem:
-            lm = max(rem)
-            if any(a < b for a, b in zip(lm, lm_d)):
-                raise DivisibilityError("nonzero remainder in exact division")
-            qm = tuple(a - b for a, b in zip(lm, lm_d))
-            qc = rem[lm] / lc_d
-            quo[qm] = qc
-            for m, c in other.terms.items():
-                mm = tuple(a + b for a, b in zip(qm, m))
-                s = rem.get(mm, Fraction(0)) - qc * c
-                if s:
-                    rem[mm] = s
-                else:
-                    rem.pop(mm, None)
-        return RationalPoly(self.vars, quo)
-
-    def divides(self, other: "RationalPoly") -> bool:
-        try:
-            other.exact_div(self)
-            return True
-        except DivisibilityError:
-            return False
-
     # -- normalization -----------------------------------------------------
 
     def content(self) -> Fraction:
@@ -327,22 +293,6 @@ class RationalPoly:
         for m, c in self.terms.items():
             out[m[i]] += c
         return out
-
-    def coeffs_in(self, name: str) -> list["RationalPoly"]:
-        """Ascending coefficients as polynomials in the remaining variables.
-
-        The coefficient polys keep the full variable tuple (with the main
-        variable's exponent zeroed), which keeps arithmetic compatible.
-        """
-        i = self.vars.index(name)
-        d = self.degree(name)
-        if d < 0:
-            return []
-        buckets: list[dict[Monomial, Fraction]] = [{} for _ in range(d + 1)]
-        for m, c in self.terms.items():
-            nm = tuple(0 if j == i else e for j, e in enumerate(m))
-            buckets[m[i]][nm] = buckets[m[i]].get(nm, Fraction(0)) + c
-        return [RationalPoly(self.vars, b) for b in buckets]
 
     # -- display ----------------------------------------------------------
 

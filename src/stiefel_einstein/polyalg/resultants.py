@@ -1,13 +1,12 @@
-"""Resultants, multivariate gcds, and resultant-based elimination.
+"""Resultants and resultant-based elimination.
 
 The resultant evaluates and interpolates modulo 61-bit primes (Collins, JACM
 18, 1971).  Degree windows, from assignments over the Sylvester matrix, and
 the Goldstein-Graham coefficient bound (SIAM Review 16, 1974) fix its points
-and primes, hence its cost, before any evaluation.  The gcd is the classical
-primitive-PRS algorithm, recursing on the number of variables.  Elimination
-chains resultants against a low-degree pivot; it strips shared factors
-whenever a resultant degenerates to zero, and the content and every
-monomial factor from each resultant.
+and primes, hence its cost, before any evaluation.  Elimination chains
+resultants against a low-degree pivot and strips the content and every
+monomial factor from each resultant; a resultant that vanishes identically
+is a DegenerateSystemError.
 """
 
 from __future__ import annotations
@@ -20,31 +19,6 @@ from .poly import RationalPoly
 # Most primes x evaluation points one resultant may take; the largest call
 # of a (3,3,2) solve takes 7 x 117 = 819.
 RESULTANT_BUDGET = 50_000
-
-
-def pseudo_remainder(a: RationalPoly, b: RationalPoly, var: str) -> RationalPoly:
-    """prem(a, b): remainder of lc(b)^(deg a - deg b + 1) * a divided by b."""
-    if b.is_zero():
-        raise ZeroDivisionError("pseudo-division by zero polynomial")
-    if a.vars != b.vars:
-        b = b.reorder(a.vars)
-    db = b.degree(var)
-    da = a.degree(var)
-    if da < db:
-        return a
-    lb = b.coeffs_in(var)[-1]
-    xv = RationalPoly.var(a.vars, var)
-    r = a
-    e = da - db + 1
-    while not r.is_zero():
-        dr = r.degree(var)
-        if dr < db:
-            break
-        r = r * lb - b * r.coeffs_in(var)[-1] * xv ** (dr - db)
-        e -= 1
-    if e > 0:
-        r = r * lb**e
-    return r
 
 
 # The first primes below 2^61: no catalog shape needs more than 7
@@ -239,79 +213,6 @@ def resultant(p: RationalPoly, q: RationalPoly, var: str) -> RationalPoly:
     return RationalPoly(variables, lifted) * (cp**dq * cq**dp)
 
 
-def _content_pp(p: RationalPoly, var: str) -> tuple[RationalPoly, RationalPoly]:
-    """Content and primitive part of p with respect to var."""
-    coeffs = [c for c in p.coeffs_in(var) if not c.is_zero()]
-    content = coeffs[0]
-    for c in coeffs[1:]:
-        if content.is_constant():
-            break
-        content = poly_gcd(content, c)
-    content = content.primitive() if not content.is_constant() else (
-        RationalPoly.const(p.vars, 1)
-    )
-    return content, p.exact_div(content)
-
-
-def poly_gcd(p: RationalPoly, q: RationalPoly) -> RationalPoly:
-    """Greatest common divisor over Q, content-normalized.
-
-    Constants have gcd 1; the zero polynomial's gcd with f is f.  The result
-    has coprime integer coefficients and positive lex-leading coefficient.
-    """
-    if q.vars != p.vars:
-        q = q.reorder(p.vars)
-    if p.is_zero():
-        return q.primitive()
-    if q.is_zero():
-        return p.primitive()
-    used = p.variables_used() | q.variables_used()
-    if not used:
-        return RationalPoly.const(p.vars, 1)
-    var = next(v for v in p.vars if v in used)
-    cp, pp = _content_pp(p, var)
-    cq, pq = _content_pp(q, var)
-    cg = poly_gcd(cp, cq)
-    A, B = (pp, pq) if pp.degree(var) >= pq.degree(var) else (pq, pp)
-    while not B.is_zero():
-        R = pseudo_remainder(A, B, var)
-        if R.is_zero():
-            A, B = B, R
-            break
-        if R.degree(var) > 0:
-            _, R = _content_pp(R, var)
-        A, B = B, R.primitive()
-    if A.degree(var) > 0:
-        _, A = _content_pp(A, var)
-    else:
-        A = RationalPoly.const(p.vars, 1)
-    return (cg * A).primitive()
-
-
-def _resultant_or_strip(
-    pivot: RationalPoly, p: RationalPoly, var: str
-) -> RationalPoly:
-    """Resultant of pivot and p in var, stripping any shared factor first.
-
-    A zero resultant means the pair shares a factor of positive degree in
-    var; the cofactors are then coprime in var and give a genuine eliminant.
-    Solutions lying entirely on the shared-factor locus carry no constraint
-    from this pair and are the caller's concern.
-    """
-    r = resultant(pivot, p, var)
-    if not r.is_zero():
-        return r
-    g = poly_gcd(pivot, p)
-    a = pivot.exact_div(g).primitive()
-    b = p.exact_div(g).primitive()
-    if var in a.variables_used() and var in b.variables_used():
-        return resultant(a, b, var)
-    for q in (a, b):
-        if var not in q.variables_used() and not q.is_constant():
-            return q
-    return RationalPoly.const(pivot.vars, 1)
-
-
 def _strip_monomial(p: RationalPoly) -> RationalPoly:
     """The primitive part of a nonzero p over its largest monomial factor,
     which has no root with every coordinate positive."""
@@ -325,10 +226,13 @@ def eliminate_resultant(
 
     Variables are eliminated in ranking order against the generator of
     lowest degree in the variable being removed.  The root set of the
-    eliminant contains the keep-coordinates of all system solutions off the
-    shared-factor loci; extraneous roots are possible and are expected to be
-    filtered by back-substitution.  The eliminant is the gcd of all
-    surviving univariate constraints, content-normalized.
+    eliminant contains the keep-coordinates of all system solutions;
+    extraneous roots are possible and are expected to be filtered by
+    back-substitution.  The eliminant is the surviving univariate constraint
+    of least degree, content-normalized: each one holds every solution's
+    keep-coordinate.  A resultant that vanishes identically (the pivot and
+    another generator share a factor in the variable) raises
+    DegenerateSystemError.
 
     Returns (eliminant, pivots): pivots lists (var, pivot) in elimination
     order, each pivot a polynomial in var and the variables eliminated after
@@ -347,24 +251,26 @@ def eliminate_resultant(
         if var == keep:
             continue
         using = [p for p in polys if var in p.variables_used()]
-        rest = [p for p in polys if var not in p.variables_used()]
+        polys = [p for p in polys if var not in p.variables_used()]
         if not using:
             continue
         pivot = min(using, key=lambda p: (p.degree(var), p.total_degree()))
         pivots.append((var, pivot))
-        new = (_strip_monomial(_resultant_or_strip(pivot, p, var))
-               for p in using if p is not pivot)
-        polys = rest + [r for r in new if not r.is_constant()]
+        for p in using:
+            if p is pivot:
+                continue
+            r = resultant(pivot, p, var)
+            if r.is_zero():
+                raise DegenerateSystemError(
+                    f"resultant in {var!r} vanished identically: "
+                    "the pivot shares a factor with another generator"
+                )
+            r = _strip_monomial(r)
+            if not r.is_constant():
+                polys.append(r)
     final = [p for p in polys if keep in p.variables_used()]
     if not final:
         raise DegenerateSystemError(
             f"elimination produced no constraint on {keep!r}"
         )
-    out = final[0]
-    for p in final[1:]:
-        out = poly_gcd(out, p)
-    if out.is_constant():
-        raise DegenerateSystemError(
-            "surviving univariate constraints are jointly inconsistent"
-        )
-    return out.primitive(), pivots
+    return min(final, key=lambda p: p.degree(keep)), pivots

@@ -41,7 +41,6 @@ from .polyalg import (
     buchberger,
     eliminate_resultant,
     isolate_real_roots,
-    poly_gcd,
     saturation_generators,
 )
 from .ricci import InvariantMetric, ricci, ricci_general
@@ -162,47 +161,36 @@ def _jensen_scaled(lbl: ModuleLabel) -> bool:
 
 
 def jensen_quadratic(decomp: BlockDecomposition) -> list[Fraction]:
-    """Ascending coefficients of the polynomial whose positive roots are the
+    """Ascending coefficients of the quadratic whose positive roots are the
     common coefficient x of the classical one-parameter Einstein metrics
-    (x on the so(k1+k2)-block modules, 1 on the block-3 modules)."""
+    (x on the so(k1+k2)-block modules, 1 on the block-3 modules): the
+    cleared primitive numerator of r12 - r13 under that ansatz, the only
+    Ricci difference it leaves nonzero; solve certifies each root exactly.
+    Raises DegenerateSystemError unless the numerator has degree 2."""
     _check_shape(decomp)
     variables = ("x",)
     x = RationalPoly.var(variables, "x")
     one = RationalPoly.const(variables, 1)
-    coeffs: dict[ModuleLabel, RationalPoly] = {}
-    for lbl in dims(decomp):
-        coeffs[lbl] = x if _jensen_scaled(lbl) else one
-    metric = InvariantMetric(decomp, coeffs)
-    r = ricci(metric).values
-    labels = sorted(r)
-    g = RationalPoly.zero(variables)
-    for a, b in zip(labels, labels[1:]):
-        num = (r[a] - r[b]).cleared().primitive()
-        if not num.is_zero():
-            g = num if g.is_zero() else poly_gcd(g, num)
-    if g.is_zero() or g.is_constant():
-        raise DegenerateSystemError("no equal-off-diagonal constraint found")
-    return g.primitive().univariate_coeffs("x")
+    coeffs = {lbl: x if _jensen_scaled(lbl) else one for lbl in dims(decomp)}
+    r = ricci(InvariantMetric(decomp, coeffs)).values
+    num = (r[OffDiag(1, 2)] - r[OffDiag(1, 3)]).cleared().primitive()
+    if num.degree("x") != 2:
+        raise DegenerateSystemError(
+            f"equal-off-diagonal numerator has degree {num.degree('x')}, not 2"
+        )
+    return num.univariate_coeffs("x")
 
 
 def jensen_points(decomp: BlockDecomposition) -> list[dict[ModuleLabel, Fraction]]:
     """Coordinates of the equal-off-diagonal Einstein metrics, to
     JENSEN_DIGITS decimals."""
-    quad = jensen_quadratic(decomp)
-    roots: list[Fraction] = []
-    if len(quad) == 3:
-        a, b, c = quad[2], quad[1], quad[0]
-        disc = b * b - 4 * a * c
-        if disc < 0:
-            return []
-        s = sqrt_fraction(disc, JENSEN_DIGITS)
-        roots = [(-b - s) / (2 * a), (-b + s) / (2 * a)]
-    else:
-        width = Fraction(1, 10**JENSEN_DIGITS)
-        for iv in isolate_real_roots(quad, lo=Fraction(0)):
-            roots.append(bisect_to_width(iv, width).midpoint())
+    c, b, a = jensen_quadratic(decomp)
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return []
+    s = sqrt_fraction(disc, JENSEN_DIGITS)
     out = []
-    for root in sorted(set(roots)):
+    for root in sorted({(-b - s) / (2 * a), (-b + s) / (2 * a)}):
         if root <= 0:
             continue
         coords = {

@@ -9,7 +9,7 @@ from itertools import islice
 import pytest
 
 from stiefel_einstein.errors import (
-    DivisibilityError,
+    DegenerateSystemError,
     DomainError,
     EliminationOverflowError,
 )
@@ -22,7 +22,6 @@ from stiefel_einstein.polyalg import (
     count_real_roots,
     eliminate_resultant,
     isolate_real_roots,
-    poly_gcd,
     reduce_poly,
     resultant,
     s_polynomial,
@@ -52,13 +51,6 @@ def test_poly_arithmetic():
     assert (p - p).is_zero()
     assert (X * Y).degree("x") == 1
     assert ((X + 1) * (X - 1)) == X**2 - 1
-
-
-def test_exact_div_and_error():
-    p = (X**2 - Y**2).exact_div(X - Y)
-    assert p == X + Y
-    with pytest.raises(DivisibilityError):
-        (X**2 + 1).exact_div(X - Y)
 
 
 def test_div_by_scalar():
@@ -119,21 +111,7 @@ def test_univariate_coeff_roundtrip():
     assert back == p
 
 
-# -- gcd and resultants ------------------------------------------------------
-
-def test_poly_gcd_univariate():
-    f = (X - 1) ** 2 * (X + 2)
-    g = (X - 1) * (X + 3)
-    assert poly_gcd(f, g).primitive() == (X - 1).primitive()
-
-
-def test_poly_gcd_multivariate():
-    common = X * Y - 1
-    f = common * (X + Y)
-    g = common * (X - 2 * Y + 1)
-    got = poly_gcd(f, g).primitive()
-    assert got == common or got == -common
-
+# -- resultants --------------------------------------------------------------
 
 def test_resultant_known_value():
     # res_x(x^2 - 1, x - 2) = (2)^2 - 1 = 3
@@ -169,6 +147,22 @@ def test_eliminate_resultant_circle_line():
         for iv in isolate_real_roots(coeffs)
     ]
     assert roots == pytest.approx([-(2**0.5), 2**0.5], abs=1e-6)
+
+
+def test_eliminate_resultant_shared_factor_is_degenerate():
+    # Res_x vanishes identically: a typed error, not a stripped factor that
+    # would drop every solution on x = y
+    with pytest.raises(DegenerateSystemError, match="'x'"):
+        eliminate_resultant([(X - Y) * (X + 1), (X - Y) * (X - 3)], "y")
+
+
+def test_eliminate_resultant_returns_least_degree_constraint():
+    # both generators are free of x, so both survive as constraints on y;
+    # the eliminant is the one of least degree, not their gcd y - 1: its
+    # extra root 3 is for back-substitution to reject
+    cubic = (Y - 1) * (Y - 2) * (Y - 4)
+    elim, pivots = eliminate_resultant([cubic, (Y - 1) * (Y - 3)], "y")
+    assert elim == (Y - 1) * (Y - 3) and pivots == []
 
 
 # -- Groebner bases ----------------------------------------------------------

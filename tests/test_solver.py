@@ -201,9 +201,7 @@ def test_substituting_jensen_form_recovers_quadratic():
     # univariate multiple of the classical quadratic (or vanishes)
     for n in (6, 8, 12, 20):
         system = build_system(BlockDecomposition((1, 3, n - 4)))
-        quad = RationalPoly(
-            ("t",), {(e,): c for e, c in enumerate(jensen_quadratic(system.decomp))}
-        )
+        quad = jensen_quadratic(system.decomp)
         i2 = system.variables.index("x2")
         i12 = system.variables.index("x12")
         i13 = system.variables.index("x13")
@@ -215,7 +213,38 @@ def test_substituting_jensen_form_recovers_quadratic():
             sub = RationalPoly(("t",), {m: c for m, c in terms.items() if c})
             if sub.is_zero():
                 continue
-            assert quad.divides(sub), (n, p)
+            assert divides(quad, sub.univariate_coeffs("t")), (n, p)
+
+
+@pytest.mark.parametrize("blocks", [(1, 3, 2), (2, 2, 3), (2, 3, 2), (3, 3, 2), (1, 8, 2)])
+def test_jensen_ansatz_leaves_only_r12_minus_r13(blocks):
+    # (2, 2, 3): k1 + k2 = 4, where so(4) is not simple
+    d = BlockDecomposition(blocks)
+    x = RationalPoly.var(("x",), "x")
+    coeffs = {l: x if 3 not in l.blocks else RationalPoly.const(("x",), 1) for l in dims(d)}
+    r = ricci(InvariantMetric(d, coeffs)).values
+    labels = sorted(r)
+    diffs = {(a, b): r[a] - r[b] for a, b in zip(labels, labels[1:])}
+    assert [k for k, v in diffs.items() if not v.is_zero()] == [(OffDiag(1, 2), OffDiag(1, 3))]
+    num = diffs[OffDiag(1, 2), OffDiag(1, 3)].cleared().primitive()
+    assert jensen_quadratic(d) == num.univariate_coeffs("x")
+
+
+# every shape the solver accepts with n <= 8: 35 of them
+SMALL_SHAPES = [(k1, k2, k3) for k1 in range(1, 9) for k2 in range(2, 9)
+                for k3 in range(1, 9) if k1 + k2 + k3 <= 8]
+
+
+@pytest.mark.parametrize("blocks", SMALL_SHAPES,
+                         ids=["".join(map(str, b)) for b in SMALL_SHAPES])
+def test_every_shape_up_to_n8_solves(blocks):
+    # no DegenerateSystemError from the elimination or the Jensen quadratic,
+    # and every positive root of the quadratic certifies as a Jensen metric
+    d = BlockDecomposition(blocks)
+    sols = solve(build_system(d))
+    quad = jensen_quadratic(d)
+    jensen = [s for s in sols if s.classification == "Jensen"]
+    assert len(jensen) == len(isolate_real_roots(quad, lo=Fraction(0)))
 
 
 def test_groebner_eliminant_proportional_to_h1():
