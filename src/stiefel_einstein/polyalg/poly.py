@@ -239,12 +239,6 @@ class RationalPoly:
             {tuple(a + b for a, b in zip(m, shift)): c for m, c in self.terms.items()},
         )
 
-    def monic(self) -> "RationalPoly":
-        if self.is_zero():
-            return self
-        lc = self.leading_coefficient()
-        return RationalPoly(self.vars, {m: v / lc for m, v in self.terms.items()})
-
     # -- variable manipulation --------------------------------------------
 
     def reorder(self, variables) -> "RationalPoly":

@@ -1,61 +1,91 @@
 """Resultants and resultant-based elimination.
 
-The resultant evaluates and interpolates modulo 61-bit primes (Collins, JACM
-18, 1971).  Degree windows, from assignments over the Sylvester matrix, and
-the Goldstein-Graham coefficient bound (SIAM Review 16, 1974) fix its points
-and primes, hence its cost, before any evaluation.  Elimination chains
-resultants against a low-degree pivot and strips the content and every
-monomial factor from each resultant; a resultant that vanishes identically
-is a DegenerateSystemError.
+The resultant evaluates and interpolates modulo a prime (Collins, JACM 18,
+1971): a Proth prime k 2^e + 1, proven by Proth's theorem, of the least
+multiple of 64 bits, up to MAX_PRIME_BITS, that exceeds twice the
+Goldstein-Graham coefficient bound (SIAM Review 16, 1974); larger bounds
+combine several primes by CRT.  Degree windows, from assignments over the
+Sylvester matrix, fix its points; with the bound they fix its cost before
+any evaluation.  Each point takes an inverse-free Euclidean resultant.
+Elimination chains resultants against a low-degree pivot and strips the
+content and every monomial factor from each resultant; a resultant that
+vanishes identically is a DegenerateSystemError.
 """
 
 from __future__ import annotations
 
-from math import inf, prod
+from functools import cache
+from itertools import count
+from math import gcd, inf, prod
 
 from ..errors import DegenerateSystemError, DomainError, EliminationOverflowError
 from .poly import RationalPoly
 
-# Most primes x evaluation points one resultant may take; the largest call
-# of a (3,3,2) solve takes 7 x 117 = 819.
+# Most 64-bit words of modulus x evaluation points one resultant may take;
+# the largest call of a (3,3,2) solve takes 6 x 117 = 702.
 RESULTANT_BUDGET = 50_000
 
+# Largest prime the resultant works modulo; bounds above it take several
+MAX_PRIME_BITS = 1024
 
-# The first primes below 2^61: no catalog shape needs more than 7
-PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45, 2**61 - 229,
-          2**61 - 259, 2**61 - 283, 2**61 - 339, 2**61 - 391)
+# Bases tried in Proth's test, after a candidate that shares a factor with
+# their product is dropped; a prime that all of them leave at 1 is skipped
+PROTH_BASES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
-def _primes():
-    """Primes in (2^60, 2^61), descending: PRIMES, then by Miller-Rabin."""
-    yield from PRIMES
-    n = PRIMES[-1]
-    while True:
-        n -= 2
-        s = ((n - 1) & (1 - n)).bit_length() - 1
-        d = (n - 1) >> s
-        if all(pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s))
-               for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)):  # exact < 3.3e24
-            yield n
+@cache
+def _proth_prime(bits: int, i: int) -> int:
+    """The i-th prime p = k 2^e + 1 with bits = 2e bits and k odd, by k
+    ascending from 2^(e-1).  Since k < 2^e, Proth's theorem proves p prime
+    once a^((p-1)/2) = -1 mod p for some base a; any result but 1 proves p
+    composite."""
+    e, small = bits // 2, prod(PROTH_BASES)
+    start = (_proth_prime(bits, i - 1) >> e) + 2 if i else (1 << e - 1) + 1
+    for k in range(start, 1 << e, 2):
+        p = (k << e) + 1
+        if gcd(p, small) > 1:
+            continue
+        for a in PROTH_BASES:
+            if (r := pow(a, p >> 1, p)) != 1:
+                break
+        if r == p - 1:
+            return p
+
+
+def _primes(bits: int):
+    """Proth primes of the given (even) bit length, ascending."""
+    for i in count():
+        yield _proth_prime(bits, i)
 
 
 def _res_univariate(a: list[int], b: list[int], p: int) -> int:
-    """Res(a, b) mod p by Euclid, for ascending lists with nonzero leads:
-    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, a mod b)."""
-    res = 1
+    """Res(a, b) mod p by Euclid on pseudo-remainders, for ascending lists
+    with nonzero leads.  With m = deg a, n = deg b and d = max(m - n + 1, 0),
+    prem(a, b) = lc(b)^d (a mod b), so Res(a, b) is
+    (-1)^(mn) lc(b)^(m - deg prem) Res(b, prem(a, b)) / lc(b)^(dn); the
+    powers of lc(b) gather in num and den, and den is inverted once."""
+    num = den = 1
     while len(b) > 1:
-        r, inv, n = a[:], pow(b[-1], -1, p), len(b) - 1
-        for k in range(len(r) - 1, n - 1, -1):
-            c = r[k] * inv % p
-            r[k - n:k] = [(u - c * v) % p for u, v in zip(r[k - n:k], b)]
+        m, n, lb = len(a) - 1, len(b) - 1, b[-1]
+        r = a[:]
+        for k in range(m, n - 1, -1):  # r = lb r - r[k] x^(k-n) b
+            c, s = r[k], k - n
+            r[:s] = [u * lb % p for u in r[:s]]
+            r[s:k] = [(u * lb - c * v) % p for u, v in zip(r[s:k], b)]
         del r[n:]
         while r and not r[-1]:
             r.pop()
         if not r:
             return 0
-        res = res * (-1) ** ((len(a) - 1) * n) * pow(b[-1], len(a) - len(r), p) % p
+        e = m - len(r) + 1 - max(m - n + 1, 0) * n  # net power of lb
+        if e >= 0:
+            num = num * pow(lb, e, p) % p
+        else:
+            den = den * pow(lb, -e, p) % p
+        if m * n & 1:
+            num = -num
         a, b = b, r
-    return res * pow(b[0], len(a) - 1, p) % p
+    return num * pow(b[0], len(a) - 1, p) * pow(den, -1, p) % p
 
 
 def _assignment(weights: list[list]) -> int | None:
@@ -101,14 +131,25 @@ def _windows(f: dict, g: dict, df: int, dg: int) -> list[tuple[int, int]] | None
         for m in h:
             coeffs.setdefault(m[-1], []).append(m)
         rows += [{i + d - k: ms for k, ms in coeffs.items()} for i in range(shifts)]
+
+    def assign(weight):  # of the exponent keys of an entry
+        return _assignment([[weight(row[j]) if j in row else None
+                             for j in range(df + dg)] for row in rows])
+
+    absent = [not any(m[t] for h in (f, g) for m in h) for t in range(len(next(iter(f))) - 1)]
+    # the lo assignment of a present variable finds a pattern without
+    # permutation; with none present, one run on zero weights does
+    if all(absent) and assign(lambda ms: 0) is None:
+        return None
     out = []
-    for t in range(len(next(iter(f))) - 1):
-        lo, hi = (_assignment([[sign * pick(m[t] for m in row[j]) if j in row else None
-                                for j in range(df + dg)] for row in rows])
-                  for sign, pick in ((1, min), (-1, max)))
+    for t, skip in enumerate(absent):
+        if skip:  # y is in neither operand: every exponent is 0
+            out.append((0, 0))
+            continue
+        lo = assign(lambda ms: min(m[t] for m in ms))
         if lo is None:
             return None
-        out.append((lo, -hi))
+        out.append((lo, -assign(lambda ms: -max(m[t] for m in ms))))
     return out
 
 
@@ -140,14 +181,15 @@ def _res_mod(f: dict, g: dict, df: int, dg: int, windows: list[tuple[int, int]],
         r = _res_mod(fx, gx, df, dg, windows[1:], p)
         if r is not None:
             xs.append(x)
-            vals.append({k: v * pow(x, -lo, p) % p for k, v in r.items()})
+            vals.append(r)
         x += 1
     inv = [0, 1]  # inverses of 1 .. xs[-1] mod p
     for k in range(2, xs[-1] + 1):
         inv.append(-(p // k) * inv[p % k] % p)
+    scale = [pow(inv[x], lo, p) for x in xs]  # x^-lo
     n, out = len(xs), {}
     for key in set().union(*vals):
-        c = [v.get(key, 0) for v in vals]  # Newton divided differences
+        c = [v.get(key, 0) * s % p for v, s in zip(vals, scale)]  # Newton divided differences
         for j in range(1, n):
             c[j:] = [(c[i] - c[i - 1]) * inv[xs[i] - xs[i - j]] % p for i in range(j, n)]
         coeffs: list[int] = []  # Newton form to monomial form, Horner-wise
@@ -165,7 +207,8 @@ def resultant(p: RationalPoly, q: RationalPoly, var: str) -> RationalPoly:
     both inputs are univariate); it is identically zero exactly when p and q
     share a factor of positive degree in var.  It is computed modulo primes
     (see the module docstring) and raises EliminationOverflowError, before
-    any evaluation, when primes x points would exceed RESULTANT_BUDGET.
+    any evaluation, when the 64-bit words of its moduli x its points would
+    exceed RESULTANT_BUDGET.
     """
     if q.vars != p.vars:
         q = q.reorder(p.vars)
@@ -187,14 +230,16 @@ def resultant(p: RationalPoly, q: RationalPoly, var: str) -> RationalPoly:
         for m, c in h.items():
             row[m[-1]] += abs(c)
     bound2 = sum(v * v for v in l1[0]) ** dq * sum(v * v for v in l1[1]) ** dp  # B^2
-    nprimes = -(-((bound2.bit_length() + 1) // 2 + 1) // 60)  # 2^(60 nprimes) > 2B
+    need = (bound2.bit_length() + 1) // 2 + 2  # 2^(need - 1) > 2B
+    bits = min(-(-need // 64) * 64, MAX_PRIME_BITS)
+    words = bits // 64 * -(-(need - 1) // (bits - 1))  # each prime exceeds 2^(bits - 1)
     points = prod(hi - lo + 1 for lo, hi in windows)
-    if nprimes * points > RESULTANT_BUDGET:
+    if words * points > RESULTANT_BUDGET:
         raise EliminationOverflowError(
-            f"resultant in {var}: {nprimes} primes x {points} points "
+            f"resultant in {var}: {words} words x {points} points "
             f"exceeds the budget {RESULTANT_BUDGET}"
         )
-    terms, modulus, primes = {}, 1, _primes()
+    terms, modulus, primes = {}, 1, _primes(bits)
     while modulus**2 <= 4 * bound2:  # until the modulus exceeds 2B
         prime = next(primes)
         fp, gp = ({m: c % prime for m, c in h.items() if c % prime} for h in (f, g))

@@ -140,8 +140,8 @@ def test_resultant_over_budget_exits_2(capsys, monkeypatch):
 
 
 def test_resultant_budget_counts_the_assignment_window(capsys, monkeypatch):
-    # the last (2,3,2) resultant takes 4 primes x 81 points inside its degree
-    # window; the row-sum degree bound asked for 4 x 161 = 644
+    # the last (2,3,2) resultant takes one 256-bit prime (4 words) x 81 points
+    # inside its degree window; the row-sum degree bound asked for 4 x 161 = 644
     monkeypatch.setattr(resultants, "RESULTANT_BUDGET", 400)
     code, out, err = run(capsys, "solve", "--blocks", "2,3,2")
     assert code == EXIT_OK and len(json.loads(out)["solutions"]) == 4, err

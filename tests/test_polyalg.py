@@ -172,7 +172,7 @@ def test_buchberger_simple_lex():
     basis = buchberger([X**2 + Y**2 - 1, X - Y])
     univ = [g for g in basis if g.variables_used() <= {"y"}]
     assert len(univ) == 1
-    assert univ[0].monic() == (Y**2 - Fraction(1, 2)).monic()
+    assert univ[0].primitive() == 2 * Y**2 - 1
 
 
 def test_buchberger_is_deterministic():
@@ -198,7 +198,7 @@ def test_buchberger_pair_cap():
 def test_s_polynomial():
     s = s_polynomial(X**2 + Y, X * Y + 1)
     # S = y(x^2 + y) - x(xy + 1) = y^2 - x
-    assert s.monic() == (Y**2 - X).monic()
+    assert s.primitive() == (Y**2 - X).primitive()
 
 
 def test_saturation_generators():
@@ -237,13 +237,17 @@ def test_groebner_matches_sympy_oracle():
         mine_set = sorted(
             str(sympy.expand(sum(
                 sympy.Rational(c) * sx**m[0] * sy**m[1]
-                for m, c in g.monic().terms.items()
+                for m, c in g.primitive().terms.items()
             )))
             for g in mine
         )
-        ref_set = sorted(
-            str(sympy.Poly(p, sx, sy).monic().as_expr()) for p in ref.exprs
-        )
+        ref_set = []  # primitive parts with a positive lex leading coefficient
+        for p in ref.exprs:
+            _, prim = sympy.primitive(sympy.expand(p))
+            if sympy.Poly(prim, sx, sy).LC() < 0:
+                prim = -prim
+            ref_set.append(str(sympy.expand(prim)))
+        ref_set.sort()
         assert mine_set == ref_set
 
 
@@ -375,16 +379,15 @@ def test_refinement_evaluation_counts(monkeypatch):
             assert qir <= 2 * len(points)
 
 
-def test_first_primes_are_the_primes_below_2_61(monkeypatch):
+def test_proth_primes_have_their_form_and_bit_length():
     sympy = pytest.importorskip("sympy")
-    below = [2**61]
-    for _ in range(9):
-        below.append(sympy.prevprime(below[-1]))
-    assert resultants.PRIMES == tuple(below[1:9])
-    assert list(islice(resultants._primes(), 9)) == below[1:]
-    # the first eight come without a primality test, whose every step is a pow
-    monkeypatch.setattr(resultants, "pow", None, raising=False)
-    assert tuple(islice(resultants._primes(), 8)) == resultants.PRIMES
+    for bits in (64, 256, 1024):
+        primes = list(islice(resultants._primes(bits), 3))
+        assert primes == sorted(set(primes))
+        for p in primes:
+            e = ((p - 1) & (1 - p)).bit_length() - 1  # p = k 2^e + 1, k odd
+            assert p.bit_length() == bits and (p - 1) >> e < 2**e
+            assert sympy.isprime(p)
 
 
 def test_squarefree_part():

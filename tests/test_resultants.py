@@ -25,6 +25,7 @@ from sympy.polys.subresultants_qq_zz import sylvester  # noqa: E402
 
 V = ("x", "y", "z")
 X, Y, Z = RationalPoly.gens(V)
+FIRST_PRIME = next(resultants._primes(resultants.MAX_PRIME_BITS))
 
 
 def _to_sympy(f: RationalPoly):
@@ -53,8 +54,9 @@ CASES = {
     # deg p < deg q, both odd: Res(p, q) = -Res(q, p)
     "odd_degrees_swapped": (X + Y, X**3 - 2 * Y * X + 5),
     "constant_in_var": (Y**2 + 1, X**2 + Y),
-    # 2^61 - 1 is the first prime tried; it is dropped
-    "lc_vanishes_mod_first_prime": ((2**61 - 1) * X**2 + X + Y, X**2 - Y),
+    # the bound exceeds MAX_PRIME_BITS, so the first prime tried is the first
+    # prime of that size; it is dropped
+    "lc_vanishes_mod_first_prime": (FIRST_PRIME * X**2 + X + Y, X - Y),
     # the windows, y in [2, 3] and z in [2, 4], are the result's exponent ranges
     "window_above_zero": (Y * X**2 + Z * Y**2, Z * X - Y * Z**2 + Y * Z),
 }
@@ -116,6 +118,47 @@ def test_resultant_matches_sylvester_on_random_trivariates(p, q):
     assert _matches_sylvester(p, q, "x")
 
 
+P64 = next(resultants._primes(64))
+
+
+def _sylvester_mod(a: list[int], b: list[int], p: int) -> int:
+    x = sympy.Symbol("x")
+    poly_a, poly_b = (sympy.Poly(c[::-1], x).as_expr() for c in (a, b))
+    return int(sylvester(poly_a, poly_b, x).det(method="berkowitz")) % p
+
+
+UNIVARIATE_CASES = {
+    "deg_a_below_deg_b": ([2, 1], [1, 1, 0, 3]),
+    # x + 1 divides x^2 + 3x + 2: the first remainder is zero
+    "zero_remainder": ([2, 3, 1], [1, 1]),
+    # degrees 4, 3, 1, 0: the second step divides x^3 + x + 5 by x + 2
+    "degree_drop": ([17, 9, 1, 3, 1], [5, 1, 0, 1]),
+    "degree_drop_with_leads": ([17, 9, 1, 3, 7], [5, 1, 0, 2]),
+    "constants": ([4], [9]),
+    "negative_residues": ([P64 - 2, 5, P64 - 3], [1, P64 - 1]),
+}
+
+
+@pytest.mark.parametrize("a, b", UNIVARIATE_CASES.values(), ids=UNIVARIATE_CASES.keys())
+def test_univariate_resultant_matches_sylvester_mod_p(a, b):
+    assert resultants._res_univariate(a, b, P64) == _sylvester_mod(a, b, P64)
+
+
+# small coefficients make remainders drop degree or vanish; residues do not
+_coefficient = st.one_of(st.integers(0, 3), st.integers(0, P64 - 1))
+_univariate_mod_p = st.builds(
+    lambda low, lead: low + [lead],
+    st.lists(_coefficient, max_size=6),
+    st.integers(1, P64 - 1),
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(_univariate_mod_p, _univariate_mod_p)
+def test_univariate_resultant_matches_sylvester_on_random_lists(a, b):
+    assert resultants._res_univariate(a, b, P64) == _sylvester_mod(a, b, P64)
+
+
 def test_windows_hold_every_exponent_of_the_232_resultants(monkeypatch):
     calls = []
 
@@ -149,3 +192,20 @@ def test_resultant_budget_refuses_before_evaluating(monkeypatch):
     q = X**25 - 7**120 * Y**100 * Z**200 + 1
     with pytest.raises(EliminationOverflowError, match="budget"):
         resultant(p, q, "x")
+
+
+def test_several_small_primes_give_the_one_prime_elimination(monkeypatch):
+    # with 64-bit primes the last (2,3,2) resultant needs four of them
+    system = build_system(BlockDecomposition((2, 3, 2))).polys
+    one_prime = resultants.eliminate_resultant(system, "x13")
+    primes = set()
+
+    def recording_res_mod(f, g, df, dg, windows, p):
+        primes.add(p)
+        return res_mod(f, g, df, dg, windows, p)
+
+    res_mod = resultants._res_mod
+    monkeypatch.setattr(resultants, "MAX_PRIME_BITS", 64)
+    monkeypatch.setattr(resultants, "_res_mod", recording_res_mod)
+    assert resultants.eliminate_resultant(system, "x13") == one_prime
+    assert len(primes) == 4 and all(p.bit_length() == 64 for p in primes)

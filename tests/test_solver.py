@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -271,6 +272,23 @@ def test_eliminant_has_no_root_at_one(blocks):
     eliminant, _ = _eliminate(build_system(BlockDecomposition(blocks)))
     assert sum(eliminant) != 0
     assert all(type(c) is int for c in eliminant)
+
+
+# sha256 of the repr of _eliminate's coefficients and its (var, vars, sorted
+# terms) pivots, as computed when the resultant still worked modulo several
+# 61-bit primes with a modular inverse per Euclid step
+ELIMINATION_SHA256 = {
+    (2, 3, 2): "e1e35e2142193b2417d8697381ae8cb7c87caa8a6876ecf6322343c5666be3e3",
+    (2, 4, 3): "48ed0a7de5e76e6826a04e2fcda06d52ec0122ef8229655aa0bfa25c385cd3ef",
+    (3, 3, 2): "4935090df8a21c88263ece93809d069b22643d12b108626f139991c4e0604d29",
+}
+
+
+@pytest.mark.parametrize("blocks", ELIMINATION_SHA256, ids=lambda b: "".join(map(str, b)))
+def test_elimination_is_pinned(blocks):
+    coeffs, pivots = _eliminate(build_system(BlockDecomposition(blocks)))
+    text = repr((coeffs, [(var, p.vars, sorted(p.terms.items())) for var, p in pivots]))
+    assert hashlib.sha256(text.encode()).hexdigest() == ELIMINATION_SHA256[blocks]
 
 
 def test_lift_points_have_short_denominators(monkeypatch):
