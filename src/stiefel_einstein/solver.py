@@ -1,14 +1,15 @@
 """End-to-end Einstein-metric pipeline for 3-block Stiefel decompositions.
 
-build_system derives the polynomial Einstein system from the general Ricci
-formula evaluated over symbolic coefficients (Laurent RationalPolys: every
-denominator in the formula is a monomial), normalized by x23 = 1.  solve
-eliminates to a univariate polynomial in x13 by iterated resultants,
-isolates its real roots, lifts each root exactly through the triangular set
-of resultant pivots (one univariate root isolation per variable), and
-certifies each candidate with exact rational Ricci residuals.  The x13 = 1
+build_system reads the polynomial Einstein system, normalized by x23 = 1,
+off the integer Laurent form of the general Ricci formula
+(TripleTable.laurent: integer coefficients times Laurent monomials over one
+shared denominator).  solve eliminates to a univariate polynomial in x13 by
+iterated resultants, isolates its real roots, lifts each root exactly
+through the triangular set of resultant pivots (one univariate root
+isolation per variable), and certifies each candidate with the exact Ricci
+mean and residual, evaluated from the same form in integers.  The x13 = 1
 branch is handled in closed form via the classical equal-off-diagonal
-quadratic.
+quadratic, also read off that form.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .polyalg import (
     isolate_real_roots,
     saturation_generators,
 )
-from .ricci import InvariantMetric, ricci, ricci_general
+from .ricci import InvariantMetric
 from .so_algebra import BlockDecomposition, Diag, ModuleLabel, OffDiag
 from .triples import dims, triples_closed_form
 
@@ -122,33 +123,54 @@ def _check_shape(decomp: BlockDecomposition) -> None:
         raise UnsupportedShapeError("solver needs k_2 >= 2")
 
 
+def _numerator(
+    decomp: BlockDecomposition,
+    a: ModuleLabel,
+    b: ModuleLabel,
+    variables: tuple[str, ...],
+    column: dict[ModuleLabel, int | None],
+) -> RationalPoly:
+    """Cleared primitive numerator of r_a - r_b, read off the integer Laurent
+    form of the Ricci formula (TripleTable.laurent) with x_l replaced by
+    variables[column[l]], or by 1 where column[l] is None."""
+    table = triples_closed_form(decomp)
+    _, comps = table.laurent
+    cols = [column[lbl] for lbl in table.labels()]
+    terms: dict[tuple[int, ...], int] = {}
+    for sign, k in ((1, a), (-1, b)):
+        for c, exps in comps[k]:
+            mono = [0] * len(variables)
+            for col, e in zip(cols, exps):
+                if e and col is not None:
+                    mono[col] += e
+            key = tuple(mono)
+            terms[key] = terms.get(key, 0) + sign * c
+    return RationalPoly(variables, terms).cleared().primitive()
+
+
 def build_system(decomp: BlockDecomposition) -> EinsteinSystem:
     """Polynomial Einstein system in the free coefficients, x23 = 1.
 
     The polynomials are the cleared, content-normalized numerators of the
     chained component differences (r1 - r2 when the first diagonal module
-    exists, then r2 - r12, r12 - r23, r23 - r13), evaluated symbolically
-    through the general Ricci formula.
+    exists, then r2 - r12, r12 - r23, r23 - r13), read off the integer
+    Laurent form of the Ricci formula with the x23 column dropped.
     """
     _check_shape(decomp)
     norm = OffDiag(2, 3)
     free = _free_labels(decomp)
     variables = tuple(f"x{l.name}" for l in free)
-    coeffs: dict[ModuleLabel, RationalPoly] = {
-        l: RationalPoly.var(variables, f"x{l.name}") for l in free
-    }
-    coeffs[norm] = RationalPoly.const(variables, 1)
-    metric = InvariantMetric(decomp, coeffs)
-    r = ricci(metric).values
+    column: dict[ModuleLabel, int | None] = {l: i for i, l in enumerate(free)}
+    column[norm] = None
     chain: list[tuple[ModuleLabel, ModuleLabel]] = []
-    if Diag(1) in coeffs:
+    if Diag(1) in column:
         chain.append((Diag(1), Diag(2)))
     chain += [
         (Diag(2), OffDiag(1, 2)),
         (OffDiag(1, 2), norm),
         (norm, OffDiag(1, 3)),
     ]
-    polys = [(r[a] - r[b]).cleared().primitive() for a, b in chain]
+    polys = [_numerator(decomp, a, b, variables, column) for a, b in chain]
     if any(p.is_zero() for p in polys):
         raise DegenerateSystemError("identically satisfied equation in chain")
     return EinsteinSystem(decomp, norm, variables, polys)
@@ -165,15 +187,12 @@ def jensen_quadratic(decomp: BlockDecomposition) -> list[Fraction]:
     common coefficient x of the classical one-parameter Einstein metrics
     (x on the so(k1+k2)-block modules, 1 on the block-3 modules): the
     cleared primitive numerator of r12 - r13 under that ansatz, the only
-    Ricci difference it leaves nonzero; solve certifies each root exactly.
+    Ricci difference it leaves nonzero, read off the integer Laurent form
+    with every label mapped to x or 1; solve certifies each root exactly.
     Raises DegenerateSystemError unless the numerator has degree 2."""
     _check_shape(decomp)
-    variables = ("x",)
-    x = RationalPoly.var(variables, "x")
-    one = RationalPoly.const(variables, 1)
-    coeffs = {lbl: x if _jensen_scaled(lbl) else one for lbl in dims(decomp)}
-    r = ricci(InvariantMetric(decomp, coeffs)).values
-    num = (r[OffDiag(1, 2)] - r[OffDiag(1, 3)]).cleared().primitive()
+    column = {lbl: 0 if _jensen_scaled(lbl) else None for lbl in dims(decomp)}
+    num = _numerator(decomp, OffDiag(1, 2), OffDiag(1, 3), ("x",), column)
     if num.degree("x") != 2:
         raise DegenerateSystemError(
             f"equal-off-diagonal numerator has degree {num.degree('x')}, not 2"
@@ -201,6 +220,40 @@ def jensen_points(decomp: BlockDecomposition) -> list[dict[ModuleLabel, Fraction
     return out
 
 
+def _lambda_and_residual(
+    decomp: BlockDecomposition, exact: dict[ModuleLabel, Fraction]
+) -> tuple[Fraction, Fraction | None]:
+    """Exact Ricci mean lambda and max_k |r_k - lambda| / lambda at positive
+    rational coordinates; the residual is None when lambda <= 0.
+
+    Integer arithmetic on TripleTable.laurent: with x_l = a_l / b_l, every
+    exponent e in [-2, 1] and x_l^e (a_l b_l)^2 = a_l^(e+2) b_l^(2-e), so
+    r_k = N_k / (D prod (a_l b_l)^2) with integer N_k.  Over m components,
+    lambda = sum N / (m D prod (a_l b_l)^2) and the residual is
+    max |m N_k - sum N| / sum N.
+    """
+    table = triples_closed_form(decomp)
+    den, comps = table.laurent
+    powers = []
+    for lbl in table.labels():
+        a, b = exact[lbl].numerator, exact[lbl].denominator
+        powers.append((b**4, a * b**3, a * a * b * b, a**3 * b))
+        den *= a * a * b * b
+    nums = []
+    for terms in comps.values():
+        total = 0
+        for c, exps in terms:
+            for p, e in zip(powers, exps):
+                c *= p[e + 2]
+            total += c
+        nums.append(total)
+    m, total = len(nums), sum(nums)
+    lam = Fraction(total, m * den)
+    if total <= 0:
+        return lam, None
+    return lam, Fraction(max(abs(m * v - total) for v in nums), total)
+
+
 def certify(
     coords: dict[ModuleLabel, float | Fraction],
     decomp: BlockDecomposition,
@@ -209,19 +262,22 @@ def certify(
 ) -> EinsteinSolution | Rejection:
     """Exact-rational certification of a candidate coordinate vector.
 
-    The Ricci components are evaluated with Fraction arithmetic at the given
-    coordinates; the candidate is accepted iff max |r_i - mean| / mean <= tol
-    and all coordinates are positive; jensen is jensen_points(decomp), if known.
+    The Ricci mean lambda and residual are evaluated exactly at the given
+    coordinates, in integers (see _lambda_and_residual); the candidate is
+    accepted iff all coordinates are positive, lambda > 0 and
+    max |r_i - lambda| / lambda <= tol; jensen is jensen_points(decomp), if
+    known.
     """
     exact = {}
     for lbl, c in coords.items():
         if not c > 0:
             return Rejection(f"nonpositive coordinate x{lbl.name} = {c}")
         exact[lbl] = c if isinstance(c, Fraction) else Fraction(c)
-    table = triples_closed_form(decomp)
-    comp = ricci_general(table, InvariantMetric(decomp, exact))
-    lam = comp.einstein_constant_candidate
-    residual = float(comp.residual())
+    InvariantMetric(decomp, exact)  # checks the coordinate keys
+    lam, exact_residual = _lambda_and_residual(decomp, exact)
+    if exact_residual is None:
+        return Rejection(f"Ricci mean lambda = {float(lam):.6g} is not positive")
+    residual = float(exact_residual)
     if not residual <= tol:
         return Rejection(f"Einstein residual {residual:.3e} exceeds {tol:.1e}")
     return EinsteinSolution(

@@ -19,6 +19,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .errors import DomainError
 from .so_algebra import (
@@ -106,6 +107,42 @@ class TripleTable:
             tuple((j, i, t) for j, i in pairs if (t := self.value(k, j, i))),
             tuple((j, i, t) for j, i in pairs if (t := self.value(j, k, i))),
         ) for k in self.labels()}
+
+    @functools.cached_property
+    def laurent(
+        self,
+    ) -> tuple[int, dict[ModuleLabel, tuple[tuple[int, tuple[int, ...]], ...]]]:
+        """The Ricci formula in integers: (D, {k: ((c, e), ...)}) with
+        r_k = (1/D) sum c prod_l x_l^e_l, e an exponent vector over labels()
+        with entries in [-2, 1].  Built from terms: 1/(2x_k),
+        +[k;ji]/(4d_k) x_k/(x_j x_i) and -[j;ki]/(2d_k) x_j/(x_k x_i), with
+        equal monomials merged and D the least common denominator."""
+        labels = self.labels()
+        pos = {lbl: p for p, lbl in enumerate(labels)}
+
+        def mono(up, *down) -> tuple[int, ...]:
+            e = [0] * len(labels)
+            e[pos[up]] += 1
+            for lbl in down:
+                e[pos[lbl]] -= 1
+            return tuple(e)
+
+        exact: dict[ModuleLabel, dict[tuple[int, ...], Fraction]] = {}
+        for k, (plus, minus) in self.terms.items():
+            dk = self.dims[k]
+            comp = {mono(k, k, k): Fraction(1, 2)}
+            for j, i, t in plus:
+                e = mono(k, j, i)
+                comp[e] = comp.get(e, 0) + t / (4 * dk)
+            for j, i, t in minus:
+                e = mono(j, k, i)
+                comp[e] = comp.get(e, 0) - t / (2 * dk)
+            exact[k] = {e: c for e, c in comp.items() if c}
+        den = lcm(*(c.denominator for comp in exact.values() for c in comp.values()))
+        return den, {
+            k: tuple((int(c * den), e) for e, c in comp.items())
+            for k, comp in exact.items()
+        }
 
     def value(self, i: ModuleLabel, j: ModuleLabel, k: ModuleLabel) -> Fraction:
         return self.entries.get(triple_key(i, j, k), Fraction(0))

@@ -158,6 +158,19 @@ def test_certify_accept_and_reject(capsys):
     assert "residual" in data["reason"]
 
 
+def test_certify_rejects_nonpositive_lambda(capsys):
+    # the Ricci mean here is about -62249.9; a negative mean once gave a
+    # negative residual, which passed residual <= tol
+    code, out, _ = run(
+        capsys, "certify", "--blocks", "1,3,2",
+        "--coords", "x2=1/1000,x12=1/1000,x13=1/1000,x23=1",
+    )
+    assert code == EXIT_DOMAIN
+    data = json.loads(out)
+    assert data["accepted"] is False
+    assert data["reason"] == "Ricci mean lambda = -62249.9 is not positive"
+
+
 def test_certify_exact_jensen_point(capsys):
     # rational approximation of (4 - sqrt(6))/5 good to ~1e-11
     from stiefel_einstein.fixtures import jensen_x2

@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 from fractions import Fraction
 
 import pytest
 
-from stiefel_einstein import solver
+from stiefel_einstein import cli, solver
 from stiefel_einstein.errors import DomainError, UnsupportedShapeError
 from stiefel_einstein.fixtures import h1_coeffs, jensen_x2, jensen_x2_142
 from stiefel_einstein.polyalg import RationalPoly, isolate_real_roots
-from stiefel_einstein.ricci import InvariantMetric, ricci
+from stiefel_einstein.ricci import InvariantMetric, ricci, ricci_general
 from stiefel_einstein.so_algebra import BlockDecomposition, Diag, OffDiag
 from stiefel_einstein.solver import (
     EinsteinSolution,
@@ -28,7 +29,7 @@ from stiefel_einstein.solver import (
     solve_v4,
     sweep,
 )
-from stiefel_einstein.triples import dims
+from stiefel_einstein.triples import dims, triples_closed_form
 
 from helpers import divides
 
@@ -45,6 +46,12 @@ def _proportional(p: RationalPoly, q: RationalPoly) -> bool:
         return False
     ratios = {p.terms[m] / q.terms[m] for m in p.terms}
     return len(ratios) == 1
+
+
+# every shape the solver accepts with n <= 9: 56 of them
+SHAPES_UP_TO_9 = [(k1, k2, k3) for k1 in range(1, 10) for k2 in range(2, 10)
+                  for k3 in range(1, 10) if k1 + k2 + k3 <= 9]
+SHAPE_IDS = ["".join(map(str, b)) for b in SHAPES_UP_TO_9]
 
 
 # frozen reference systems (blocks fixed, normalization x23 = 1); monomials
@@ -137,6 +144,26 @@ def test_build_system_matches_reference_232():
     _systems_match(system.polys, _reference_system_232())
 
 
+def _symbolic_system(decomp):
+    """build_system's polynomials by symbolic Ricci over RationalPoly
+    coordinates: the chain differences, cleared and made primitive."""
+    free = solver._free_labels(decomp)
+    variables = tuple(f"x{l.name}" for l in free)
+    coeffs = {l: RationalPoly.var(variables, f"x{l.name}") for l in free}
+    coeffs[OffDiag(2, 3)] = RationalPoly.const(variables, 1)
+    r = ricci(InvariantMetric(decomp, coeffs)).values
+    labels = [Diag(1), Diag(2)] if Diag(1) in coeffs else [Diag(2)]
+    labels += [OffDiag(1, 2), OffDiag(2, 3), OffDiag(1, 3)]
+    return variables, [(r[a] - r[b]).cleared().primitive()
+                       for a, b in zip(labels, labels[1:])]
+
+
+@pytest.mark.parametrize("blocks", SHAPES_UP_TO_9, ids=SHAPE_IDS)
+def test_build_system_matches_symbolic_ricci(blocks):
+    system = build_system(BlockDecomposition(blocks))
+    assert (system.variables, system.polys) == _symbolic_system(system.decomp)
+
+
 def test_build_system_rejects_unsupported_shapes():
     with pytest.raises(UnsupportedShapeError):
         build_system(BlockDecomposition((3, 3)))
@@ -197,6 +224,16 @@ def test_certify_rejects_non_einstein():
     assert "residual" in result.reason
 
 
+def test_certify_rejects_zero_lambda():
+    # the Ricci components sum to exactly 0 here; the residual divides by it
+    d = BlockDecomposition((1, 3, 2))
+    coords = {Diag(2): Fraction(1, 2), OffDiag(1, 2): Fraction(1, 4),
+              OffDiag(1, 3): Fraction(1, 4), OffDiag(2, 3): Fraction(1)}
+    result = certify(coords, d, tol=float("inf"))
+    assert isinstance(result, Rejection)
+    assert result.reason == "Ricci mean lambda = 0 is not positive"
+
+
 def test_substituting_jensen_form_recovers_quadratic():
     # with x2 = x12 = t and x13 = x23 = 1 every system polynomial becomes a
     # univariate multiple of the classical quadratic (or vanishes)
@@ -217,9 +254,15 @@ def test_substituting_jensen_form_recovers_quadratic():
             assert divides(quad, sub.univariate_coeffs("t")), (n, p)
 
 
-@pytest.mark.parametrize("blocks", [(1, 3, 2), (2, 2, 3), (2, 3, 2), (3, 3, 2), (1, 8, 2)])
+# the first five keep their test ids; then every other shape with n <= 9
+JENSEN_SHAPES = [(1, 3, 2), (2, 2, 3), (2, 3, 2), (3, 3, 2), (1, 8, 2)]
+JENSEN_SHAPES += [b for b in SHAPES_UP_TO_9 if b not in JENSEN_SHAPES]
+
+
+@pytest.mark.parametrize("blocks", JENSEN_SHAPES)
 def test_jensen_ansatz_leaves_only_r12_minus_r13(blocks):
-    # (2, 2, 3): k1 + k2 = 4, where so(4) is not simple
+    # symbolic Ricci over RationalPoly coefficients is the oracle for the
+    # integer Laurent form; (2, 2, k3): k1 + k2 = 4, where so(4) is not simple
     d = BlockDecomposition(blocks)
     x = RationalPoly.var(("x",), "x")
     coeffs = {l: x if 3 not in l.blocks else RationalPoly.const(("x",), 1) for l in dims(d)}
@@ -232,8 +275,7 @@ def test_jensen_ansatz_leaves_only_r12_minus_r13(blocks):
 
 
 # every shape the solver accepts with n <= 8: 35 of them
-SMALL_SHAPES = [(k1, k2, k3) for k1 in range(1, 9) for k2 in range(2, 9)
-                for k3 in range(1, 9) if k1 + k2 + k3 <= 8]
+SMALL_SHAPES = [b for b in SHAPES_UP_TO_9 if sum(b) <= 8]
 
 
 @pytest.mark.parametrize("blocks", SMALL_SHAPES,
@@ -323,6 +365,64 @@ def test_solve_computes_jensen_points_once(monkeypatch):
     sols = solve(build_system(BlockDecomposition((1, 3, 2))))
     assert [s.classification for s in sols].count("Jensen") == 2
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("blocks", [(1, 3, 2), (2, 3, 2), (3, 3, 2)])
+def test_certificate_matches_fraction_ricci_on_solve_candidates(monkeypatch, blocks):
+    # every candidate solve certifies, the float x13 included: the integer
+    # lambda and residual equal ricci_general's, and so do their floats
+    calls = []
+
+    def recording(coords, decomp, *args):
+        result = check(coords, decomp, *args)
+        calls.append((coords, result))
+        return result
+
+    check = solver.certify
+    monkeypatch.setattr(solver, "certify", recording)
+    d = BlockDecomposition(blocks)
+    solve(build_system(d))
+    assert any(isinstance(c[OffDiag(1, 3)], float) for c, _ in calls)
+    for coords, result in calls:
+        exact = {l: Fraction(c) for l, c in coords.items()}
+        comp = ricci_general(triples_closed_form(d), InvariantMetric(d, exact))
+        lam, residual = solver._lambda_and_residual(d, exact)
+        assert (lam, residual) == (comp.einstein_constant_candidate, comp.residual())
+        if isinstance(result, EinsteinSolution):
+            assert (result.lam, result.residual) == (float(lam), float(residual))
+
+
+def test_solve_uses_no_ricci_term_loop(monkeypatch):
+    # the system, the Jensen quadratic and the certificates all come from
+    # TripleTable.laurent
+    d = BlockDecomposition((2, 3, 2))
+    want = [s.to_json() for s in solve(build_system(d))]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve evaluated the Ricci term loop")
+
+    ricci_module = importlib.import_module("stiefel_einstein.ricci")
+    for name in ("ricci", "ricci_general"):
+        monkeypatch.setattr(ricci_module, name, forbidden)
+        monkeypatch.setattr(solver, name, forbidden, raising=False)
+    assert [s.to_json() for s in solve(build_system(d))] == want
+
+
+# sha256 of CLI reports, as computed when build_system, jensen_quadratic and
+# certify still derived the Ricci formula by Fraction polynomial arithmetic
+REPORT_SHA256 = {
+    ("sweep", "--blocks", "1,3,R", "--n", "6..30", "--format", "json"):
+        "e4ccc470ff32329430836793c87b2a6f75a46afc11934c94e304eda0a641669b",
+    ("solve", "--blocks", "2,4,3"):
+        "de32c8d58fac0756924c807d4fa5d6fb2816e33f4200ea2eb3c2e666435698fc",
+}
+
+
+@pytest.mark.parametrize("argv", REPORT_SHA256, ids=["sweep", "solve243"])
+def test_reports_are_pinned(tmp_path, argv):
+    path = tmp_path / "report.json"
+    assert cli.main([*argv, "--output", str(path)]) == cli.EXIT_OK
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_SHA256[argv]
 
 
 def test_eliminant_positive_roots_match_sympy():
