@@ -4,13 +4,15 @@ Univariate polynomials are ascending coefficient lists, integer or
 rational.  Each entry point reads its list once into a primitive integer
 list (coefficient gcd 1), and an IsolatingInterval carries one; the
 square-free part, the Sturm chain and every sign evaluation then stay in
-integers.  Chain members are content-free pseudo-remainders, each a
-positive multiple of the member over Q, and the sign at a rational n/d
-(d > 0) is that of d^deg f(n/d), so every count is the one over Q.  All
-interval logic is half-open (lo, hi], matching the Sturm count
-V(lo) - V(hi).  Refinement returns the cell that halving an isolating
-interval ends in, reached by quadratic interval refinement on the grid of
-those cells.
+integers.  One primitive PRS of f and f' (content-free pseudo-remainders,
+each a positive multiple of the remainder over Q) gives both: its last
+member is gcd(f, f'), and its members divided by that gcd, with signs
++, +, -, -, ..., are a Sturm sequence of the square-free part.  The sign
+at a rational n/d (d > 0) is that of d^deg f(n/d), so every count is the
+one over Q.  All interval logic is half-open (lo, hi], matching the Sturm
+count V(lo) - V(hi).  Refinement returns the cell that halving an
+isolating interval ends in, reached by quadratic interval refinement on
+the grid of those cells.
 """
 
 from __future__ import annotations
@@ -58,12 +60,14 @@ def _prem(a: ZCoeffs, b: ZCoeffs) -> ZCoeffs:
     return _primitive(rem)
 
 
-def _gcd(a: ZCoeffs, b: ZCoeffs) -> ZCoeffs:
-    """gcd of a and b up to a constant factor, by the primitive PRS."""
-    a, b = _primitive(a), _primitive(b)
-    while b:
-        a, b = b, _prem(a, b)
-    return a
+def _prs(c: ZCoeffs) -> list[ZCoeffs]:
+    """The primitive PRS of c (degree >= 1) and c': c, c', then the
+    content-free pseudo-remainder of the last two members until it is zero.
+    The primitive part of its last member is gcd(c, c')."""
+    seq = [c, _derivative(c)]
+    while r := _prem(seq[-2], seq[-1]):
+        seq.append(r)
+    return seq
 
 
 def _exact_quotient(a: ZCoeffs, b: ZCoeffs) -> ZCoeffs:
@@ -109,48 +113,60 @@ def _normalize_input(p: list) -> ZCoeffs:
 
 
 def squarefree_part(p) -> ZCoeffs:
-    """p / gcd(p, p') as a primitive integer list, leading coefficient > 0."""
-    c = _normalize_input(p)
-    if _degree(c) >= 1:
-        g = _gcd(c, _derivative(c))
-        if _degree(g) >= 1:
-            c = _exact_quotient(c, g)
-    return c if not c or c[-1] > 0 else [-a for a in c]
-
-
-def _chain(f: ZCoeffs) -> list[ZCoeffs]:
-    """Sturm sequence of an already square-free f of degree >= 1."""
-    chain = [f, _derivative(f)]
-    while _degree(chain[-1]) > 0:
-        r = _prem(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-x for x in r])
-    return chain
+    """p / gcd(p, p') as a primitive integer list, leading coefficient > 0:
+    the first member of sturm_chain(p)."""
+    chain = sturm_chain(p)
+    return chain[0] if chain else []
 
 
 def sturm_chain(p) -> list[ZCoeffs]:
-    """Sturm sequence of the squarefree part of p."""
-    f = squarefree_part(p)
-    if _degree(f) < 1:
-        return [f] if f else []
-    return _chain(f)
+    """Sturm sequence of the square-free part of p, from the one PRS of p
+    and p' (Basu, Pollack & Roy, Algorithms in Real Algebraic Geometry,
+    sec. 2.2): member i, divided by g = gcd(p, p') when g has positive
+    degree (integral by Gauss's lemma), and negated iff i // 2 is odd, so
+    the signs run +, +, -, -, ...  Member 1 is p' / g, not made primitive."""
+    c = _normalize_input(p)
+    if c and c[-1] < 0:
+        c = [-a for a in c]
+    if _degree(c) < 1:
+        return [c] if c else []
+    seq = _prs(c)
+    g = _primitive(seq[-1])
+    if _degree(g) >= 1:
+        if g[-1] < 0:  # so that member 0 keeps a positive leading coefficient
+            g = [-a for a in g]
+        seq = [_exact_quotient(m, g) for m in seq]
+    return [m if i & 2 == 0 else [-a for a in m] for i, m in enumerate(seq)]
 
 
 def _sign_changes(chain: list[ZCoeffs], x: Fraction | None, at_inf: int = 0) -> int:
-    """Sign variation count at x, or at +-infinity when at_inf is +-1."""
-    signs = []
-    for c in chain:
-        s = c[-1] * at_inf ** _degree(c) if at_inf else _sign_at(c, x)
-        if s != 0:
-            signs.append(s > 0)
+    """Sign variation count at x, or at +-infinity when at_inf is +-1.  At
+    x = n/d every member c is read as d^deg c(n/d), by homogeneous Horner
+    on one shared table of the powers of d."""
+    if at_inf:
+        signs = [c[-1] * at_inf ** _degree(c) > 0 for c in chain]
+    else:
+        n, d = x.numerator, x.denominator
+        powers = [1]
+        for _ in range(_degree(chain[0])):
+            powers.append(powers[-1] * d)
+        signs = []
+        for c in chain:
+            v = 0
+            for a, dk in zip(reversed(c), powers):
+                v = v * n + a * dk
+            if v:
+                signs.append(v > 0)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def count_real_roots(
     p, lo: Fraction | None = None, hi: Fraction | None = None
 ) -> int:
-    """Number of distinct real roots in (lo, hi]; None means -inf / +inf."""
+    """Number of distinct real roots in (lo, hi]; None means -inf / +inf.
+    An empty interval, lo >= hi, holds none."""
+    if lo is not None and hi is not None and lo >= hi:
+        return 0
     chain = sturm_chain(p)
     if not chain or _degree(chain[0]) < 1:
         return 0
@@ -183,15 +199,19 @@ class IsolatingInterval:
 
     def simplest(self) -> Fraction:
         """The rational of least denominator in (lo, hi], at most ceil(1 /
-        width), by the continued-fraction (Stern-Brocot) walk."""
-        lo, hi, lo_open = self.lo, self.hi, True
+        width), by the continued-fraction (Stern-Brocot) walk on integer
+        pairs lo = p/q, hi = r/s; s = 0 stands for hi = +infinity."""
+        p, q = self.lo.numerator, self.lo.denominator
+        r, s = self.hi.numerator, self.hi.denominator
+        lo_open = True
         a, b, c, d = 1, 0, 0, 1  # the point is (a*y + b) / (c*y + d)
         while True:  # the least integer y in the interval, else y = k + 1/z
-            k = math.floor(lo)
-            n = k + 1 if lo_open or lo != k else k
-            if hi is None or (n <= hi if lo_open else n < hi):
+            k, rest = divmod(p, q)
+            n = k + 1 if lo_open or rest else k
+            if n * s <= r if lo_open else n * s < r:
                 return Fraction(a * n + b, c * n + d)
-            lo, hi = 1 / (hi - k), (None if lo == k else 1 / (lo - k))
+            # lo, hi = 1 / (hi - k), 1 / (lo - k)
+            p, q, r, s = s, r - k * s, q, rest
             a, b, c, d, lo_open = a * k + b, a, c * k + d, c, not lo_open
 
     def width(self) -> Fraction:
@@ -206,10 +226,10 @@ def isolate_real_roots(
     The polynomial's square-free part is taken internally, so multiple roots
     are isolated once.
     """
-    f = squarefree_part(p)
+    chain = sturm_chain(p)
+    f = chain[0] if chain else []
     if _degree(f) < 1:
         return []
-    chain = _chain(f)
     bound = root_bound(f)
     a = lo if lo is not None else -bound
     b = hi if hi is not None else bound

@@ -341,20 +341,44 @@ def groebner_eliminant(system: EinsteinSystem) -> list[Fraction]:
     raise DegenerateSystemError("no univariate eliminant in basis")
 
 
+def _univariate_at(
+    pivot: RationalPoly, var: str, point: dict[str, Fraction]
+) -> list[int]:
+    """Ascending coefficients in var of pivot with point substituted, times
+    a positive integer, in integer arithmetic.  The pivot is primitive; with
+    x_j = a_j / b_j and E_j the largest exponent of x_j in the pivot, a term
+    c x_j^e_j ... contributes c a_j^e_j b_j^(E_j - e_j) ..., which scales
+    every coefficient by prod b_j^E_j."""
+    at = pivot.vars.index(var)
+    powers = {}  # column i of x_j -> a_j^e b_j^(E_j - e) for e = 0 .. E_j
+    for i, name in enumerate(pivot.vars):
+        top = max(m[i] for m in pivot.terms)
+        if i != at and top:
+            a, b = point[name].numerator, point[name].denominator
+            powers[i] = [a**e * b ** (top - e) for e in range(top + 1)]
+    coeffs = [0] * (pivot.degree(var) + 1)
+    for mono, c in pivot.terms.items():
+        c = c.numerator
+        for i, pw in powers.items():
+            c *= pw[mono[i]]
+        coeffs[mono[at]] += c
+    return coeffs
+
+
 def _lift(pivots: list[tuple[str, RationalPoly]], point: dict[str, Fraction]):
     """Yield the positive points above point on the triangular pivot set.
 
-    The last pivot, with point substituted, is univariate in its variable;
-    each positive root is refined to width LIFT_WIDTH, and the simplest
-    rational in that interval (denominator at most 1 / LIFT_WIDTH, so the
-    next pivots stay short) extends the point for the remaining pivots.
+    The last pivot, with point substituted in integers (see _univariate_at),
+    is univariate in its variable; each positive root is refined to width
+    LIFT_WIDTH, and the simplest rational in that interval (denominator at
+    most 1 / LIFT_WIDTH, so the next pivots stay short) extends the point
+    for the remaining pivots.
     """
     if not pivots:
         yield point
         return
     var, pivot = pivots[-1]
-    coeffs = pivot.subs(point).univariate_coeffs(var)
-    for iv in isolate_real_roots(coeffs, lo=Fraction(0)):
+    for iv in isolate_real_roots(_univariate_at(pivot, var, point), lo=Fraction(0)):
         root = bisect_to_width(iv, LIFT_WIDTH).simplest()
         yield from _lift(pivots[:-1], {**point, var: root})
 

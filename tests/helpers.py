@@ -1,14 +1,25 @@
-"""Coefficient-list helpers shared by the test modules, and the halving
-loop that root refinement must agree with."""
+"""Coefficient-list helpers shared by the test modules, and the oracles the
+Sturm layer must agree with: the halving loop behind root refinement, the
+two-PRS square-free part and root isolation, and the Fraction
+Stern-Brocot walk."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from stiefel_einstein.polyalg import IsolatingInterval
-from stiefel_einstein.polyalg.sturm import _derivative, _sign_at
+from stiefel_einstein.polyalg.sturm import (
+    _degree,
+    _derivative,
+    _normalize_input,
+    _prem,
+    _primitive,
+    _sign_at,
+    root_bound,
+)
 
 
 def times_x_minus_1(coeffs: list[Fraction]) -> list[Fraction]:
@@ -44,3 +55,117 @@ def halving_oracle(iv: IsolatingInterval, width: Fraction) -> IsolatingInterval:
         else:
             lo = mid
     return IsolatingInterval(lo, hi, iv.coeffs)
+
+
+# -- the two-PRS Sturm layer: a gcd PRS for the square-free part, then a
+# second PRS for the Sturm chain of that part ---------------------------------
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """gcd of a and b up to a constant factor, by the primitive PRS."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _prem(a, b)
+    return a
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for a primitive b dividing a: integral by Gauss's lemma."""
+    rem = list(a)
+    db, lb = _degree(b), b[-1]
+    quo = [0] * (len(a) - db)
+    for k in reversed(range(len(quo))):
+        q = quo[k] = rem[k + db] // lb
+        for i, bc in enumerate(b):
+            rem[k + i] -= q * bc
+    return quo
+
+
+def squarefree_oracle(p) -> list[int]:
+    """p / gcd(p, p') as a primitive integer list, leading coefficient > 0."""
+    c = _normalize_input(p)
+    if _degree(c) >= 1:
+        g = _gcd(c, _derivative(c))
+        if _degree(g) >= 1:
+            c = _exact_quotient(c, g)
+    return c if not c or c[-1] > 0 else [-a for a in c]
+
+
+def _chain(f: list[int]) -> list[list[int]]:
+    """Sturm sequence of an already square-free f of degree >= 1."""
+    chain = [f, _derivative(f)]
+    while _degree(chain[-1]) > 0:
+        r = _prem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append([-x for x in r])
+    return chain
+
+
+def _variations(chain: list[list[int]], x: Fraction | None, at_inf: int = 0) -> int:
+    signs = []
+    for c in chain:
+        s = c[-1] * at_inf ** _degree(c) if at_inf else _sign_at(c, x)
+        if s != 0:
+            signs.append(s > 0)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def count_oracle(p, lo: Fraction | None = None, hi: Fraction | None = None) -> int:
+    """Distinct real roots of p in (lo, hi] for lo < hi, by the two-PRS chain."""
+    f = squarefree_oracle(p)
+    if _degree(f) < 1:
+        return 0
+    chain = _chain(f)
+    va = _variations(chain, lo) if lo is not None else _variations(chain, None, -1)
+    vb = _variations(chain, hi) if hi is not None else _variations(chain, None, +1)
+    return va - vb
+
+
+def isolation_oracle(
+    p, lo: Fraction | None = None, hi: Fraction | None = None
+) -> list[IsolatingInterval]:
+    """Isolating intervals of the real roots of p in (lo, hi] by bisection
+    on the two-PRS chain, nudging a midpoint off a root by 1/16 of its
+    interval."""
+    f = squarefree_oracle(p)
+    if _degree(f) < 1:
+        return []
+    chain = _chain(f)
+    bound = root_bound(f)
+    a = lo if lo is not None else -bound
+    b = hi if hi is not None else bound
+    if a >= b:
+        return []
+    out: list[IsolatingInterval] = []
+
+    def recurse(x: Fraction, y: Fraction, vx: int, vy: int) -> None:
+        k = vx - vy
+        if k == 0:
+            return
+        if k == 1:
+            out.append(IsolatingInterval(x, y, tuple(f)))
+            return
+        mid = (x + y) / 2
+        while _sign_at(f, mid) == 0:
+            mid = mid + (y - x) / 16
+        vm = _variations(chain, mid)
+        recurse(x, mid, vx, vm)
+        recurse(mid, y, vm, vy)
+
+    recurse(a, b, _variations(chain, a), _variations(chain, b))
+    out.sort(key=lambda iv: iv.lo)
+    return out
+
+
+def simplest_oracle(lo: Fraction, hi: Fraction) -> Fraction:
+    """The rational of least denominator in (lo, hi], by the Stern-Brocot
+    walk in Fraction arithmetic."""
+    lo_open = True
+    a, b, c, d = 1, 0, 0, 1  # the point is (a*y + b) / (c*y + d)
+    while True:  # the least integer y in the interval, else y = k + 1/z
+        k = math.floor(lo)
+        n = k + 1 if lo_open or lo != k else k
+        if hi is None or (n <= hi if lo_open else n < hi):
+            return Fraction(a * n + b, c * n + d)
+        lo, hi = 1 / (hi - k), (None if lo == k else 1 / (lo - k))
+        a, b, c, d, lo_open = a * k + b, a, c * k + d, c, not lo_open

@@ -30,6 +30,8 @@ from stiefel_einstein.polyalg import (
     sturm_chain,
 )
 from stiefel_einstein.polyalg import resultants, sturm
+from stiefel_einstein.so_algebra import BlockDecomposition
+from stiefel_einstein.solver import _eliminate, build_system
 from helpers import halving_oracle
 
 V = ("x", "y")
@@ -397,6 +399,37 @@ def test_squarefree_part():
     assert len(sf) == 3
     quad = [c / sf[-1] for c in sf]
     assert quad == F(-1, 0, 1)
+
+
+def test_count_real_roots_on_an_empty_interval():
+    # (lo, hi] is empty when lo >= hi; x^2 - 2 has roots at -sqrt2, sqrt2
+    f = [-2, 0, 1]
+    assert count_real_roots(f, Fraction(2), Fraction(-2)) == 0
+    assert count_real_roots(f, Fraction(1), Fraction(1)) == 0
+    assert count_real_roots(f, Fraction(-2), Fraction(2)) == 2
+
+
+def test_isolation_runs_one_prs(monkeypatch):
+    # the square-free part and the Sturm sequence come from one PRS of f and
+    # f', so a square-free degree-d input takes at most d pseudo-remainders
+    calls = []
+    prem = sturm._prem
+
+    def counted(a, b):
+        calls.append(len(a))
+        return prem(a, b)
+
+    monkeypatch.setattr(sturm, "_prem", counted)
+    x13, _ = _eliminate(build_system(BlockDecomposition((2, 3, 2))))
+    inputs = [
+        [1, -3, 0, 0, 0, 1],  # x^5 - 3x + 1
+        [-6, 11, -6, 1],  # (x - 1)(x - 2)(x - 3)
+        squarefree_part(x13),  # degree 24
+    ]
+    for f in inputs:
+        calls.clear()
+        assert isolate_real_roots(f)
+        assert 0 < len(calls) <= len(f) - 1, (len(f) - 1, len(calls))
 
 
 def test_sturm_chain_shape():

@@ -352,6 +352,31 @@ def test_lift_points_have_short_denominators(monkeypatch):
         assert all(c.denominator <= 2 * 10**20 for c in p.values()), p
 
 
+def test_lift_substitution_matches_fraction_subs(monkeypatch):
+    # at every point the lift visits, the integer substitution is the
+    # Fraction one, pivot.subs(point).univariate_coeffs(var), times a
+    # positive rational
+    calls = []
+
+    def recording(pivot, var, point):
+        coeffs = univariate_at(pivot, var, point)
+        calls.append((pivot, var, point, coeffs))
+        return coeffs
+
+    univariate_at = solver._univariate_at
+    monkeypatch.setattr(solver, "_univariate_at", recording)
+    for blocks in ((2, 3, 2), (2, 4, 3), (3, 3, 2)):
+        solve(build_system(BlockDecomposition(blocks)))
+    assert len(calls) > 20
+    for pivot, var, point, coeffs in calls:
+        exact = pivot.subs(point).univariate_coeffs(var)
+        assert all(type(c) is int for c in coeffs)
+        assert exact and not any(coeffs[len(exact):])
+        ratio = next(Fraction(c) / e for c, e in zip(coeffs, exact) if e)
+        assert ratio > 0
+        assert coeffs[: len(exact)] == [ratio * e for e in exact]
+
+
 def test_solve_computes_jensen_points_once(monkeypatch):
     # classification of the certified Jensen candidates reuses solve's points
     calls = []
@@ -415,10 +440,19 @@ REPORT_SHA256 = {
         "e4ccc470ff32329430836793c87b2a6f75a46afc11934c94e304eda0a641669b",
     ("solve", "--blocks", "2,4,3"):
         "de32c8d58fac0756924c807d4fa5d6fb2816e33f4200ea2eb3c2e666435698fc",
+    ("solve", "--blocks", "2,3,2"):
+        "6b273419506a58dd2ad2ac5295a280cf10c1ed5318b88e51502dc2d6dea27523",
+    ("solve", "--blocks", "3,3,2"):
+        "7d5c70745e06d899483d51c85263464e5fc986d1293ab8d4687c9b11cdfbea13",
+    # seven lift candidates here fail certification
+    ("solve", "--blocks", "3,6,1"):
+        "c153ee25df5c2b70717fc52b567af9602818664ec6182ea3106960b63d733a2d",
 }
 
 
-@pytest.mark.parametrize("argv", REPORT_SHA256, ids=["sweep", "solve243"])
+@pytest.mark.parametrize(
+    "argv", REPORT_SHA256, ids=["sweep", "solve243", "solve232", "solve332", "solve361"]
+)
 def test_reports_are_pinned(tmp_path, argv):
     path = tmp_path / "report.json"
     assert cli.main([*argv, "--output", str(path)]) == cli.EXIT_OK

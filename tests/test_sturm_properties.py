@@ -1,4 +1,5 @@
-"""Hypothesis properties of the Sturm layer's interval points and refinement."""
+"""Hypothesis properties of the Sturm layer's square-free parts, root
+counts, isolation, interval points and refinement."""
 
 from __future__ import annotations
 
@@ -10,14 +11,22 @@ import pytest
 from stiefel_einstein.polyalg import (
     IsolatingInterval,
     bisect_to_width,
+    count_real_roots,
     isolate_real_roots,
     squarefree_part,
+    sturm_chain,
 )
-from helpers import halving_oracle
+from helpers import (
+    count_oracle,
+    halving_oracle,
+    isolation_oracle,
+    simplest_oracle,
+    squarefree_oracle,
+)
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 # hi is itself a candidate, so the result's denominator is at most 1000 and
 # the brute force below covers every smaller one
@@ -49,8 +58,20 @@ def test_simplest_examples():
     assert simplest(*pi_bracket) == Fraction(355, 113)
 
 
-_widths = st.builds(lambda p, e: Fraction(p, 10**e), st.integers(1, 9), st.integers(0, 30))
-_coeffs = st.lists(st.integers(-30, 30), min_size=2, max_size=7).filter(lambda c: c[-1])
+_signed = st.one_of(
+    st.integers(-50, 50).map(Fraction),
+    st.builds(Fraction, st.integers(-(10**5), 10**5), st.integers(1, 1000)),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_signed, _signed, st.integers(0, 30))
+def test_simplest_matches_the_fraction_walk(a, b, e):
+    # the integer walk against the Fraction one, on negative and integer
+    # endpoints, and on intervals down to width 10^-30 above a
+    for lo, hi in ((a, b), (b, a), (a, a + Fraction(1, 10**e))):
+        if lo < hi:
+            assert IsolatingInterval(lo, hi, (0, 1)).simplest() == simplest_oracle(lo, hi)
 
 
 def _times(p: list, q: list) -> list:
@@ -59,6 +80,50 @@ def _times(p: list, q: list) -> list:
         for j, b in enumerate(q):
             out[i + j] += a * b
     return out
+
+
+# a linear factor d x - n with its root n/d, or a quadratic a x^2 + b x + c,
+# each with a multiplicity
+_linear = st.tuples(st.integers(-6, 6), st.integers(1, 4)).map(
+    lambda r: ([-r[0], r[1]], Fraction(r[0], r[1]))
+)
+_quadratic = st.tuples(st.integers(-5, 5), st.integers(-5, 5), st.integers(1, 3)).map(
+    lambda c: (list(c), None)
+)
+_factors = st.lists(
+    st.tuples(st.one_of(_linear, _quadratic), st.integers(1, 3)), min_size=1, max_size=4
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_factors, _signed)
+@example(  # (x - 1)^3 (x + 2) (x^2 - 2)^2
+    [(([-1, 1], Fraction(1)), 3), (([2, 1], Fraction(-2)), 1), (([-2, 0, 1], None), 2)],
+    Fraction(0),
+)
+def test_one_prs_matches_the_two_prs_oracle(factors, point):
+    # endpoints: +-infinity, every rational root (simple and multiple ones)
+    # and a free point
+    p, ends = [1], [None, point]
+    for (coeffs, root), mult in factors:
+        for _ in range(mult):
+            p = _times(p, coeffs)
+        if root is not None:
+            ends.append(root)
+    sf = squarefree_part(p)
+    assert sf == squarefree_oracle(p)
+    assert sturm_chain(p)[0] == sf
+    assert isolate_real_roots(p) == isolation_oracle(p)
+    for lo in ends:
+        for hi in ends:
+            if lo is not None and hi is not None and lo >= hi:
+                continue
+            assert count_real_roots(p, lo, hi) == count_oracle(p, lo, hi), (lo, hi)
+            assert isolate_real_roots(p, lo, hi) == isolation_oracle(p, lo, hi), (lo, hi)
+
+
+_widths = st.builds(lambda p, e: Fraction(p, 10**e), st.integers(1, 9), st.integers(0, 30))
+_coeffs = st.lists(st.integers(-30, 30), min_size=2, max_size=7).filter(lambda c: c[-1])
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
