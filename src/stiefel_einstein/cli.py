@@ -139,8 +139,11 @@ def _parse_coords(text: str, decomp: BlockDecomposition) -> dict[ModuleLabel, ob
 
 def _emit(args, payload: str) -> None:
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise ValueError(f"--output {args.output}: {exc.strerror}") from None
     else:
         sys.stdout.write(payload)
 

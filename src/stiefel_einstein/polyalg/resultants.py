@@ -1,12 +1,17 @@
 """Resultants and resultant-based elimination.
 
-The resultant evaluates and interpolates modulo a prime (Collins, JACM 18,
-1971): a Proth prime k 2^e + 1, proven by Proth's theorem, of the least
-multiple of 64 bits, up to MAX_PRIME_BITS, that exceeds twice the
-Goldstein-Graham coefficient bound (SIAM Review 16, 1974); larger bounds
-combine several primes by CRT.  Degree windows, from assignments over the
-Sylvester matrix, fix its points; with the bound they fix its cost before
-any evaluation.  Each point takes an inverse-free Euclidean resultant.
+Against an operand of degree 1 in the eliminated variable, a1 var + a0, the
+resultant is the closed form a1^n g(-a0/a1) = sum_k g_k (-a0)^k a1^(n-k),
+expanded by Horner in integer arithmetic (von zur Gathen & Gerhard, Modern
+Computer Algebra, section 6).  Otherwise it evaluates and interpolates
+modulo a prime (Collins, JACM 18, 1971): a Proth prime k 2^e + 1, proven by
+Proth's theorem, of the least multiple of 64 bits, up to MAX_PRIME_BITS,
+that exceeds twice the Goldstein-Graham coefficient bound (SIAM Review 16,
+1974); larger bounds combine several primes by CRT.  Degree windows, from
+assignments over the Sylvester matrix, fix its points; with the bound they
+fix its cost before any evaluation.  At each point every coefficient is
+evaluated by Horner on its dense row, and the univariate images take an
+inverse-free Euclidean resultant.
 Elimination chains resultants against a low-degree pivot and strips the
 content and every monomial factor from each resultant; a resultant that
 vanishes identically is a DegenerateSystemError.
@@ -17,6 +22,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import count
 from math import gcd, inf, prod
+from operator import add
 
 from ..errors import DegenerateSystemError, DomainError, EliminationOverflowError
 from .poly import RationalPoly
@@ -160,8 +166,9 @@ def _res_mod(f: dict, g: dict, df: int, dg: int, windows: list[tuple[int, int]],
     f and g map (exponents of the other variables, exponent of var) to
     residues; windows[i] = (lo, hi) holds the result's exponents in the i-th
     other variable (see _windows).  The first is set to hi - lo + 1 points
-    x = 1, 2, ... where both leading coefficients survive, the rest recurse,
-    and Newton interpolation rebuilds each coefficient times x^-lo.
+    x = 1, 2, ... where both leading coefficients survive, each coefficient
+    evaluated from its dense row in that variable by Horner, the rest
+    recurse, and Newton interpolation rebuilds each coefficient times x^-lo.
     """
     if not (any(m[-1] == df for m in f) and any(m[-1] == dg for m in g)):
         return None
@@ -170,15 +177,23 @@ def _res_mod(f: dict, g: dict, df: int, dg: int, windows: list[tuple[int, int]],
                             [g.get((e,), 0) for e in range(dg + 1)], p)
         return {(): r} if r else {}
     lo, hi = windows[0]
-    split: list[dict] = [{}, {}]  # {rest of the key: [(first exponent, c)]}
+    split: list[dict] = [{}, {}]  # {rest of the key: {first exponent: c}}
     for part, h in zip(split, (f, g)):
         for m, c in h.items():
-            part.setdefault(m[1:], []).append((m[0], c))
+            part.setdefault(m[1:], {})[m[0]] = c
+    rows = [[(k, [t.get(e, 0) for e in range(max(t), -1, -1)]) for k, t in part.items()]
+            for part in split]  # dense rows, highest exponent first
     xs, vals, x = [], [], 1
     while len(xs) <= hi - lo:
-        fx, gx = ({k: v for k, t in part.items() if (v := sum(c * x**e for e, c in t) % p)}
-                  for part in split)
-        r = _res_mod(fx, gx, df, dg, windows[1:], p)
+        at = [{}, {}]
+        for part, out in zip(rows, at):
+            for k, row in part:
+                v = 0
+                for c in row:
+                    v = v * x + c
+                if v := v % p:
+                    out[k] = v
+        r = _res_mod(*at, df, dg, windows[1:], p)
         if r is not None:
             xs.append(x)
             vals.append(r)
@@ -200,15 +215,46 @@ def _res_mod(f: dict, g: dict, df: int, dg: int, windows: list[tuple[int, int]],
     return out
 
 
+def _linear(f: dict, g: dict, s: int) -> dict:
+    """Sum_k g_k (s a0)^k (-s a1)^(n - k), keyed by the other exponents, for
+    f = a1 var + a0 and g = sum_k g_k var^k of degree n, both keyed as in
+    _res_mod.  With s = -1 that is a1^n g(-a0/a1) = Res_var(f, g);
+    with s = 1 it is (-1)^n a1^n g(-a0/a1) = Res_var(g, f).  Horner in
+    (s a0, -s a1): n steps of integer dict products, no prime and no point."""
+    a: list[dict] = [{}, {}]  # s a0, -s a1
+    for m, c in f.items():
+        a[m[-1]][m[:-1]] = (-s if m[-1] else s) * c
+    coeffs: dict = {}  # var exponent -> {other exponents: c}
+    for m, c in g.items():
+        coeffs.setdefault(m[-1], {})[m[:-1]] = c
+    n = max(coeffs)
+    r, power = coeffs[n], {(0,) * (len(next(iter(g))) - 1): 1}
+    for k in range(n - 1, -1, -1):  # r = r (s a0) + g_k (-s a1)^(n - k)
+        power = _addmul({}, power, a[1])
+        r = _addmul(_addmul({}, r, a[0]), coeffs.get(k, {}), power)
+    return {m: c for m, c in r.items() if c}
+
+
+def _addmul(out: dict, a: dict, b: dict) -> dict:
+    """out + a b, in place, for integer polynomials keyed by exponent tuples."""
+    for m, c in a.items():
+        for e, d in b.items():
+            k = tuple(map(add, m, e))
+            out[k] = out.get(k, 0) + c * d
+    return out
+
+
 def resultant(p: RationalPoly, q: RationalPoly, var: str) -> RationalPoly:
     """Resultant of p and q with respect to var: the Sylvester determinant.
 
     The result is a polynomial in the remaining variables (a constant when
     both inputs are univariate); it is identically zero exactly when p and q
-    share a factor of positive degree in var.  It is computed modulo primes
-    (see the module docstring) and raises EliminationOverflowError, before
-    any evaluation, when the 64-bit words of its moduli x its points would
-    exceed RESULTANT_BUDGET.
+    share a factor of positive degree in var.  When either operand has
+    degree 1 in var it is the closed form of the module docstring, with the
+    sign (-1)^(deg p) when only q is linear.  Otherwise it is computed
+    modulo primes, the variables in neither operand left out, and raises
+    EliminationOverflowError, before any evaluation, when the 64-bit words
+    of its moduli x its points would exceed RESULTANT_BUDGET.
     """
     if q.vars != p.vars:
         q = q.reorder(p.vars)
@@ -220,9 +266,17 @@ def resultant(p: RationalPoly, q: RationalPoly, var: str) -> RationalPoly:
     order = [j for j in range(len(variables)) if j != i] + [i]
     f, g = ({tuple(m[j] for j in order): int(c / ch) for m, c in h.terms.items()}
             for h, ch in ((p, cp), (q, cq)))
+    scale = cp**dq * cq**dp
+    if 1 in (dp, dq):  # closed form against the linear operand
+        r = _linear(f, g, -1) if dp == 1 else _linear(g, f, 1)
+        return RationalPoly(variables, {m[:i] + (0,) + m[i:]: c for m, c in r.items()}) * scale
     windows = _windows(f, g, dp, dq)
     if windows is None:
         return RationalPoly.zero(variables)
+    # a variable in neither operand has the window (0, 0): leave it out
+    used = [t for t in range(len(windows)) if any(m[t] for h in (f, g) for m in h)]
+    f, g = ({tuple(m[t] for t in used) + m[-1:]: c for m, c in h.items()} for h in (f, g))
+    windows = [windows[t] for t in used]
     # Goldstein-Graham: no coefficient of the Sylvester determinant exceeds
     # B, the product over its rows of the 2-norm of the entries' L1 norms
     l1 = [[0] * (dp + 1), [0] * (dq + 1)]
@@ -251,11 +305,13 @@ def resultant(p: RationalPoly, q: RationalPoly, var: str) -> RationalPoly:
             x = terms.get(key, 0)
             terms[key] = x + modulus * ((r.get(key, 0) - x) * inv % prime)
         modulus *= prime
-    lifted = {
-        key[:i] + (0,) + key[i:]: x - modulus if 2 * x > modulus else x
-        for key, x in terms.items()
-    }
-    return RationalPoly(variables, lifted) * (cp**dq * cq**dp)
+    lifted = {}
+    for key, x in terms.items():
+        m = [0] * len(variables)
+        for t, e in zip(used, key):
+            m[order[t]] = e
+        lifted[tuple(m)] = x - modulus if 2 * x > modulus else x
+    return RationalPoly(variables, lifted) * scale
 
 
 def _strip_monomial(p: RationalPoly) -> RationalPoly:

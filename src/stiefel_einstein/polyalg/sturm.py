@@ -246,9 +246,11 @@ def isolate_real_roots(
             out.append(IsolatingInterval(x, y, coeffs))
             return
         mid = (x + y) / 2
-        # nudge off a root so interval endpoints stay off the variety
+        # nudge off a root so interval endpoints stay off the variety; once a
+        # 1/16 step would reach y, halve the gap to y instead
         while _sign_at(f, mid) == 0:
-            mid = mid + (y - x) / 16
+            step = (y - x) / 16
+            mid = mid + step if mid + step < y else (mid + y) / 2
         vm = _sign_changes(chain, mid)
         recurse(x, mid, vx, vm)
         recurse(mid, y, vm, vy)

@@ -126,7 +126,8 @@ def isolation_oracle(
 ) -> list[IsolatingInterval]:
     """Isolating intervals of the real roots of p in (lo, hi] by bisection
     on the two-PRS chain, nudging a midpoint off a root by 1/16 of its
-    interval."""
+    interval, or by half its gap to the interval's end once that step would
+    reach it."""
     f = squarefree_oracle(p)
     if _degree(f) < 1:
         return []
@@ -147,7 +148,8 @@ def isolation_oracle(
             return
         mid = (x + y) / 2
         while _sign_at(f, mid) == 0:
-            mid = mid + (y - x) / 16
+            step = (y - x) / 16
+            mid = mid + step if mid + step < y else (mid + y) / 2
         vm = _variations(chain, mid)
         recurse(x, mid, vx, vm)
         recurse(mid, y, vm, vy)

@@ -73,6 +73,17 @@ def test_solve_is_byte_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("target, reason", [
+    (".", "Is a directory"),
+    ("missing/report.json", "No such file or directory"),
+], ids=["directory", "missing_directory"])
+def test_unwritable_output_is_a_domain_error(capsys, tmp_path, target, reason):
+    path = tmp_path / target
+    code, out, err = run(capsys, "solve", "--blocks", "1,3,2", "--output", str(path))
+    assert code == EXIT_DOMAIN and not out
+    assert err == f"error: --output {path}: {reason}\n"
+
+
 def test_sweep_csv(capsys):
     code, out, _ = run(capsys, "sweep", "--blocks", "1,3,R", "--n", "6..7")
     assert code == EXIT_OK

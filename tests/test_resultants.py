@@ -118,6 +118,49 @@ def test_resultant_matches_sylvester_on_random_trivariates(p, q):
     assert _matches_sylvester(p, q, "x")
 
 
+
+# a polynomial of exactly the given degree in x, with rational coefficients
+# in y and z and a monomial factor in y and z
+_rational = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 4))
+_exponent = st.integers(0, 2)
+
+
+def _of_degree_in_x(d: int):
+    return st.builds(
+        lambda lead, terms, a, b: RationalPoly(V, {**terms, lead[0]: lead[1]}) * Y**a * Z**b,
+        st.tuples(st.tuples(st.just(d), _exponent, _exponent), _rational),
+        st.dictionaries(st.tuples(st.integers(0, d), _exponent, _exponent), _rational,
+                        max_size=3),
+        _exponent,
+        _exponent,
+    )
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(_of_degree_in_x(1), st.integers(0, 4).flatmap(_of_degree_in_x), st.booleans())
+def test_closed_form_matches_sylvester(linear, other, linear_second):
+    p, q = (other, linear) if linear_second else (linear, other)
+    assert _matches_sylvester(p, q, "x")
+
+
+def test_linear_operand_never_evaluates(monkeypatch):
+    def evaluate(*args):
+        raise AssertionError("evaluation started")
+
+    monkeypatch.setattr(resultants, "_res_mod", evaluate)
+    cases = [
+        (Y * X + Z, X**3 - Y * Z * X + 5),  # deg q odd
+        (X**4 - Y * X**2 + Z, Fraction(2, 3) * Z * X - Y),  # only q linear
+        (X**3 + Y * X - Z, Fraction(2, 3) * Z * X - Y),  # only q linear, deg p odd
+        (Y * X - 1, Z**2 + Y),  # q constant in x
+        (X - Y * Z, Fraction(1, 2) * X + Z),  # both linear
+        CASES["odd_degrees_swapped"],
+    ]
+    for p, q in cases:
+        assert _matches_sylvester(p, q, "x")
+    assert resultant((X - Y) * (X + 1), (X - Y) * Z, "x").is_zero()
+
+
 P64 = next(resultants._primes(64))
 
 
@@ -160,14 +203,20 @@ def test_univariate_resultant_matches_sylvester_on_random_lists(a, b):
 
 
 def test_windows_hold_every_exponent_of_the_232_resultants(monkeypatch):
-    calls = []
+    # five of the six resultants have a pivot linear in the eliminated
+    # variable and take the closed form, which needs no windows
+    calls, resultant_calls = [], []
 
     def recording_windows(*args):
         calls.append(windows(*args))
         return calls[-1]
 
     def checked_resultant(p, q, var):
+        resultant_calls.append(var)
+        before = len(calls)
         r = res(p, q, var)
+        if len(calls) == before:
+            return r
         others = [j for j, v in enumerate(p.vars) if v != var]
         for j, (lo, hi) in zip(others, calls[-1]):
             assert lo <= min(m[j] for m in r.terms) and max(m[j] for m in r.terms) <= hi
@@ -177,7 +226,7 @@ def test_windows_hold_every_exponent_of_the_232_resultants(monkeypatch):
     monkeypatch.setattr(resultants, "_windows", recording_windows)
     monkeypatch.setattr(resultants, "resultant", checked_resultant)
     resultants.eliminate_resultant(build_system(BlockDecomposition((2, 3, 2))).polys, "x13")
-    assert len(calls) == 6
+    assert len(resultant_calls) == 6 and len(calls) == 1
     # the last step, in x12, interpolates x13 over 81 points (the row-sum
     # degree bound asked for 161); the result has x13-degree 80
     assert calls[-1] == [(0, 0), (0, 0), (16, 96)]

@@ -323,6 +323,11 @@ ELIMINATION_SHA256 = {
     (2, 3, 2): "e1e35e2142193b2417d8697381ae8cb7c87caa8a6876ecf6322343c5666be3e3",
     (2, 4, 3): "48ed0a7de5e76e6826a04e2fcda06d52ec0122ef8229655aa0bfa25c385cd3ef",
     (3, 3, 2): "4935090df8a21c88263ece93809d069b22643d12b108626f139991c4e0604d29",
+    # the three-variable route, as computed when every resultant was still
+    # taken modulo a prime, linear pivots included
+    (1, 3, 2): "b93ff8342bab5c8c0d64709d4c7667c2268b02ecdeb393f9845ea937dd7ba282",
+    (1, 4, 2): "26d457bd858c814053bfb5b3db6fe47ba77903a8936d4225a62a629c92ae9893",
+    (1, 3, 26): "debec2f1249523d8d99092736cf291e36a6591dce26bfda71e44110032f189e5",
 }
 
 
@@ -447,11 +452,15 @@ REPORT_SHA256 = {
     # seven lift candidates here fail certification
     ("solve", "--blocks", "3,6,1"):
         "c153ee25df5c2b70717fc52b567af9602818664ec6182ea3106960b63d733a2d",
+    # as computed when every resultant was still taken modulo a prime
+    ("solve", "--blocks", "1,4,2"):
+        "6007aecb180f34cde62e65a011116b0ba1f2dabaf29d70a02d3353d4cee7bf7f",
 }
 
 
 @pytest.mark.parametrize(
-    "argv", REPORT_SHA256, ids=["sweep", "solve243", "solve232", "solve332", "solve361"]
+    "argv", REPORT_SHA256,
+    ids=["sweep", "solve243", "solve232", "solve332", "solve361", "solve142"],
 )
 def test_reports_are_pinned(tmp_path, argv):
     path = tmp_path / "report.json"

@@ -122,6 +122,25 @@ def test_one_prs_matches_the_two_prs_oracle(factors, point):
             assert isolate_real_roots(p, lo, hi) == isolation_oracle(p, lo, hi), (lo, hi)
 
 
+
+# the roots 8/16 .. 16/16 put the midpoint of (0, 1] and its eight 1/16
+# nudges on roots; the ninth nudge, to 17/16, would leave (0, 1]
+_GRID = [1]
+for _i in range(9):
+    _GRID = _times(_GRID, [-(8 + _i), 16])
+
+
+@pytest.mark.parametrize("p", [_GRID, _times(_GRID, [-21, 20])],
+                         ids=["grid_roots", "grid_roots_and_a_root_past_hi"])
+def test_midpoint_nudge_stays_inside_the_interval(p):
+    ivs = isolate_real_roots(p, lo=Fraction(0), hi=Fraction(1))
+    assert len(ivs) == 9
+    for iv in ivs:
+        assert 0 <= iv.lo < iv.hi <= 1
+        assert count_real_roots(p, iv.lo, iv.hi) == 1
+    assert isolation_oracle(p, Fraction(0), Fraction(1)) == ivs
+
+
 _widths = st.builds(lambda p, e: Fraction(p, 10**e), st.integers(1, 9), st.integers(0, 30))
 _coeffs = st.lists(st.integers(-30, 30), min_size=2, max_size=7).filter(lambda c: c[-1])
 
