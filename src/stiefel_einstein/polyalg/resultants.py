@@ -22,7 +22,6 @@ from __future__ import annotations
 from functools import cache
 from itertools import count
 from math import gcd, inf, prod
-from operator import add
 
 from ..errors import DegenerateSystemError, DomainError, EliminationOverflowError
 from .poly import RationalPoly
@@ -142,20 +141,16 @@ def _windows(f: dict, g: dict, df: int, dg: int) -> list[tuple[int, int]] | None
         return _assignment([[weight(row[j]) if j in row else None
                              for j in range(df + dg)] for row in rows])
 
-    absent = [not any(m[t] for h in (f, g) for m in h) for t in range(len(next(iter(f))) - 1)]
-    # the lo assignment of a present variable finds a pattern without
-    # permutation; with none present, one run on zero weights does
-    if all(absent) and assign(lambda ms: 0) is None:
-        return None
     out = []
-    for t, skip in enumerate(absent):
-        if skip:  # y is in neither operand: every exponent is 0
-            out.append((0, 0))
-            continue
+    for t in range(len(next(iter(f))) - 1):
         lo = assign(lambda ms: min(m[t] for m in ms))
         if lo is None:
             return None
         out.append((lo, -assign(lambda ms: -max(m[t] for m in ms))))
+    # with no other variable, one run on zero weights finds whether a
+    # permutation avoids the zero entries
+    if not out and assign(lambda ms: 0) is None:
+        return None
     return out
 
 
@@ -239,7 +234,7 @@ def _addmul(out: dict, a: dict, b: dict) -> dict:
     """out + a b, in place, for integer polynomials keyed by exponent tuples."""
     for m, c in a.items():
         for e, d in b.items():
-            k = tuple(map(add, m, e))
+            k = tuple(map(int.__add__, m, e))
             out[k] = out.get(k, 0) + c * d
     return out
 
@@ -270,13 +265,12 @@ def resultant(p: RationalPoly, q: RationalPoly, var: str) -> RationalPoly:
     if 1 in (dp, dq):  # closed form against the linear operand
         r = _linear(f, g, -1) if dp == 1 else _linear(g, f, 1)
         return RationalPoly(variables, {m[:i] + (0,) + m[i:]: c for m, c in r.items()}) * scale
+    # a variable in neither operand has no exponent in the result: leave it out
+    used = [t for t in range(len(order) - 1) if any(m[t] for h in (f, g) for m in h)]
+    f, g = ({tuple(m[t] for t in used) + m[-1:]: c for m, c in h.items()} for h in (f, g))
     windows = _windows(f, g, dp, dq)
     if windows is None:
         return RationalPoly.zero(variables)
-    # a variable in neither operand has the window (0, 0): leave it out
-    used = [t for t in range(len(windows)) if any(m[t] for h in (f, g) for m in h)]
-    f, g = ({tuple(m[t] for t in used) + m[-1:]: c for m, c in h.items()} for h in (f, g))
-    windows = [windows[t] for t in used]
     # Goldstein-Graham: no coefficient of the Sylvester determinant exceeds
     # B, the product over its rows of the 2-norm of the entries' L1 norms
     l1 = [[0] * (dp + 1), [0] * (dq + 1)]

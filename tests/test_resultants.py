@@ -52,13 +52,13 @@ CASES = {
     # the leading coefficient y vanishes at y = 0, the first point tried
     "lc_vanishes_at_a_point": (Y * X**2 + X + 1, X**2 - Y),
     # deg p < deg q, both odd: Res(p, q) = -Res(q, p)
-    "odd_degrees_swapped": (X + Y, X**3 - 2 * Y * X + 5),
+    "odd_degrees_swapped": (X**3 + Y, X**5 - 2 * Y * X + 5),
     "constant_in_var": (Y**2 + 1, X**2 + Y),
     # the bound exceeds MAX_PRIME_BITS, so the first prime tried is the first
     # prime of that size; it is dropped
-    "lc_vanishes_mod_first_prime": (FIRST_PRIME * X**2 + X + Y, X - Y),
-    # the windows, y in [2, 3] and z in [2, 4], are the result's exponent ranges
-    "window_above_zero": (Y * X**2 + Z * Y**2, Z * X - Y * Z**2 + Y * Z),
+    "lc_vanishes_mod_first_prime": (FIRST_PRIME * X**2 + X + Y, X**2 - Y),
+    # the windows, y in [4, 5] and z in [2, 5], are the result's exponent ranges
+    "window_above_zero": (Y * X**2 + Z * Y**2, Z * X**2 - Y * Z**2 * X + Y * Z),
 }
 
 
@@ -74,14 +74,15 @@ def test_resultant_sign_and_zero():
 
 
 def test_resultant_without_permutation_is_zero_before_evaluating(monkeypatch):
-    # both Sylvester rows of Res_x(x, x) put their only nonzero entry in
-    # the first column, so no permutation avoids the zero entries
+    # the four Sylvester rows of Res_x(x^2, x^2) put their only nonzero
+    # entries in the first two columns, so no permutation avoids the zero
+    # entries; in the second pair no row reaches the last two columns
     def evaluate(*args):
         raise AssertionError("evaluation started")
 
     monkeypatch.setattr(resultants, "_res_mod", evaluate)
-    assert resultant(X, X, "x").is_zero()
-    assert resultant(X * Y, X**2 + X * Z, "x").is_zero()
+    assert resultant(X**2, X**2, "x").is_zero()
+    assert resultant(X**2 * Y, X**3 + X**2 * Z, "x").is_zero()
 
 
 _small_bivariate = st.dictionaries(
@@ -116,7 +117,6 @@ _small_trivariate = st.builds(
 @given(_small_trivariate, _small_trivariate)
 def test_resultant_matches_sylvester_on_random_trivariates(p, q):
     assert _matches_sylvester(p, q, "x")
-
 
 
 # a polynomial of exactly the given degree in x, with rational coefficients
@@ -154,7 +154,11 @@ def test_linear_operand_never_evaluates(monkeypatch):
         (X**3 + Y * X - Z, Fraction(2, 3) * Z * X - Y),  # only q linear, deg p odd
         (Y * X - 1, Z**2 + Y),  # q constant in x
         (X - Y * Z, Fraction(1, 2) * X + Z),  # both linear
-        CASES["odd_degrees_swapped"],
+        (X + Y, X**3 - 2 * Y * X + 5),  # deg p < deg q, both odd
+        (FIRST_PRIME * X**2 + X + Y, X - Y),  # a coefficient above the prime cap
+        (Y * X**2 + Z * Y**2, Z * X - Y * Z**2 + Y * Z),
+        (X, X),  # no permutation avoids the zero entries
+        (X * Y, X**2 + X * Z),
     ]
     for p, q in cases:
         assert _matches_sylvester(p, q, "x")
@@ -217,7 +221,10 @@ def test_windows_hold_every_exponent_of_the_232_resultants(monkeypatch):
         r = res(p, q, var)
         if len(calls) == before:
             return r
-        others = [j for j, v in enumerate(p.vars) if v != var]
+        # windows cover the other variables that p or q uses, in order
+        used = p.variables_used() | q.variables_used()
+        others = [j for j, v in enumerate(p.vars) if v != var and v in used]
+        assert len(others) == len(calls[-1])
         for j, (lo, hi) in zip(others, calls[-1]):
             assert lo <= min(m[j] for m in r.terms) and max(m[j] for m in r.terms) <= hi
         return r
@@ -227,9 +234,10 @@ def test_windows_hold_every_exponent_of_the_232_resultants(monkeypatch):
     monkeypatch.setattr(resultants, "resultant", checked_resultant)
     resultants.eliminate_resultant(build_system(BlockDecomposition((2, 3, 2))).polys, "x13")
     assert len(resultant_calls) == 6 and len(calls) == 1
-    # the last step, in x12, interpolates x13 over 81 points (the row-sum
-    # degree bound asked for 161); the result has x13-degree 80
-    assert calls[-1] == [(0, 0), (0, 0), (16, 96)]
+    # the last step, in x12, interpolates x13 (the only other variable left)
+    # over 81 points (the row-sum degree bound asked for 161); the result has
+    # x13-degree 80
+    assert calls[-1] == [(16, 96)]
 
 
 def test_resultant_budget_refuses_before_evaluating(monkeypatch):
