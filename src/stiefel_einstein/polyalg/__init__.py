@@ -10,7 +10,6 @@ from .sturm import (
     count_real_roots,
     isolate_real_roots,
     squarefree_part,
-    sturm_chain,
 )
 
 __all__ = [
@@ -27,5 +26,4 @@ __all__ = [
     "count_real_roots",
     "isolate_real_roots",
     "squarefree_part",
-    "sturm_chain",
 ]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import count
-from math import gcd, inf, prod
+from math import gcd, inf, isqrt, prod
 
 from ..errors import DegenerateSystemError, DomainError, EliminationOverflowError
 from .poly import RationalPoly
@@ -33,18 +33,24 @@ RESULTANT_BUDGET = 50_000
 # Largest prime the resultant works modulo; bounds above it take several
 MAX_PRIME_BITS = 1024
 
-# Bases tried in Proth's test, after a candidate that shares a factor with
-# their product is dropped; a prime that all of them leave at 1 is skipped
+# Bases tried in Proth's test; a prime that all of them leave at 1 is skipped
 PROTH_BASES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+@cache
+def _odd_primes_product() -> int:
+    """The product of the odd primes below 2^12."""
+    odd = range(3, 1 << 12, 2)
+    return prod(q for q in odd if all(q % r for r in range(3, isqrt(q) + 1, 2)))
 
 
 @cache
 def _proth_prime(bits: int, i: int) -> int:
     """The i-th prime p = k 2^e + 1 with bits = 2e bits and k odd, by k
-    ascending from 2^(e-1).  Since k < 2^e, Proth's theorem proves p prime
-    once a^((p-1)/2) = -1 mod p for some base a; any result but 1 proves p
-    composite."""
-    e, small = bits // 2, prod(PROTH_BASES)
+    ascending from 2^(e-1), past candidates with an odd factor below 2^12.
+    Since k < 2^e, Proth's theorem proves p prime once a^((p-1)/2) = -1 mod
+    p for some base a; any result but 1 proves p composite."""
+    e, small = bits // 2, _odd_primes_product()
     start = (_proth_prime(bits, i - 1) >> e) + 2 if i else (1 << e - 1) + 1
     for k in range(start, 1 << e, 2):
         p = (k << e) + 1

@@ -1,18 +1,18 @@
-"""Real-root counting, isolation, and refinement via Sturm chains.
+"""Real-root counting, isolation, and refinement: Descartes' rule of signs
+on the Sturm bisection tree.
 
 Univariate polynomials are ascending coefficient lists, integer or
 rational.  Each entry point reads its list once into a primitive integer
-list (coefficient gcd 1), and an IsolatingInterval carries one; the
-square-free part, the Sturm chain and every sign evaluation then stay in
-integers.  One primitive PRS of f and f' (content-free pseudo-remainders,
-each a positive multiple of the remainder over Q) gives both: its last
-member is gcd(f, f'), and its members divided by that gcd, with signs
-+, +, -, -, ..., are a Sturm sequence of the square-free part.  The sign
-at a rational n/d (d > 0) is that of d^deg f(n/d), so every count is the
-one over Q.  All interval logic is half-open (lo, hi], matching the Sturm
-count V(lo) - V(hi).  Refinement returns the cell that halving an
-isolating interval ends in, reached by quadratic interval refinement on
-the grid of those cells.
+list (coefficient gcd 1), and an IsolatingInterval carries one; all else
+stays in integers.  The square-free part is f / gcd(f, f'), the gcd by
+GCDHEU (Char, Geddes & Gonnet, J. Symbolic Comput. 7, 1989), or else the
+last member of the primitive PRS of f and f'.  Isolation bisects (lo, hi]
+at the midpoints, nudged off roots, that a Sturm recursion takes, and
+decides each cell by Descartes' rule of signs (Collins & Akritas, SYMSAC
+1976); a subtree that holds one root gives its top cell, where the Sturm
+recursion stops.  All intervals are half-open, (lo, hi].  Refinement
+returns the cell that halving an isolating interval ends in, reached by
+quadratic interval refinement on the grid of those cells.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 ZCoeffs = list[int]
 
@@ -60,26 +61,37 @@ def _prem(a: ZCoeffs, b: ZCoeffs) -> ZCoeffs:
     return _primitive(rem)
 
 
-def _prs(c: ZCoeffs) -> list[ZCoeffs]:
-    """The primitive PRS of c (degree >= 1) and c': c, c', then the
-    content-free pseudo-remainder of the last two members until it is zero.
-    The primitive part of its last member is gcd(c, c')."""
-    seq = [c, _derivative(c)]
-    while r := _prem(seq[-2], seq[-1]):
-        seq.append(r)
-    return seq
-
-
-def _exact_quotient(a: ZCoeffs, b: ZCoeffs) -> ZCoeffs:
-    """a / b for a primitive b dividing a: integral by Gauss's lemma."""
-    rem = list(a)
-    db, lb = _degree(b), b[-1]
-    quo = [0] * (len(a) - db)
-    for k in reversed(range(len(quo))):
-        q = quo[k] = rem[k + db] // lb
+def _quotient(a: ZCoeffs, b: ZCoeffs) -> ZCoeffs | None:
+    """a / b when b divides a over the integers, else None."""
+    rem, db, quo = list(a), _degree(b), []
+    for k in reversed(range(len(a) - db)):
+        q, r = divmod(rem[k + db], b[-1])
+        if r:
+            return None
+        quo.append(q)
         for i, bc in enumerate(b):
             rem[k + i] -= q * bc
-    return quo
+    return None if any(rem[:db]) else quo[::-1]
+
+
+def _gcdheu(f: ZCoeffs, g: ZCoeffs) -> ZCoeffs | None:
+    """f / gcd(f, g) for primitive f and g by GCDHEU, or None after six
+    evaluation points.  The integer gcd of f(xi) and g(xi), rebuilt
+    xi-adically with symmetric digits, has a primitive part that is
+    gcd(f, g) if it divides both, given xi >= 2 min(|f|, |g|) + 2; as the
+    integer gcd is positive, so is the part's leading coefficient."""
+    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 2
+    for _ in range(6):
+        h, digits = math.gcd(_horner(f[::-1], xi), _horner(g[::-1], xi)), []
+        while h:
+            digits.append((h + xi // 2) % xi - xi // 2)
+            h = (h - digits[-1]) // xi
+        cand = _primitive(digits)
+        cofactor = _quotient(f, cand)
+        if cofactor is not None and _quotient(g, cand) is not None:
+            return cofactor
+        xi = xi * 73794 // 27011
+    return None
 
 
 def _scaled(c: ZCoeffs, d: int) -> list[int]:
@@ -113,66 +125,24 @@ def _normalize_input(p: list) -> ZCoeffs:
 
 
 def squarefree_part(p) -> ZCoeffs:
-    """p / gcd(p, p') as a primitive integer list, leading coefficient > 0:
-    the first member of sturm_chain(p)."""
-    chain = sturm_chain(p)
-    return chain[0] if chain else []
-
-
-def sturm_chain(p) -> list[ZCoeffs]:
-    """Sturm sequence of the square-free part of p, from the one PRS of p
-    and p' (Basu, Pollack & Roy, Algorithms in Real Algebraic Geometry,
-    sec. 2.2): member i, divided by g = gcd(p, p') when g has positive
-    degree (integral by Gauss's lemma), and negated iff i // 2 is odd, so
-    the signs run +, +, -, -, ...  Member 1 is p' / g, not made primitive."""
+    """p / gcd(p, p') as a primitive integer list, leading coefficient > 0."""
     c = _normalize_input(p)
     if c and c[-1] < 0:
         c = [-a for a in c]
     if _degree(c) < 1:
-        return [c] if c else []
-    seq = _prs(c)
-    g = _primitive(seq[-1])
-    if _degree(g) >= 1:
-        if g[-1] < 0:  # so that member 0 keeps a positive leading coefficient
-            g = [-a for a in g]
-        seq = [_exact_quotient(m, g) for m in seq]
-    return [m if i & 2 == 0 else [-a for a in m] for i, m in enumerate(seq)]
+        return c
+    a, b = c, _primitive(_derivative(c))
+    if (sf := _gcdheu(a, b)) is not None:
+        return sf
+    while r := _prem(a, b):  # the primitive PRS; its last member is the gcd
+        a, b = b, r
+    return _quotient(c, b if b[-1] > 0 else [-x for x in b])
 
 
-def _sign_changes(chain: list[ZCoeffs], x: Fraction | None, at_inf: int = 0) -> int:
-    """Sign variation count at x, or at +-infinity when at_inf is +-1.  At
-    x = n/d every member c is read as d^deg c(n/d), by homogeneous Horner
-    on one shared table of the powers of d."""
-    if at_inf:
-        signs = [c[-1] * at_inf ** _degree(c) > 0 for c in chain]
-    else:
-        n, d = x.numerator, x.denominator
-        powers = [1]
-        for _ in range(_degree(chain[0])):
-            powers.append(powers[-1] * d)
-        signs = []
-        for c in chain:
-            v = 0
-            for a, dk in zip(reversed(c), powers):
-                v = v * n + a * dk
-            if v:
-                signs.append(v > 0)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_real_roots(
-    p, lo: Fraction | None = None, hi: Fraction | None = None
-) -> int:
+def count_real_roots(p, lo: Fraction | None = None, hi: Fraction | None = None) -> int:
     """Number of distinct real roots in (lo, hi]; None means -inf / +inf.
     An empty interval, lo >= hi, holds none."""
-    if lo is not None and hi is not None and lo >= hi:
-        return 0
-    chain = sturm_chain(p)
-    if not chain or _degree(chain[0]) < 1:
-        return 0
-    va = _sign_changes(chain, lo) if lo is not None else _sign_changes(chain, None, -1)
-    vb = _sign_changes(chain, hi) if hi is not None else _sign_changes(chain, None, +1)
-    return va - vb
+    return len(isolate_real_roots(p, lo, hi))
 
 
 def root_bound(c: list) -> Fraction:
@@ -218,6 +188,45 @@ class IsolatingInterval:
         return self.hi - self.lo
 
 
+def _shift(c: ZCoeffs, a: int = 1) -> ZCoeffs:
+    """c(u + a), by repeated synthetic division of c by u - a."""
+    step = None if a == 1 else (lambda acc, b: acc * a + b)
+    desc, out = c[::-1], []
+    while desc:
+        desc = list(accumulate(desc, step))
+        out.append(desc.pop())
+    return out
+
+
+def _cell(f: ZCoeffs, x: Fraction, y: Fraction) -> ZCoeffs:
+    """A positive multiple of f(x + (y - x) u) in integers: n^deg f((a + w u)
+    / n) for x = a / n and y - x = w / n."""
+    n = math.lcm(x.denominator, y.denominator)
+    a = x.numerator * (n // x.denominator)
+    w = y.numerator * (n // y.denominator) - a
+    return [c * w**i for i, c in enumerate(_shift(_scaled(f, n)[::-1], a))]
+
+
+def _halve(q: ZCoeffs) -> ZCoeffs:
+    """2^deg q(u / 2), less the powers of two its coefficients share."""
+    out = [a << (len(q) - 1 - i) for i, a in enumerate(q)]
+    k = min((a & -a).bit_length() for a in out if a) - 1
+    return [a >> k for a in out]
+
+
+def _descartes(q: ZCoeffs) -> int:
+    """Sign variations, counted up to 2, of (u + 1)^deg q(1 / (u + 1)), whose
+    positive roots are q's roots in (0, 1): the number of those roots when
+    it is 0 or 1.  Its coefficients come out from the constant up, as the
+    values of repeated synthetic division of the reverse of q by u - 1."""
+    runs, desc = [], q  # the signs of its runs of nonzero coefficients
+    while desc and len(runs) < 3:
+        desc = list(accumulate(desc))
+        if (c := desc.pop()) and (not runs or (c > 0) != runs[-1]):
+            runs.append(c > 0)
+    return len(runs) - 1
+
+
 def isolate_real_roots(
     p, lo: Fraction | None = None, hi: Fraction | None = None
 ) -> list[IsolatingInterval]:
@@ -226,8 +235,7 @@ def isolate_real_roots(
     The polynomial's square-free part is taken internally, so multiple roots
     are isolated once.
     """
-    chain = sturm_chain(p)
-    f = chain[0] if chain else []
+    f = squarefree_part(p)
     if _degree(f) < 1:
         return []
     bound = root_bound(f)
@@ -235,34 +243,29 @@ def isolate_real_roots(
     b = hi if hi is not None else bound
     if a >= b:
         return []
-    out: list[IsolatingInterval] = []
     coeffs = tuple(f)
 
-    def recurse(x: Fraction, y: Fraction, vx: int, vy: int) -> None:
-        k = vx - vy
-        if k == 0:
-            return
-        if k == 1:
-            out.append(IsolatingInterval(x, y, coeffs))
-            return
-        mid = (x + y) / 2
-        # nudge off a root so interval endpoints stay off the variety; once a
-        # 1/16 step would reach y, halve the gap to y instead
-        while _sign_at(f, mid) == 0:
-            step = (y - x) / 16
-            mid = mid + step if mid + step < y else (mid + y) / 2
-        vm = _sign_changes(chain, mid)
-        recurse(x, mid, vx, vm)
-        recurse(mid, y, vm, vy)
+    def cells(x: Fraction, y: Fraction, q: ZCoeffs, root_at_y: bool):
+        """The intervals of (x, y], whose polynomial over (0, 1] is q; the
+        cell itself when it holds one root."""
+        k = _descartes(q) + root_at_y
+        if k < 2:
+            return [IsolatingInterval(x, y, coeffs)] if k else []
+        mid, left = (x + y) / 2, _halve(q)
+        if sum(left):
+            right = _shift(left)
+        else:
+            # nudge off a root so interval endpoints stay off the variety;
+            # once a 1/16 step would reach y, halve the gap to y instead
+            while _sign_at(f, mid) == 0:
+                step = (y - x) / 16
+                mid = mid + step if mid + step < y else (mid + y) / 2
+            left, right = _cell(f, x, mid), _cell(f, mid, y)
+        found = cells(x, mid, left, False) + cells(mid, y, right, root_at_y)
+        return [IsolatingInterval(x, y, coeffs)] if len(found) == 1 else found
 
-    # keep exact root endpoints countable: (a, b] convention
-    va = _sign_changes(chain, a)
-    vb = _sign_changes(chain, b)
-    # a root exactly at b must be kept; one exactly at a must be excluded.
-    # Sturm V(a)-V(b) already implements that for the half-open interval.
-    recurse(a, b, va, vb)
-    out.sort(key=lambda iv: iv.lo)
-    return out
+    top = _cell(f, a, b)
+    return cells(a, b, top, sum(top) == 0)
 
 
 def bisect_to_width(iv: IsolatingInterval, width: Fraction) -> IsolatingInterval:
@@ -326,11 +329,4 @@ def alternating_sign_check(p) -> bool:
     positive.
     """
     c = _normalize_input(p)
-    if not c:
-        return False
-    for d, a in enumerate(c):
-        if a == 0:
-            continue
-        if (d % 2 == 0) != (a > 0):
-            return False
-    return True
+    return bool(c) and all(a == 0 or (d % 2 == 0) == (a > 0) for d, a in enumerate(c))

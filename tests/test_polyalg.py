@@ -27,12 +27,11 @@ from stiefel_einstein.polyalg import (
     s_polynomial,
     saturation_generators,
     squarefree_part,
-    sturm_chain,
 )
 from stiefel_einstein.polyalg import resultants, sturm
 from stiefel_einstein.so_algebra import BlockDecomposition
 from stiefel_einstein.solver import _eliminate, build_system
-from helpers import halving_oracle
+from helpers import halving_oracle, squarefree_oracle
 
 V = ("x", "y")
 
@@ -392,6 +391,11 @@ def test_proth_primes_have_their_form_and_bit_length():
             assert sympy.isprime(p)
 
 
+def test_fourth_1024_bit_proth_prime():
+    # k = 2^511 + 2123 follows a gap of 999 odd k after the third prime
+    assert resultants._proth_prime(1024, 3) == ((1 << 511) + 2123 << 512) + 1
+
+
 def test_squarefree_part():
     # (x-1)^3 (x+1) -> (x-1)(x+1) up to constant
     p = F(-1, 2, 0, -2, 1)
@@ -409,33 +413,47 @@ def test_count_real_roots_on_an_empty_interval():
     assert count_real_roots(f, Fraction(-2), Fraction(2)) == 2
 
 
-def test_isolation_runs_one_prs(monkeypatch):
-    # the square-free part and the Sturm sequence come from one PRS of f and
-    # f', so a square-free degree-d input takes at most d pseudo-remainders
-    calls = []
-    prem = sturm._prem
+def _counted(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's result."""
+    results, inner = [], getattr(module, name)
 
-    def counted(a, b):
-        calls.append(len(a))
-        return prem(a, b)
+    def counted(*args):
+        results.append(inner(*args))
+        return results[-1]
 
-    monkeypatch.setattr(sturm, "_prem", counted)
-    x13, _ = _eliminate(build_system(BlockDecomposition((2, 3, 2))))
-    inputs = [
-        [1, -3, 0, 0, 0, 1],  # x^5 - 3x + 1
-        [-6, 11, -6, 1],  # (x - 1)(x - 2)(x - 3)
-        squarefree_part(x13),  # degree 24
-    ]
-    for f in inputs:
-        calls.clear()
-        assert isolate_real_roots(f)
-        assert 0 < len(calls) <= len(f) - 1, (len(f) - 1, len(calls))
+    monkeypatch.setattr(module, name, counted)
+    return results
 
 
-def test_sturm_chain_shape():
-    chain = sturm_chain(F(-2, 0, 1))
-    assert len(chain) >= 2
-    assert chain[1] == F(0, 2)
+def test_isolation_runs_no_prs_on_eliminants(monkeypatch):
+    # the heuristic gcd gives the square-free part and Descartes' rule the
+    # cells, so the eliminants take no pseudo-remainder
+    prems = _counted(monkeypatch, sturm, "_prem")
+    for blocks in ((2, 3, 2), (2, 4, 3)):
+        eliminant, _ = _eliminate(build_system(BlockDecomposition(blocks)))
+        assert isolate_real_roots(eliminant, lo=Fraction(0))
+    assert prems == []
+
+
+def test_heuristic_gcd_retries_after_a_failed_division(monkeypatch):
+    # (x^2 - 3x + 1)^2: the first evaluation point gives a candidate that
+    # does not divide, a later one gives the gcd x^2 - 3x + 1
+    quotients = _counted(monkeypatch, sturm, "_quotient")
+    prems = _counted(monkeypatch, sturm, "_prem")
+    p = [1, -6, 11, -6, 1]
+    assert squarefree_part(p) == [1, -3, 1] == squarefree_oracle(p)
+    assert None in quotients and quotients[-1] is not None
+    assert prems == []
+
+
+@pytest.mark.parametrize("blocks", [(2, 3, 2), (2, 4, 3)])
+def test_prs_fallback_matches_the_heuristic_gcd(monkeypatch, blocks):
+    eliminant, _ = _eliminate(build_system(BlockDecomposition(blocks)))
+    heuristic = squarefree_part(eliminant)
+    monkeypatch.setattr(sturm, "_gcdheu", lambda f, g: None)
+    prems = _counted(monkeypatch, sturm, "_prem")
+    assert squarefree_part(eliminant) == heuristic
+    assert prems
 
 
 def test_alternating_sign_check():

@@ -31,7 +31,7 @@ from stiefel_einstein.solver import (
 )
 from stiefel_einstein.triples import dims, triples_closed_form
 
-from helpers import divides
+from helpers import divides, isolation_oracle
 
 
 def _poly(variables, terms):
@@ -274,20 +274,52 @@ def test_jensen_ansatz_leaves_only_r12_minus_r13(blocks):
     assert jensen_quadratic(d) == num.univariate_coeffs("x")
 
 
+def _record_isolations(monkeypatch) -> list:
+    """The (p, lo, hi, intervals) of each isolate_real_roots call in solver."""
+    calls, inner = [], solver.isolate_real_roots
+
+    def recorded(p, lo=None, hi=None):
+        calls.append((p, lo, hi, inner(p, lo, hi)))
+        return calls[-1][3]
+
+    monkeypatch.setattr(solver, "isolate_real_roots", recorded)
+    return calls
+
+
 # every shape the solver accepts with n <= 8: 35 of them
 SMALL_SHAPES = [b for b in SHAPES_UP_TO_9 if sum(b) <= 8]
 
 
 @pytest.mark.parametrize("blocks", SMALL_SHAPES,
                          ids=["".join(map(str, b)) for b in SMALL_SHAPES])
-def test_every_shape_up_to_n8_solves(blocks):
+def test_every_shape_up_to_n8_solves(blocks, monkeypatch):
     # no DegenerateSystemError from the elimination or the Jensen quadratic,
-    # and every positive root of the quadratic certifies as a Jensen metric
+    # and every positive root of the quadratic certifies as a Jensen metric;
+    # each isolation, of the eliminant and of every lift pivot, gives the
+    # cells of the two-PRS Sturm recursion
+    calls = _record_isolations(monkeypatch)
     d = BlockDecomposition(blocks)
     sols = solve(build_system(d))
     quad = jensen_quadratic(d)
     jensen = [s for s in sols if s.classification == "Jensen"]
     assert len(jensen) == len(isolate_real_roots(quad, lo=Fraction(0)))
+    assert calls
+    for p, lo, hi, ivs in calls:
+        assert ivs == isolation_oracle(p, lo, hi)
+
+
+def test_close_x12_roots_on_243_match_the_oracle(monkeypatch):
+    # one x12 pivot of the (2,4,3) lift has two roots near 1.10819418755439,
+    # less than 1e-15 apart
+    calls = _record_isolations(monkeypatch)
+    solve(build_system(BlockDecomposition((2, 4, 3))))
+    near = Fraction("1.10819418755439")
+    close = [c for c in calls if sum(abs(iv.lo - near) < 1e-12 for iv in c[3]) == 2]
+    assert len(close) == 1
+    p, lo, hi, ivs = close[0]
+    first, second = (iv for iv in ivs if abs(iv.lo - near) < 1e-12)
+    assert second.hi - first.lo < Fraction(1, 10**15)
+    assert ivs == isolation_oracle(p, lo, hi)
 
 
 def test_groebner_eliminant_proportional_to_h1():

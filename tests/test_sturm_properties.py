@@ -14,7 +14,6 @@ from stiefel_einstein.polyalg import (
     count_real_roots,
     isolate_real_roots,
     squarefree_part,
-    sturm_chain,
 )
 from helpers import (
     count_oracle,
@@ -112,7 +111,6 @@ def test_one_prs_matches_the_two_prs_oracle(factors, point):
             ends.append(root)
     sf = squarefree_part(p)
     assert sf == squarefree_oracle(p)
-    assert sturm_chain(p)[0] == sf
     assert isolate_real_roots(p) == isolation_oracle(p)
     for lo in ends:
         for hi in ends:
@@ -121,6 +119,24 @@ def test_one_prs_matches_the_two_prs_oracle(factors, point):
             assert count_real_roots(p, lo, hi) == count_oracle(p, lo, hi), (lo, hi)
             assert isolate_real_roots(p, lo, hi) == isolation_oracle(p, lo, hi), (lo, hi)
 
+
+
+# linear and quadratic factors with coefficients up to 2^200; the first has a
+# multiplicity up to 12, as (x13 + 1)^12 in the eliminants, the others up to 3
+_big = st.lists(st.integers(-(2**200), 2**200), min_size=2, max_size=3).filter(
+    lambda c: c[-1]
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.tuples(_big, st.integers(1, 12)),
+       st.lists(st.tuples(_big, st.integers(1, 3)), max_size=2))
+def test_heuristic_squarefree_part_matches_the_prs_oracle(first, rest):
+    p = [1]
+    for coeffs, mult in [first, *rest]:
+        for _ in range(mult):
+            p = _times(p, coeffs)
+    assert squarefree_part(p) == squarefree_oracle(p)
 
 
 # the roots 8/16 .. 16/16 put the midpoint of (0, 1] and its eight 1/16
