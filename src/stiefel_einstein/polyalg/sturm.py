@@ -215,16 +215,16 @@ def _halve(q: ZCoeffs) -> ZCoeffs:
 
 
 def _descartes(q: ZCoeffs) -> int:
-    """Sign variations, counted up to 2, of (u + 1)^deg q(1 / (u + 1)), whose
-    positive roots are q's roots in (0, 1): the number of those roots when
-    it is 0 or 1.  Its coefficients come out from the constant up, as the
-    values of repeated synthetic division of the reverse of q by u - 1."""
-    runs, desc = [], q  # the signs of its runs of nonzero coefficients
+    """The number of q's roots in (0, 1] when Descartes' rule of signs shows
+    it is 0 or 1, else 2: the sign variations of (u + 1)^deg q(1 / (u + 1)),
+    up to 2, bound q's roots in (0, 1), and q(1) = 0 adds one.  They come out
+    from the constant up, by repeated synthetic division of rev q by u - 1."""
+    runs, desc = [], q  # the signs of the runs of nonzero coefficients
     while desc and len(runs) < 3:
         desc = list(accumulate(desc))
         if (c := desc.pop()) and (not runs or (c > 0) != runs[-1]):
             runs.append(c > 0)
-    return len(runs) - 1
+    return min(len(runs) - 1 + (sum(q) == 0), 2)
 
 
 def isolate_real_roots(
@@ -243,29 +243,29 @@ def isolate_real_roots(
     b = hi if hi is not None else bound
     if a >= b:
         return []
-    coeffs = tuple(f)
-
-    def cells(x: Fraction, y: Fraction, q: ZCoeffs, root_at_y: bool):
-        """The intervals of (x, y], whose polynomial over (0, 1] is q; the
-        cell itself when it holds one root."""
-        k = _descartes(q) + root_at_y
-        if k < 2:
-            return [IsolatingInterval(x, y, coeffs)] if k else []
-        mid, left = (x + y) / 2, _halve(q)
-        if sum(left):
-            right = _shift(left)
+    coeffs, out, todo = tuple(f), [], [(a, b, _cell(f, a, b))]
+    # cells (x, y, q), depth first without recursion; a split cell comes back
+    # as (x, y, n) after its halves, and replaces out[n] if that is all they found
+    while todo:
+        x, y, q = todo.pop()
+        if isinstance(q, int):
+            if len(out) == q + 1:
+                out[q] = IsolatingInterval(x, y, coeffs)
+        elif (k := _descartes(q)) < 2:
+            out += [IsolatingInterval(x, y, coeffs)] * k
         else:
-            # nudge off a root so interval endpoints stay off the variety;
-            # once a 1/16 step would reach y, halve the gap to y instead
-            while _sign_at(f, mid) == 0:
-                step = (y - x) / 16
-                mid = mid + step if mid + step < y else (mid + y) / 2
-            left, right = _cell(f, x, mid), _cell(f, mid, y)
-        found = cells(x, mid, left, False) + cells(mid, y, right, root_at_y)
-        return [IsolatingInterval(x, y, coeffs)] if len(found) == 1 else found
-
-    top = _cell(f, a, b)
-    return cells(a, b, top, sum(top) == 0)
+            mid, left = (x + y) / 2, _halve(q)
+            if sum(left):
+                right = _shift(left)
+            else:
+                # nudge off a root so interval endpoints stay off the variety;
+                # once a 1/16 step would reach y, halve the gap to y instead
+                while _sign_at(f, mid) == 0:
+                    step = (y - x) / 16
+                    mid = mid + step if mid + step < y else (mid + y) / 2
+                left, right = _cell(f, x, mid), _cell(f, mid, y)
+            todo += [(x, y, len(out)), (mid, y, right), (x, mid, left)]
+    return out
 
 
 def bisect_to_width(iv: IsolatingInterval, width: Fraction) -> IsolatingInterval:

@@ -456,6 +456,17 @@ def test_prs_fallback_matches_the_heuristic_gcd(monkeypatch, blocks):
     assert prems
 
 
+def test_isolation_is_not_bounded_by_the_recursion_limit():
+    # a complex pair 10^-500 from 1/3, and two real roots 10^-400 apart, each
+    # take more than a thousand bisection levels
+    e = 10**1000
+    assert isolate_real_roots([e + 1, -6 * e, 9 * e]) == []
+    e = 10**400
+    roots = [Fraction(1, 3), Fraction(1, 3) + Fraction(1, e)]
+    ivs = isolate_real_roots([e + 3, -6 * e - 9, 9 * e])  # (3x - 1)(3e x - e - 3)
+    assert len(ivs) == 2 and all(iv.lo < r <= iv.hi for iv, r in zip(ivs, roots))
+
+
 def test_alternating_sign_check():
     assert alternating_sign_check(F(1, -3, 2))
     assert alternating_sign_check(F(5, 0, 2))  # zero coefficients allowed
