@@ -215,10 +215,10 @@ def _halve(q: ZCoeffs) -> ZCoeffs:
 
 
 def _descartes(q: ZCoeffs) -> int:
-    """The number of q's roots in (0, 1] when Descartes' rule of signs shows
-    it is 0 or 1, else 2: the sign variations of (u + 1)^deg q(1 / (u + 1)),
-    up to 2, bound q's roots in (0, 1), and q(1) = 0 adds one.  They come out
-    from the constant up, by repeated synthetic division of rev q by u - 1."""
+    """q's roots in (0, 1] when Descartes' rule of signs shows at most one,
+    else 2: the sign variations of (u + 1)^deg q(1 / (u + 1)), up to 2, bound
+    those in (0, 1), and q(1) = 0 adds one.  Its coefficients come out from
+    the constant up, by repeated synthetic division of rev q by u - 1."""
     runs, desc = [], q  # the signs of the runs of nonzero coefficients
     while desc and len(runs) < 3:
         desc = list(accumulate(desc))
