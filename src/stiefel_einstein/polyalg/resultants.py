@@ -1,4 +1,5 @@
-"""Resultants and resultant-based elimination.
+"""Resultants and resultant-based elimination, on integer polynomials keyed
+by exponent tuples.
 
 Against an operand of degree 1 in the eliminated variable, a1 var + a0, the
 resultant is the closed form a1^n g(-a0/a1) = sum_k g_k (-a0)^k a1^(n-k),
@@ -9,19 +10,24 @@ Proth's theorem, of the least multiple of 64 bits, up to MAX_PRIME_BITS,
 that exceeds twice the Goldstein-Graham coefficient bound (SIAM Review 16,
 1974); larger bounds combine several primes by CRT.  Degree windows, from
 assignments over the Sylvester matrix, fix its points; with the bound they
-fix its cost before any evaluation.  At each point every coefficient is
-evaluated by Horner on its dense row, and the univariate images take an
-inverse-free Euclidean resultant.
-Elimination chains resultants against a low-degree pivot and strips the
-content and every monomial factor from each resultant; a resultant that
-vanishes identically is a DegenerateSystemError.
+fix its cost before any evaluation.  The points of each variable are a run
+of consecutive integers; at each point every coefficient is evaluated by
+Horner on its dense row, and the univariate images take a Euclidean
+resultant on pseudo-remainders, as a numerator and a denominator.  One
+modular inverse per run serves all its denominators (Montgomery, Math.
+Comp. 48, 1987), and forward differences interpolate the run.
+Elimination clears its generators once to primitive integer polynomials,
+chains resultants against a low-degree pivot and strips the content and
+every monomial factor from each resultant; a resultant that vanishes
+identically is a DegenerateSystemError.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import count
-from math import gcd, inf, isqrt, prod
+from itertools import accumulate, count
+from math import factorial, gcd, inf, isqrt, prod
+from operator import sub
 
 from ..errors import DegenerateSystemError, DomainError, EliminationOverflowError
 from .poly import RationalPoly
@@ -69,26 +75,34 @@ def _primes(bits: int):
         yield _proth_prime(bits, i)
 
 
-def _res_univariate(a: list[int], b: list[int], p: int) -> int:
-    """Res(a, b) mod p by Euclid on pseudo-remainders, for ascending lists
-    with nonzero leads.  With m = deg a, n = deg b and d = max(m - n + 1, 0),
+def _res_univariate(a: list[int], b: list[int], p: int) -> tuple[int, int]:
+    """Res(a, b) mod p as (num, den), Res = num / den, by Euclid on
+    pseudo-remainders, for ascending lists with nonzero leads.  With m = deg a
+    and n = deg b, d >= m - n + 1 steps of division give
     prem(a, b) = lc(b)^d (a mod b), so Res(a, b) is
     (-1)^(mn) lc(b)^(m - deg prem) Res(b, prem(a, b)) / lc(b)^(dn); the
-    powers of lc(b) gather in num and den, and den is inverted once."""
+    powers of lc(b) gather in num and den.  d is made even and the steps go
+    in pairs: with q0 and q1 the leading coefficients met by the two steps,
+    one pass sets r = lc(b)^2 r - (lc(b) q0 x + q1) x^(deg r - n - 1) b and
+    reduces each coefficient once."""
     num = den = 1
     while len(b) > 1:
         m, n, lb = len(a) - 1, len(b) - 1, b[-1]
-        r = a[:]
-        for k in range(m, n - 1, -1):  # r = lb r - r[k] x^(k-n) b
-            c, s = r[k], k - n
-            r[:s] = [u * lb % p for u in r[:s]]
-            r[s:k] = [(u * lb - c * v) % p for u, v in zip(r[s:k], b)]
-        del r[n:]
+        d = max(m - n + 1, 0)
+        d += d & 1
+        r, lb2 = a + [0] * (n + d - m - 1), lb * lb % p
+        while len(r) > n:
+            k = len(r) - 1
+            h = k - n
+            q1 = (lb * r[k - 1] - r[k] * b[n - 1]) % p
+            q0 = r[k] * lb % p
+            r = ([lb2 * u % p for u in r[:h - 1]] + [(lb2 * r[h - 1] - q1 * b[0]) % p]
+                 + [(lb2 * u - q0 * v - q1 * w) % p for u, v, w in zip(r[h:k - 1], b, b[1:])])
         while r and not r[-1]:
             r.pop()
         if not r:
-            return 0
-        e = m - len(r) + 1 - max(m - n + 1, 0) * n  # net power of lb
+            return 0, 1
+        e = m - len(r) + 1 - d * n  # net power of lb
         if e >= 0:
             num = num * pow(lb, e, p) % p
         else:
@@ -96,7 +110,18 @@ def _res_univariate(a: list[int], b: list[int], p: int) -> int:
         if m * n & 1:
             num = -num
         a, b = b, r
-    return num * pow(b[0], len(a) - 1, p) * pow(den, -1, p) % p
+    return num * pow(b[0], len(a) - 1, p) % p, den
+
+
+def _inverses(xs: list[int], p: int) -> list[int]:
+    """The inverses of xs mod p with one modular inverse (Montgomery, Math.
+    Comp. 48, 1987): invert the product, then peel off one factor at a time."""
+    prefix = list(accumulate(xs, lambda u, v: u * v % p, initial=1))
+    inv, out = pow(prefix.pop(), -1, p), []
+    for x, before in zip(reversed(xs), reversed(prefix)):
+        out.append(inv * before % p)
+        inv = inv * x % p
+    return out[::-1]
 
 
 def _assignment(weights: list[list]) -> int | None:
@@ -161,31 +186,38 @@ def _windows(f: dict, g: dict, df: int, dg: int) -> list[tuple[int, int]] | None
 
 
 def _res_mod(f: dict, g: dict, df: int, dg: int, windows: list[tuple[int, int]], p: int):
-    """Res_var(f, g) mod p as {exponents of the other variables: residue},
-    or None when a leading coefficient in var vanishes mod p.
+    """Res_var(f, g) mod p as (terms, den), Res = terms / den with terms keyed
+    by the exponents of the other variables, or None when a leading
+    coefficient in var vanishes mod p.
 
     f and g map (exponents of the other variables, exponent of var) to
     residues; windows[i] = (lo, hi) holds the result's exponents in the i-th
-    other variable (see _windows).  The first is set to hi - lo + 1 points
-    x = 1, 2, ... where both leading coefficients survive, each coefficient
-    evaluated from its dense row in that variable by Horner, the rest
-    recurse, and Newton interpolation rebuilds each coefficient times x^-lo.
+    other variable (see _windows).  The first is set to a run of N = hi - lo + 1
+    consecutive points x = s, ..., s + N - 1 where both leading coefficients
+    survive, each coefficient evaluated from its dense row in that variable
+    by Horner; the rest recurse, and a point where a leading coefficient
+    vanishes restarts the run after it.  One inverse serves the run's
+    denominators, times x^lo and (N - 1)!; forward differences then give the
+    Newton form sum_k D^k binom(x - s, k), which is expanded by Horner in
+    integers, times (N - 1)!, and reduced once per coefficient.
     """
     if not (any(m[-1] == df for m in f) and any(m[-1] == dg for m in g)):
         return None
     if not windows:
-        r = _res_univariate([f.get((e,), 0) for e in range(df + 1)],
-                            [g.get((e,), 0) for e in range(dg + 1)], p)
-        return {(): r} if r else {}
+        num, den = _res_univariate([f.get((e,), 0) for e in range(df + 1)],
+                                   [g.get((e,), 0) for e in range(dg + 1)], p)
+        return {(): num} if num else {}, den
     lo, hi = windows[0]
+    n = hi - lo + 1
     split: list[dict] = [{}, {}]  # {rest of the key: {first exponent: c}}
     for part, h in zip(split, (f, g)):
         for m, c in h.items():
             part.setdefault(m[1:], {})[m[0]] = c
     rows = [[(k, [t.get(e, 0) for e in range(max(t), -1, -1)]) for k, t in part.items()]
             for part in split]  # dense rows, highest exponent first
-    xs, vals, x = [], [], 1
-    while len(xs) <= hi - lo:
+    x, vals, dens = 0, [], []  # the run so far ends at x
+    while len(vals) < n:
+        x += 1
         at = [{}, {}]
         for part, out in zip(rows, at):
             for k, row in part:
@@ -195,25 +227,25 @@ def _res_mod(f: dict, g: dict, df: int, dg: int, windows: list[tuple[int, int]],
                 if v := v % p:
                     out[k] = v
         r = _res_mod(*at, df, dg, windows[1:], p)
-        if r is not None:
-            xs.append(x)
-            vals.append(r)
-        x += 1
-    inv = [0, 1]  # inverses of 1 .. xs[-1] mod p
-    for k in range(2, xs[-1] + 1):
-        inv.append(-(p // k) * inv[p % k] % p)
-    scale = [pow(inv[x], lo, p) for x in xs]  # x^-lo
-    n, out = len(xs), {}
+        if r is None:
+            vals, dens = [], []
+            continue
+        vals.append(r[0])
+        dens.append(r[1] * x**lo)
+    *inv, inv_fact = _inverses(dens + [factorial(n - 1)], p)
+    out = {}
     for key in set().union(*vals):
-        c = [v.get(key, 0) * s % p for v, s in zip(vals, scale)]  # Newton divided differences
-        for j in range(1, n):
-            c[j:] = [(c[i] - c[i - 1]) * inv[xs[i] - xs[i - j]] % p for i in range(j, n)]
-        coeffs: list[int] = []  # Newton form to monomial form, Horner-wise
-        for i in range(n - 1, -1, -1):
-            coeffs = [(u - xs[i] * v) % p for u, v in zip([0] + coeffs, coeffs + [0])]
-            coeffs[0] = (coeffs[0] + c[i]) % p
-        out.update(((e + lo,) + key, v) for e, v in enumerate(coeffs) if v)
-    return out
+        diff = [v.get(key, 0) * u % p for v, u in zip(vals, inv)]
+        for j in range(1, n):  # diff[j] becomes the j-th forward difference at s
+            diff[j:] = map(sub, diff[j:], diff[j - 1:])
+        coeffs, weight = [diff[-1]], 1  # weight = (N - 1)! / k!
+        for k in range(n - 2, -1, -1):  # times x - s - k, plus D^k (N - 1)! / k!
+            weight *= k + 1
+            node = x - n + 1 + k
+            coeffs = ([diff[k] * weight - node * coeffs[0]]
+                      + [u - node * v for u, v in zip(coeffs, coeffs[1:])] + [coeffs[-1]])
+        out.update(((e + lo,) + key, v) for e, u in enumerate(coeffs) if (v := u * inv_fact % p))
+    return out, 1
 
 
 def _linear(f: dict, g: dict, s: int) -> dict:
@@ -245,45 +277,28 @@ def _addmul(out: dict, a: dict, b: dict) -> dict:
     return out
 
 
-def resultant(p: RationalPoly, q: RationalPoly, var: str) -> RationalPoly:
-    """Resultant of p and q with respect to var: the Sylvester determinant.
-
-    The result is a polynomial in the remaining variables (a constant when
-    both inputs are univariate); it is identically zero exactly when p and q
-    share a factor of positive degree in var.  When either operand has
-    degree 1 in var it is the closed form of the module docstring, with the
-    sign (-1)^(deg p) when only q is linear.  Otherwise it is computed
-    modulo primes, the variables in neither operand left out, and raises
-    EliminationOverflowError, before any evaluation, when the 64-bit words
-    of its moduli x its points would exceed RESULTANT_BUDGET.
-    """
-    if q.vars != p.vars:
-        q = q.reorder(p.vars)
-    variables = p.vars
-    if p.is_zero() or q.is_zero():
-        return RationalPoly.zero(variables)
-    dp, dq, cp, cq = p.degree(var), q.degree(var), p.content(), q.content()
-    i = variables.index(var)
-    order = [j for j in range(len(variables)) if j != i] + [i]
-    f, g = ({tuple(m[j] for j in order): int(c / ch) for m, c in h.terms.items()}
-            for h, ch in ((p, cp), (q, cq)))
-    scale = cp**dq * cq**dp
-    if 1 in (dp, dq):  # closed form against the linear operand
-        r = _linear(f, g, -1) if dp == 1 else _linear(g, f, 1)
-        return RationalPoly(variables, {m[:i] + (0,) + m[i:]: c for m, c in r.items()}) * scale
+def _resultant(f: dict, g: dict, i: int, var: str) -> dict:
+    """Res_var(f, g) for nonzero integer polynomials keyed by exponent tuples,
+    var at index i; see resultant.  {} when it vanishes identically."""
+    df, dg = max(m[i] for m in f), max(m[i] for m in g)
+    order = [j for j in range(len(next(iter(f)))) if j != i] + [i]
+    f, g = ({tuple(m[j] for j in order): c for m, c in h.items()} for h in (f, g))
+    if 1 in (df, dg):  # closed form against the linear operand
+        r = _linear(f, g, -1) if df == 1 else _linear(g, f, 1)
+        return {m[:i] + (0,) + m[i:]: c for m, c in r.items()}
     # a variable in neither operand has no exponent in the result: leave it out
     used = [t for t in range(len(order) - 1) if any(m[t] for h in (f, g) for m in h)]
     f, g = ({tuple(m[t] for t in used) + m[-1:]: c for m, c in h.items()} for h in (f, g))
-    windows = _windows(f, g, dp, dq)
+    windows = _windows(f, g, df, dg)
     if windows is None:
-        return RationalPoly.zero(variables)
+        return {}
     # Goldstein-Graham: no coefficient of the Sylvester determinant exceeds
     # B, the product over its rows of the 2-norm of the entries' L1 norms
-    l1 = [[0] * (dp + 1), [0] * (dq + 1)]
+    l1 = [[0] * (df + 1), [0] * (dg + 1)]
     for row, h in zip(l1, (f, g)):
         for m, c in h.items():
             row[m[-1]] += abs(c)
-    bound2 = sum(v * v for v in l1[0]) ** dq * sum(v * v for v in l1[1]) ** dp  # B^2
+    bound2 = sum(v * v for v in l1[0]) ** dg * sum(v * v for v in l1[1]) ** df  # B^2
     need = (bound2.bit_length() + 1) // 2 + 2  # 2^(need - 1) > 2B
     bits = min(-(-need // 64) * 64, MAX_PRIME_BITS)
     words = bits // 64 * -(-(need - 1) // (bits - 1))  # each prime exceeds 2^(bits - 1)
@@ -297,27 +312,58 @@ def resultant(p: RationalPoly, q: RationalPoly, var: str) -> RationalPoly:
     while modulus**2 <= 4 * bound2:  # until the modulus exceeds 2B
         prime = next(primes)
         fp, gp = ({m: c % prime for m, c in h.items() if c % prime} for h in (f, g))
-        r = _res_mod(fp, gp, dp, dq, windows, prime)
+        r = _res_mod(fp, gp, df, dg, windows, prime)
         if r is None:
             continue  # a leading coefficient in var vanishes mod prime
-        inv = pow(modulus, -1, prime)
+        r, den = r
+        inv = pow(modulus * den, -1, prime)
         for key in terms.keys() | r.keys():  # CRT
             x = terms.get(key, 0)
-            terms[key] = x + modulus * ((r.get(key, 0) - x) * inv % prime)
+            terms[key] = x + modulus * ((r.get(key, 0) - x * den) * inv % prime)
         modulus *= prime
     lifted = {}
     for key, x in terms.items():
-        m = [0] * len(variables)
-        for t, e in zip(used, key):
-            m[order[t]] = e
-        lifted[tuple(m)] = x - modulus if 2 * x > modulus else x
-    return RationalPoly(variables, lifted) * scale
+        if x:
+            m = [0] * len(order)
+            for t, e in zip(used, key):
+                m[order[t]] = e
+            lifted[tuple(m)] = x - modulus if 2 * x > modulus else x
+    return lifted
 
 
-def _strip_monomial(p: RationalPoly) -> RationalPoly:
-    """The primitive part of a nonzero p over its largest monomial factor,
-    which has no root with every coordinate positive."""
-    return p.primitive() / RationalPoly(p.vars, {tuple(map(min, zip(*p.terms))): 1})
+def resultant(p: RationalPoly, q: RationalPoly, var: str) -> RationalPoly:
+    """Resultant of p and q with respect to var: the Sylvester determinant.
+
+    The result is a polynomial in the remaining variables (a constant when
+    both inputs are univariate); it is identically zero exactly when p and q
+    share a factor of positive degree in var.  When either operand has
+    degree 1 in var it is the closed form of the module docstring, with the
+    sign (-1)^(deg p) when only q is linear.  Otherwise it is computed
+    modulo primes, the variables in neither operand left out, and raises
+    EliminationOverflowError, before any evaluation, when the 64-bit words
+    of its moduli x its points would exceed RESULTANT_BUDGET.  With contents
+    cp and cq it is cp^(deg q) cq^(deg p) times the resultant of the
+    primitive integer parts.
+    """
+    if q.vars != p.vars:
+        q = q.reorder(p.vars)
+    if p.is_zero() or q.is_zero():
+        return RationalPoly.zero(p.vars)
+    cp, cq = p.content(), q.content()
+    f, g = ({m: int(c / ch) for m, c in h.terms.items()} for h, ch in ((p, cp), (q, cq)))
+    r = _resultant(f, g, p.vars.index(var), var)
+    return RationalPoly(p.vars, r) * (cp ** q.degree(var) * cq ** p.degree(var))
+
+
+def _primitive(h: dict) -> dict:
+    """A nonzero integer polynomial over its content and its largest monomial
+    factor (which has no root with every coordinate positive), with a
+    positive lex-leading coefficient."""
+    c = gcd(*h.values())
+    if h[max(h)] < 0:
+        c = -c
+    low = tuple(map(min, zip(*h)))
+    return {tuple(map(sub, m, low)): v // c for m, v in h.items()}
 
 
 def eliminate_resultant(
@@ -333,45 +379,50 @@ def eliminate_resultant(
     of least degree, content-normalized: each one holds every solution's
     keep-coordinate.  A resultant that vanishes identically (the pivot and
     another generator share a factor in the variable) raises
-    DegenerateSystemError.
+    DegenerateSystemError.  The generators are cleared once to primitive
+    integer polynomials; every resultant and strip runs on those.
 
     Returns (eliminant, pivots): pivots lists (var, pivot) in elimination
     order, each pivot a polynomial in var and the variables eliminated after
     it.  Read backwards from keep they form a triangular set for lifting a
     root of the eliminant to a full solution.
     """
-    polys = [g.primitive() for g in gens if not g.is_zero()]
-    if not polys:
+    gens = [g.primitive() for g in gens if not g.is_zero()]
+    if not gens:
         raise DomainError("no nonzero generators")
-    variables = polys[0].vars
+    variables = gens[0].vars
     if keep not in variables:
         raise DomainError(f"variable {keep!r} not in {variables}")
-    polys = [p if p.vars == variables else p.reorder(variables) for p in polys]
-    pivots: list[tuple[str, RationalPoly]] = []
-    for var in variables:
+    gens = [g if g.vars == variables else g.reorder(variables) for g in gens]
+    polys = [{m: c.numerator for m, c in g.terms.items()} for g in gens]
+    pivots: list[tuple[str, dict]] = []
+    for i, var in enumerate(variables):
         if var == keep:
             continue
-        using = [p for p in polys if var in p.variables_used()]
-        polys = [p for p in polys if var not in p.variables_used()]
+        using = [h for h in polys if any(m[i] for m in h)]
+        polys = [h for h in polys if not any(m[i] for m in h)]
         if not using:
             continue
-        pivot = min(using, key=lambda p: (p.degree(var), p.total_degree()))
+        pivot = min(using, key=lambda h: (max(m[i] for m in h), max(map(sum, h))))
         pivots.append((var, pivot))
-        for p in using:
-            if p is pivot:
+        for h in using:
+            if h is pivot:
                 continue
-            r = resultant(pivot, p, var)
-            if r.is_zero():
+            r = _resultant(pivot, h, i, var)
+            if not r:
                 raise DegenerateSystemError(
                     f"resultant in {var!r} vanished identically: "
                     "the pivot shares a factor with another generator"
                 )
-            r = _strip_monomial(r)
-            if not r.is_constant():
+            r = _primitive(r)
+            if any(map(any, r)):
                 polys.append(r)
-    final = [p for p in polys if keep in p.variables_used()]
+    k = variables.index(keep)
+    final = [h for h in polys if any(m[k] for m in h)]
     if not final:
         raise DegenerateSystemError(
             f"elimination produced no constraint on {keep!r}"
         )
-    return min(final, key=lambda p: p.degree(keep)), pivots
+    eliminant = min(final, key=lambda h: max(m[k] for m in h))
+    return (RationalPoly(variables, eliminant),
+            [(var, RationalPoly(variables, h)) for var, h in pivots])

@@ -320,7 +320,10 @@ def _eliminate(
     certified lift and drop out in solve.
     """
     elim, pivots = eliminate_resultant(system.polys, "x13")
-    coeffs = [int(c) for c in elim.reorder(("x13",)).univariate_coeffs("x13")]
+    i = elim.vars.index("x13")
+    coeffs = [0] * (elim.degree("x13") + 1)
+    for m, c in elim.terms.items():
+        coeffs[m[i]] = c.numerator
     while len(coeffs) > 1 and sum(coeffs) == 0:
         # quotient coefficient k is c_(k+1) + ... + c_deg
         coeffs = list(accumulate(coeffs[:0:-1]))[::-1]

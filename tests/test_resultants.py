@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from stiefel_einstein.errors import EliminationOverflowError
-from stiefel_einstein.polyalg import RationalPoly, resultant, resultants
+from stiefel_einstein.polyalg import RationalPoly, eliminate_resultant, resultant, resultants
 from stiefel_einstein.so_algebra import BlockDecomposition
 from stiefel_einstein.solver import build_system
 
@@ -54,6 +54,8 @@ CASES = {
     # deg p < deg q, both odd: Res(p, q) = -Res(q, p)
     "odd_degrees_swapped": (X**3 + Y, X**5 - 2 * Y * X + 5),
     "constant_in_var": (Y**2 + 1, X**2 + Y),
+    # no other variable: the Euclid's denominator reaches the CRT
+    "univariate": (2 * X**3 + X + 1, 3 * X**2 - 2),
     # the bound exceeds MAX_PRIME_BITS, so the first prime tried is the first
     # prime of that size; it is dropped
     "lc_vanishes_mod_first_prime": (FIRST_PRIME * X**2 + X + Y, X**2 - Y),
@@ -83,6 +85,45 @@ def test_resultant_without_permutation_is_zero_before_evaluating(monkeypatch):
     monkeypatch.setattr(resultants, "_res_mod", evaluate)
     assert resultant(X**2, X**2, "x").is_zero()
     assert resultant(X**2 * Y, X**3 + X**2 * Z, "x").is_zero()
+
+
+# the leading coefficient vanishes at y = 3, inside the first run y = 1 .. 5,
+# and in the trivariate case also at z = 2, inside every run in z
+RESTART_CASES = {
+    "bivariate": ((Y - 3) * X**2 + X + Y, X**2 - Y * X + 2),
+    "trivariate": ((Y - 3) * (Z - 2) * X**2 + Z * X + Y, X**2 - Y * Z * X + Z + 2),
+}
+
+
+@pytest.mark.parametrize("p, q", RESTART_CASES.values(), ids=RESTART_CASES.keys())
+def test_run_restarts_after_a_vanishing_leading_coefficient(p, q, monkeypatch):
+    skipped = []
+
+    def recording_res_mod(*args):
+        r = res_mod(*args)
+        skipped.append(r is None)
+        return r
+
+    res_mod = resultants._res_mod
+    monkeypatch.setattr(resultants, "_res_mod", recording_res_mod)
+    assert _matches_sylvester(p, q, "x")
+    assert any(skipped)
+
+
+def test_rational_generators_eliminate_as_their_integer_multiples():
+    # elimination clears each generator to a primitive integer polynomial, and
+    # resultant scales by the contents, cp^deg(q) cq^deg(p)
+    circle, line = X**2 + Y**2 - 4, X - Y
+    half, two_thirds = Fraction(1, 2) * circle, Fraction(2, 3) * line
+    assert eliminate_resultant([half, two_thirds], "y") == eliminate_resultant([circle, line], "y")
+    assert eliminate_resultant([-half, two_thirds], "y") == eliminate_resultant([circle, line], "y")
+    # Res_x(yx + 1, x^2 - 2) = 1 - 2y^2 leads with -2: the strip negates it
+    elim = eliminate_resultant([Fraction(1, 3) * (X**2 - 2), Fraction(-5, 2) * (Y * X + 1)], "y")
+    assert elim == (2 * Y**2 - 1, [("x", Y * X + 1)])
+    assert _matches_sylvester(half, two_thirds, "x")
+    assert _matches_sylvester(half, Fraction(3, 4) * (X**2 - Y), "x")
+    assert resultant(half, two_thirds, "x") == Fraction(1, 2) * Fraction(2, 3) ** 2 * resultant(
+        circle, line, "x")
 
 
 _small_bivariate = st.dictionaries(
@@ -174,6 +215,11 @@ def _sylvester_mod(a: list[int], b: list[int], p: int) -> int:
     return int(sylvester(poly_a, poly_b, x).det(method="berkowitz")) % p
 
 
+def _res_univariate(a: list[int], b: list[int], p: int) -> int:
+    num, den = resultants._res_univariate(a, b, p)
+    return num * pow(den, -1, p) % p
+
+
 UNIVARIATE_CASES = {
     "deg_a_below_deg_b": ([2, 1], [1, 1, 0, 3]),
     # x + 1 divides x^2 + 3x + 2: the first remainder is zero
@@ -183,12 +229,21 @@ UNIVARIATE_CASES = {
     "degree_drop_with_leads": ([17, 9, 1, 3, 7], [5, 1, 0, 2]),
     "constants": ([4], [9]),
     "negative_residues": ([P64 - 2, 5, P64 - 3], [1, P64 - 1]),
+    # the division steps go in pairs: an even degree gap m - n adds one
+    # step, and gaps of 2 and more take more than one pass
+    "gap_0": ([3, 1, 2], [5, 7, 4]),
+    "gap_1": ([3, 1, 2, 6], [5, 7, 4]),
+    "gap_2": ([1, 2, 3, 4, 5], [6, 7, 8]),
+    "gap_3": ([1, 0, 2, 0, 3, 5], [2, 1, 3]),
+    "gap_5": ([4, 1, 0, 2, 9, 3, 7], [2, 5]),
+    "constant_a": ([5], [1, 2, 3]),
+    "constant_b": ([1, 2, 3, 4], [7]),
 }
 
 
 @pytest.mark.parametrize("a, b", UNIVARIATE_CASES.values(), ids=UNIVARIATE_CASES.keys())
 def test_univariate_resultant_matches_sylvester_mod_p(a, b):
-    assert resultants._res_univariate(a, b, P64) == _sylvester_mod(a, b, P64)
+    assert _res_univariate(a, b, P64) == _sylvester_mod(a, b, P64)
 
 
 # small coefficients make remainders drop degree or vanish; residues do not
@@ -203,7 +258,7 @@ _univariate_mod_p = st.builds(
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(_univariate_mod_p, _univariate_mod_p)
 def test_univariate_resultant_matches_sylvester_on_random_lists(a, b):
-    assert resultants._res_univariate(a, b, P64) == _sylvester_mod(a, b, P64)
+    assert _res_univariate(a, b, P64) == _sylvester_mod(a, b, P64)
 
 
 def test_windows_hold_every_exponent_of_the_232_resultants(monkeypatch):
@@ -215,23 +270,23 @@ def test_windows_hold_every_exponent_of_the_232_resultants(monkeypatch):
         calls.append(windows(*args))
         return calls[-1]
 
-    def checked_resultant(p, q, var):
+    def checked_resultant(f, g, i, var):
         resultant_calls.append(var)
         before = len(calls)
-        r = res(p, q, var)
+        r = res(f, g, i, var)
         if len(calls) == before:
             return r
-        # windows cover the other variables that p or q uses, in order
-        used = p.variables_used() | q.variables_used()
-        others = [j for j, v in enumerate(p.vars) if v != var and v in used]
+        # windows cover the other variables that f or g uses, in order
+        used = {j for h in (f, g) for m in h for j, e in enumerate(m) if e}
+        others = [j for j in sorted(used) if j != i]
         assert len(others) == len(calls[-1])
         for j, (lo, hi) in zip(others, calls[-1]):
-            assert lo <= min(m[j] for m in r.terms) and max(m[j] for m in r.terms) <= hi
+            assert lo <= min(m[j] for m in r) and max(m[j] for m in r) <= hi
         return r
 
-    windows, res = resultants._windows, resultants.resultant
+    windows, res = resultants._windows, resultants._resultant
     monkeypatch.setattr(resultants, "_windows", recording_windows)
-    monkeypatch.setattr(resultants, "resultant", checked_resultant)
+    monkeypatch.setattr(resultants, "_resultant", checked_resultant)
     resultants.eliminate_resultant(build_system(BlockDecomposition((2, 3, 2))).polys, "x13")
     assert len(resultant_calls) == 6 and len(calls) == 1
     # the last step, in x12, interpolates x13 (the only other variable left)

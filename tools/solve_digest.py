@@ -1,0 +1,35 @@
+"""One sha256 over the `solve` JSON reports of every 3-block shape with k2 >= 2.
+
+    PYTHONPATH=src python tools/solve_digest.py 10
+
+Each report holds the bytes that `stiefel-einstein solve --blocks k1,k2,k3
+--format json` writes, made in-process through `cli.main`.  Shapes with
+k1, k3 >= 1, k2 >= 2 and k1 + k2 + k3 <= N (84 for N = 10, 165 for N = 12)
+are taken in the order (n, k1, k2), and their reports are hashed one after
+another.  Prints the shape count, the digest and the wall time.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import sys
+import time
+from contextlib import redirect_stdout
+
+from stiefel_einstein.cli import main
+
+
+def shapes(n_max: int) -> list[tuple[int, int, int]]:
+    return [(k1, k2, n - k1 - k2) for n in range(4, n_max + 1)
+            for k1 in range(1, n - 2) for k2 in range(2, n - k1)]
+
+
+if __name__ == "__main__":
+    digest, start, blocks = hashlib.sha256(), time.perf_counter(), shapes(int(sys.argv[1]))
+    for shape in blocks:
+        with redirect_stdout(io.StringIO()) as out:
+            if main(["solve", "--blocks", ",".join(map(str, shape)), "--format", "json"]):
+                raise SystemExit(f"solve failed on {shape}")
+        digest.update(out.getvalue().encode())
+    print(len(blocks), digest.hexdigest(), f"{time.perf_counter() - start:.1f} s")
