@@ -1,7 +1,6 @@
 """Exact multivariate polynomial arithmetic, elimination, and root isolation."""
 
 from .poly import RationalPoly
-from .groebner import buchberger, reduce_poly, s_polynomial, saturation_generators
 from .resultants import eliminate_resultant, resultant
 from .sturm import (
     IsolatingInterval,
@@ -15,8 +14,6 @@ from .sturm import (
 __all__ = [
     "RationalPoly",
     "buchberger",
-    "reduce_poly",
-    "s_polynomial",
     "saturation_generators",
     "eliminate_resultant",
     "resultant",
@@ -27,3 +24,11 @@ __all__ = [
     "isolate_real_roots",
     "squarefree_part",
 ]
+
+
+def __getattr__(name: str):  # PEP 562: the Gröbner code loads on first use
+    if name in ("buchberger", "saturation_generators"):
+        from . import groebner
+
+        return getattr(groebner, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

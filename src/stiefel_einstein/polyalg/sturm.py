@@ -18,9 +18,11 @@ quadratic interval refinement on the grid of those cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+
+from ..errors import DomainError
+from ..record import Record
 
 ZCoeffs = list[int]
 
@@ -154,8 +156,7 @@ def root_bound(c: list) -> Fraction:
     return 1 + max(Fraction(abs(a), lc) for a in c[:-1])
 
 
-@dataclass(frozen=True)
-class IsolatingInterval:
+class IsolatingInterval(Record):
     """Half-open interval (lo, hi] holding exactly one real root of the
     square-free polynomial coeffs, primitive integers as isolate_real_roots
     gives them; simplest() is its shortest point."""
@@ -279,7 +280,9 @@ def bisect_to_width(iv: IsolatingInterval, width: Fraction) -> IsolatingInterval
     otherwise, and N = 2 is a halving.  Signs are read as halving reads
     them: just right of lo the sign is that of f(lo), or of f'(lo) when lo
     is a root; a root on a grid point is its cell's hi.  A linear f takes
-    its cell from its exact root."""
+    its cell from its exact root.  The width must be positive."""
+    if not width > 0:
+        raise DomainError(f"refinement width must be positive, got {width}")
     f, lo, hi = iv.coeffs, iv.lo, iv.hi
     span = hi - lo
     if span <= width:

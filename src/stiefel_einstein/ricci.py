@@ -12,19 +12,18 @@ floats; the scalar type is whatever the metric carries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
 
 from .errors import DomainError, UnsupportedShapeError
+from .record import Record
 from .so_algebra import BlockDecomposition, Diag, ModuleLabel, OffDiag
 from .triples import TripleTable, dims, triples_closed_form
 
 Scalar = Real  # Fraction or float, consistently per metric
 
 
-@dataclass(frozen=True)
-class InvariantMetric:
+class InvariantMetric(Record):
     """One positive coefficient per metric module: sum x_i (-B)|_{m_i}."""
 
     decomp: BlockDecomposition
@@ -45,8 +44,7 @@ class InvariantMetric:
         return InvariantMetric(self.decomp, {l: x * t for l, x in self.coeffs.items()})
 
 
-@dataclass(frozen=True)
-class RicciComponents:
+class RicciComponents(Record):
     """Ricci coefficients r_label in the same basis as the metric."""
 
     values: dict[ModuleLabel, Scalar]

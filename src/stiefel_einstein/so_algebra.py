@@ -7,14 +7,13 @@ e_ab = E_ab - E_ba, stored index-normalized (a < b); e_ba is represented as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InvalidElementError, UndefinedKillingRatioError
+from .record import Record
 
 
-@dataclass(frozen=True, order=True)
-class BasisElement:
+class BasisElement(Record, order=True):
     """e_ab = E_ab - E_ba with 1 <= a < b."""
 
     a: int
@@ -28,8 +27,7 @@ class BasisElement:
         return f"e({self.a},{self.b})"
 
 
-@dataclass(frozen=True, order=True)
-class ModuleLabel:
+class ModuleLabel(Record, order=True):
     """Label of an irreducible metric module.
 
     kind "diag" with block index a models the so(k_a) diagonal block (a in
@@ -84,8 +82,7 @@ class _Isotropy:
 ISOTROPY = _Isotropy()
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(Record):
     """Partition (k_1, ..., k_m) of n, m in {2, 3}, blocks laid out in order.
 
     With m = 3 this models the Stiefel manifold SO(n)/SO(k_3): the last block

@@ -14,7 +14,6 @@ quadratic, also read off that form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate
 
@@ -39,11 +38,10 @@ from .polyalg import (
     RationalPoly,
     alternating_sign_check,
     bisect_to_width,
-    buchberger,
     eliminate_resultant,
     isolate_real_roots,
-    saturation_generators,
 )
+from .record import Record, replace
 from .ricci import InvariantMetric
 from .so_algebra import BlockDecomposition, Diag, ModuleLabel, OffDiag
 from .triples import dims, triples_closed_form
@@ -55,8 +53,7 @@ LIFT_WIDTH = Fraction(1, 10**20)
 JENSEN_DIGITS = 50  # decimals of the closed-form equal-off-diagonal roots
 
 
-@dataclass(frozen=True)
-class EinsteinSystem:
+class EinsteinSystem(Record):
     """Cleared-numerator polynomial form of the Einstein equations."""
 
     decomp: BlockDecomposition
@@ -65,16 +62,19 @@ class EinsteinSystem:
     polys: list[RationalPoly]
 
 
-@dataclass(frozen=True)
-class EinsteinSolution:
+class EinsteinSolution(Record):
     """A certified positive solution in the gauge x23 = 1."""
 
     decomp: BlockDecomposition
     coords: dict[ModuleLabel, float]
     lam: float
     residual: float
-    intervals: dict[str, tuple[Fraction, Fraction]] = field(default_factory=dict)
+    intervals: dict[str, tuple[Fraction, Fraction]] | None = None  # None: a new {}
     classification: str = "New"  # "Jensen" | "New"
+
+    def __post_init__(self) -> None:
+        if self.intervals is None:
+            object.__setattr__(self, "intervals", {})
 
     @property
     def branch(self) -> str:
@@ -100,8 +100,7 @@ class EinsteinSolution:
         return rec
 
 
-@dataclass(frozen=True)
-class Rejection:
+class Rejection(Record):
     """A candidate that failed certification, with the reason."""
 
     reason: str
@@ -335,6 +334,9 @@ def groebner_eliminant(system: EinsteinSystem) -> list[Fraction]:
     reduced lex Gröbner basis of the system saturated by every coordinate
     and by x13 - 1.  An independent check on the resultant route; overflow
     of the pair-reduction cap propagates."""
+    # imported here: no solve or sweep needs it, and every run would load it
+    from .polyalg.groebner import buchberger, saturation_generators
+
     x13 = RationalPoly.var(system.variables, "x13")
     factors = [RationalPoly.var(system.variables, v) for v in system.variables]
     basis = buchberger(saturation_generators(system.polys, factors + [x13 - 1]))
@@ -428,8 +430,7 @@ def solve(system: EinsteinSystem, tol: float = CERTIFY_TOL) -> list[EinsteinSolu
 
 # -- family sweep and positivity report -------------------------------------
 
-@dataclass(frozen=True)
-class PositivityRow:
+class PositivityRow(Record):
     """Per-n sign and root-bracket facts for the (1, 3, n-4) family."""
 
     n: int

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -32,6 +31,7 @@ from .so_algebra import (
     bracket,
     module_of,
 )
+from .record import Record
 
 TripleKey = tuple[ModuleLabel, ModuleLabel, ModuleLabel]
 
@@ -80,13 +80,12 @@ def _admissible_keys(decomp: BlockDecomposition) -> set[TripleKey]:
     return keys
 
 
-@dataclass(frozen=True)
-class TripleTable:
+class TripleTable(Record):
     """Exact rational triples [k;ij] keyed by unordered module multisets."""
 
     decomp: BlockDecomposition
     entries: dict[TripleKey, Fraction]
-    dims: dict[ModuleLabel, int] = field(default_factory=dict)
+    dims: dict[ModuleLabel, int] | None = None
 
     def __post_init__(self) -> None:
         if not self.dims:

@@ -329,3 +329,34 @@ def test_solve_needs_no_numpy():
     assert not foreign
     assert "stiefel_einstein.solver" in modules["new"]
     assert not {"concurrent.futures", "multiprocessing"} & set(modules["all"])
+
+
+def test_start_up_loads_neither_dataclasses_nor_the_groebner_code():
+    # importing the CLI and building its parser is what every run pays; the
+    # Gröbner code loads on first use, and fixtures-verify still finds it
+    code = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "from stiefel_einstein import cli\n"
+        "cli.build_parser()\n"
+        "new = [m for m in sys.modules if m not in before]\n"
+        "from stiefel_einstein import polyalg\n"
+        "print(json.dumps({'new': new, 'buchberger': polyalg.buchberger.__module__}))\n"
+        "sys.exit(cli.main(['fixtures-verify']))"
+    )
+    src = str(Path(stiefel_einstein.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    first, report = proc.stdout.split("\n", 1)
+    loaded = json.loads(first)
+    assert "stiefel_einstein.cli" in loaded["new"]
+    assert not {"dataclasses", "inspect", "stiefel_einstein.polyalg.groebner"} & set(
+        loaded["new"]
+    )
+    assert loaded["buchberger"] == "stiefel_einstein.polyalg.groebner"
+    assert json.loads(report) == {"ok": True, "problems": []}

@@ -22,13 +22,12 @@ from stiefel_einstein.polyalg import (
     count_real_roots,
     eliminate_resultant,
     isolate_real_roots,
-    reduce_poly,
     resultant,
-    s_polynomial,
     saturation_generators,
     squarefree_part,
 )
 from stiefel_einstein.polyalg import resultants, sturm
+from stiefel_einstein.polyalg.groebner import reduce_poly, s_polynomial
 from stiefel_einstein.so_algebra import BlockDecomposition
 from stiefel_einstein.solver import _eliminate, build_system
 from helpers import halving_oracle, squarefree_oracle
@@ -296,6 +295,14 @@ def test_bisect_to_width():
     iv = bisect_to_width(pos, w)
     assert iv.width() <= w
     assert float(iv.midpoint()) == pytest.approx(2**0.5, abs=1e-10)
+
+
+@pytest.mark.parametrize("width", [Fraction(-1), Fraction(0), 0, -1])
+def test_bisect_to_width_rejects_a_nonpositive_width(width):
+    # no refinement meets a width <= 0: it raises, naming the width
+    iv = IsolatingInterval(Fraction(0), Fraction(3), (-2, 0, 1))
+    with pytest.raises(ValueError, match=f"width must be positive, got {width}"):
+        bisect_to_width(iv, width)
 
 
 def test_bisect_to_width_on_exact_roots():
