@@ -228,7 +228,7 @@ def _cmd_ricci(args) -> int:
 
 def _cmd_solve(args) -> int:
     decomp = _decomp(args)
-    sols = solve(build_system(decomp), tol=args.tol)
+    sols = solve(build_system(decomp))
     if args.format == "csv":
         payload = _solutions_csv([(decomp.n, s) for s in sols])
     elif args.format == "pretty":
@@ -338,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="find certified Einstein metrics")
     common(p)
-    p.add_argument("--tol", type=_parse_tol, default=1e-10)
     p.add_argument("--format", choices=["json", "csv", "pretty"], default="json")
     p.set_defaults(func=_cmd_solve)
 

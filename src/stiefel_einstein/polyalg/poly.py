@@ -52,6 +52,9 @@ class RationalPoly:
     def __setattr__(self, name, value):
         raise AttributeError("RationalPoly is immutable")
 
+    def __reduce__(self):
+        return RationalPoly, (self.vars, self.terms)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -79,20 +82,12 @@ class RationalPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(not any(m) for m in self.terms)
-
     def degree(self, name: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
         if not self.terms:
             return -1
         i = self.vars.index(name)
         return max(m[i] for m in self.terms)
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
 
     def variables_used(self) -> set[str]:
         used: set[str] = set()

@@ -9,13 +9,14 @@ modulo a prime (Collins, JACM 18, 1971): a Proth prime k 2^e + 1, proven by
 Proth's theorem, of the least multiple of 64 bits, up to MAX_PRIME_BITS,
 that exceeds twice the Goldstein-Graham coefficient bound (SIAM Review 16,
 1974); larger bounds combine several primes by CRT.  Degree windows, from
-assignments over the Sylvester matrix, fix its points; with the bound they
+the Newton polygons of the operands, fix its points; with the bound they
 fix its cost before any evaluation.  The points of each variable are a run
-of consecutive integers; at each point every coefficient is evaluated by
-Horner on its dense row, and the univariate images take a Euclidean
-resultant on pseudo-remainders, as a numerator and a denominator.  One
-modular inverse per run serves all its denominators (Montgomery, Math.
-Comp. 48, 1987), and forward differences interpolate the run.
+of consecutive integers, and every coefficient is evaluated over the run by
+Horner on its dense row.  The run of the last variable takes one Euclidean
+resultant on pseudo-remainders whose coefficients are lists over its
+points, as a numerator and a denominator per point.  One modular inverse
+per run serves all its denominators (Montgomery, Math. Comp. 48, 1987), and
+forward differences interpolate the run.
 Elimination clears its generators once to primitive integer polynomials,
 chains resultants against a low-degree pivot and strips the content and
 every monomial factor from each resultant; a resultant that vanishes
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import accumulate, count
-from math import factorial, gcd, inf, isqrt, prod
+from math import factorial, gcd, isqrt, prod
 from operator import sub
 
 from ..errors import DegenerateSystemError, DomainError, EliminationOverflowError
@@ -75,42 +76,61 @@ def _primes(bits: int):
         yield _proth_prime(bits, i)
 
 
-def _res_univariate(a: list[int], b: list[int], p: int) -> tuple[int, int]:
-    """Res(a, b) mod p as (num, den), Res = num / den, by Euclid on
-    pseudo-remainders, for ascending lists with nonzero leads.  With m = deg a
-    and n = deg b, d >= m - n + 1 steps of division give
+def _res_batch(a: list[list[int]], b: list[list[int]], p: int) -> tuple[list[int], list[int]]:
+    """Res(a, b) mod p as (nums, dens), Res = num / den at each point of a
+    batch: a and b are ascending lists of coefficients, each a list over the
+    points, with leads nonzero at every point.  Euclid on pseudo-remainders:
+    with m = deg a and n = deg b, d >= m - n + 1 steps of division give
     prem(a, b) = lc(b)^d (a mod b), so Res(a, b) is
-    (-1)^(mn) lc(b)^(m - deg prem) Res(b, prem(a, b)) / lc(b)^(dn); the
-    powers of lc(b) gather in num and den.  d is made even and the steps go
-    in pairs: with q0 and q1 the leading coefficients met by the two steps,
-    one pass sets r = lc(b)^2 r - (lc(b) q0 x + q1) x^(deg r - n - 1) b and
-    reduces each coefficient once."""
-    num = den = 1
-    while len(b) > 1:
+    (-1)^(mn) Res(b, prem(a, b)) / lc(b)^(dn - m + deg prem), a power that is
+    never negative.  d is made even and the steps go in pairs: with q0 and q1
+    the leading coefficients met by the two steps, one pass sets
+    r = lc(b)^2 r - (lc(b) q0 x + q1) x^(deg r - n - 1) b and reduces each
+    coefficient once.  The batch shares its degrees and passes; where deg prem
+    differs between points, it splits into one group per degree."""
+    size = len(a[0])
+    nums, dens = [0] * size, [1] * size
+    work = [(a, b, range(size), 1, [1] * size)]  # a group: its points, sign, dens
+    while work:
+        a, b, at, sign, den = work.pop()
         m, n, lb = len(a) - 1, len(b) - 1, b[-1]
+        if not n:
+            for j, v, c in zip(at, den, lb):
+                nums[j], dens[j] = sign * pow(c, m, p) % p, v
+            continue
         d = max(m - n + 1, 0)
         d += d & 1
-        r, lb2 = a + [0] * (n + d - m - 1), lb * lb % p
+        r, lb2 = a + [[0] * len(at)] * (n + d - m - 1), [c * c % p for c in lb]
         while len(r) > n:
             k = len(r) - 1
             h = k - n
-            q1 = (lb * r[k - 1] - r[k] * b[n - 1]) % p
-            q0 = r[k] * lb % p
-            r = ([lb2 * u % p for u in r[:h - 1]] + [(lb2 * r[h - 1] - q1 * b[0]) % p]
-                 + [(lb2 * u - q0 * v - q1 * w) % p for u, v, w in zip(r[h:k - 1], b, b[1:])])
-        while r and not r[-1]:
-            r.pop()
-        if not r:
-            return 0, 1
-        e = m - len(r) + 1 - d * n  # net power of lb
-        if e >= 0:
-            num = num * pow(lb, e, p) % p
-        else:
-            den = den * pow(lb, -e, p) % p
-        if m * n & 1:
-            num = -num
-        a, b = b, r
-    return num * pow(b[0], len(a) - 1, p) % p, den
+            q1 = [(c * u - v * w) % p for c, u, v, w in zip(lb, r[k - 1], r[k], b[n - 1])]
+            q0 = [v * c % p for v, c in zip(r[k], lb)]
+            r = ([[c * u % p for c, u in zip(lb2, row)] for row in r[:h - 1]]
+                 + [[(c * u - s * t) % p for c, u, s, t in zip(lb2, r[h - 1], q1, b[0])]]
+                 + [[(c * u - s * v - t * w) % p
+                     for c, u, s, v, t, w in zip(lb2, ru, q0, bv, q1, bw)]
+                    for ru, bv, bw in zip(r[h:k - 1], b, b[1:])])
+        groups = {n - 1: None} if all(r[-1]) else {}  # deg prem -> positions, None for all
+        for j in () if groups else range(len(at)):
+            groups.setdefault(max((e for e in range(n) if r[e][j]), default=-1), []).append(j)
+        for e, js in groups.items():
+            if e < 0:
+                continue  # prem, and so Res, vanishes
+            rows = b + r[:e + 1] + [at, den, lb]  # each a list over the group
+            if js is not None:
+                rows = [[row[j] for j in js] for row in rows]
+            *rows, at_e, den_e, lb_e = rows
+            den_e = [v * pow(c, d * n + e - m, p) % p for v, c in zip(den_e, lb_e)]
+            work.append((rows[:n + 1], rows[n + 1:], at_e, -sign if m * n & 1 else sign, den_e))
+    return nums, dens
+
+
+def _res_univariate(a: list[int], b: list[int], p: int) -> tuple[int, int]:
+    """Res(a, b) mod p as (num, den) for ascending lists with nonzero leads:
+    a batch of one (see _res_batch)."""
+    nums, dens = _res_batch([[c] for c in a], [[c] for c in b], p)
+    return nums[0], dens[0]
 
 
 def _inverses(xs: list[int], p: int) -> list[int]:
@@ -124,65 +144,68 @@ def _inverses(xs: list[int], p: int) -> list[int]:
     return out[::-1]
 
 
-def _assignment(weights: list[list]) -> int | None:
-    """Least sum of weights[i][perm[i]] over permutations perm that avoid the
-    None entries; None when none does.  Hungarian algorithm with potentials:
-    rows and columns count from 1, and column 0 holds the row being placed."""
-    n = len(weights)
-    cost = [[]] + [[0] + [inf if w is None else w for w in row] for row in weights]
-    u, v, match, way = ([0] * (n + 1) for _ in range(4))
-    for i in range(1, n + 1):
-        match[0], j0, slack, used = i, 0, [inf] * (n + 1), [False] * (n + 1)
-        while match[j0]:
-            used[j0], i0, delta, j1 = True, match[j0], inf, 0
-            for j in range(1, n + 1):
-                if not used[j]:
-                    if (c := cost[i0][j] - u[i0] - v[j]) < slack[j]:
-                        slack[j], way[j] = c, j0
-                    if slack[j] < delta:
-                        delta, j1 = slack[j], j
-            for j in range(n + 1):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
-                else:
-                    slack[j] -= delta
-            if delta == inf:  # the rows reached see too few columns (Hall)
-                return None
-            j0 = j1
-        while j0:  # augment along the alternating path
-            match[j0], j0 = match[way[j0]], way[j0]
-    return sum(cost[match[j]][j] for j in range(1, n + 1))
+def _low(f: list, g: list) -> int:
+    """A lower bound on the order of Res_var(f, g) in a valuation of the
+    other variables, from the orders of the coefficients of f and g in var,
+    ascending, None for a zero one.  By Poisson's formula
+    Res = lc(f)^(deg g) prod g(alpha) over the roots alpha of f, as Puiseux
+    series: k0 of them are 0, where g(0) = g_0, and each edge (k1, v1)-(k2, v2)
+    of the lower hull of the points (k, ord f_k) holds k2 - k1 roots of order
+    (v1 - v2) / (k2 - k1), where ord g(alpha) >= min_k (ord g_k + k ord alpha)."""
+    hull: list[tuple[int, int]] = []
+    for k, v in ((k, v) for k, v in enumerate(f) if v is not None):
+        while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (v - hull[-2][1])
+                                 <= (hull[-1][1] - hull[-2][1]) * (k - hull[-2][0])):
+            hull.pop()
+        hull.append((k, v))
+    k0 = hull[0][0]
+    low = (len(g) - 1) * f[-1] + (k0 * g[0] if k0 else 0)
+    for (k1, v1), (k2, v2) in zip(hull, hull[1:]):
+        low += min((k2 - k1) * w - k * (v2 - v1) for k, w in enumerate(g) if w is not None)
+    return low
 
 
 def _windows(f: dict, g: dict, df: int, dg: int) -> list[tuple[int, int]] | None:
     """For each other variable y, a window [lo, hi] holding every y-exponent
-    of Res_var(f, g) (keyed as in _res_mod), or None when Res is 0: each term
-    of the Sylvester determinant is a product of nonzero entries along a
-    permutation, so its y-exponents lie between the least assignment of the
-    entries' lowest y-exponents and the greatest of their y-degrees."""
-    rows = []  # Sylvester rows {column: exponent keys of the entry}: f's, then g's
-    for h, d, shifts in ((f, df, dg), (g, dg, df)):
-        coeffs: dict = {}  # var exponent k -> keys; in shift i it sits in column i + d - k
-        for m in h:
-            coeffs.setdefault(m[-1], []).append(m)
-        rows += [{i + d - k: ms for k, ms in coeffs.items()} for i in range(shifts)]
-
-    def assign(weight):  # of the exponent keys of an entry
-        return _assignment([[weight(row[j]) if j in row else None
-                             for j in range(df + dg)] for row in rows])
-
+    of Res_var(f, g) (keyed as in _res_mod), or None when f(0) = g(0) = 0, so
+    that Res is 0: with both leads nonzero, the only way that every term of
+    the Sylvester determinant holds a zero entry.  lo is the tighter of the
+    bounds _low gives on ord_y Res(f, g) and ord_y Res(g, f); hi the same on
+    the order at infinity, -deg_y."""
+    if all(m[-1] for m in f) and all(m[-1] for m in g):
+        return None
     out = []
     for t in range(len(next(iter(f))) - 1):
-        lo = assign(lambda ms: min(m[t] for m in ms))
-        if lo is None:
-            return None
-        out.append((lo, -assign(lambda ms: -max(m[t] for m in ms))))
-    # with no other variable, one run on zero weights finds whether a
-    # permutation avoids the zero entries
-    if not out and assign(lambda ms: 0) is None:
-        return None
+        exps = [[[m[t] for m in h if m[-1] == k] for k in range(d + 1)]
+                for h, d in ((f, df), (g, dg))]  # y-exponents of each coefficient
+        low = [[min(e) if e else None for e in ex] for ex in exps]
+        high = [[-max(e) if e else None for e in ex] for ex in exps]
+        out.append((max(_low(*low), _low(*low[::-1])), -max(_low(*high), _low(*high[::-1]))))
     return out
+
+
+def _values(row: list[int], xs: range, p: int) -> list[int]:
+    """A dense row, highest exponent first, at each of xs by Horner, mod p."""
+    out = []
+    for x in xs:
+        v = 0
+        for c in row:
+            v = v * x + c
+        out.append(v % p)
+    return out
+
+
+def _run(leads: list[list[list[int]]], n: int, p: int) -> int:
+    """The least s >= 1 such that both leading coefficients survive mod p at
+    every point x = s, ..., s + n - 1.  Each lead comes as its dense rows in
+    the first other variable and survives at x when one of them is nonzero
+    there; a run that meets a vanishing point restarts after it."""
+    dead = [0]
+    while dead:
+        xs = range(dead[-1] + 1, dead[-1] + 1 + n)
+        alive = [map(any, zip(*(_values(row, xs, p) for row in lead))) for lead in leads]
+        dead = [x for x, *up in zip(xs, *alive) if not all(up)]
+    return xs[0]
 
 
 def _res_mod(f: dict, g: dict, df: int, dg: int, windows: list[tuple[int, int]], p: int):
@@ -192,14 +215,15 @@ def _res_mod(f: dict, g: dict, df: int, dg: int, windows: list[tuple[int, int]],
 
     f and g map (exponents of the other variables, exponent of var) to
     residues; windows[i] = (lo, hi) holds the result's exponents in the i-th
-    other variable (see _windows).  The first is set to a run of N = hi - lo + 1
-    consecutive points x = s, ..., s + N - 1 where both leading coefficients
-    survive, each coefficient evaluated from its dense row in that variable
-    by Horner; the rest recurse, and a point where a leading coefficient
-    vanishes restarts the run after it.  One inverse serves the run's
-    denominators, times x^lo and (N - 1)!; forward differences then give the
-    Newton form sum_k D^k binom(x - s, k), which is expanded by Horner in
-    integers, times (N - 1)!, and reduced once per coefficient.
+    other variable (see _windows).  The first is set to the first run of
+    N = hi - lo + 1 consecutive points x = s, ..., s + N - 1 where both
+    leading coefficients survive (see _run), every coefficient evaluated over
+    the run from its dense row in that variable by Horner.  If it is the last
+    other variable the run takes one Euclid (see _res_batch); otherwise each
+    point recurses.  One inverse serves the run's denominators, times x^lo
+    and (N - 1)!; forward differences then give the Newton form
+    sum_k D^k binom(x - s, k), which is expanded by Horner in integers,
+    times (N - 1)!, and reduced once per coefficient.
     """
     if not (any(m[-1] == df for m in f) and any(m[-1] == dg for m in g)):
         return None
@@ -215,25 +239,18 @@ def _res_mod(f: dict, g: dict, df: int, dg: int, windows: list[tuple[int, int]],
             part.setdefault(m[1:], {})[m[0]] = c
     rows = [[(k, [t.get(e, 0) for e in range(max(t), -1, -1)]) for k, t in part.items()]
             for part in split]  # dense rows, highest exponent first
-    x, vals, dens = 0, [], []  # the run so far ends at x
-    while len(vals) < n:
-        x += 1
-        at = [{}, {}]
-        for part, out in zip(rows, at):
-            for k, row in part:
-                v = 0
-                for c in row:
-                    v = v * x + c
-                if v := v % p:
-                    out[k] = v
-        r = _res_mod(*at, df, dg, windows[1:], p)
-        if r is None:
-            vals, dens = [], []
-            continue
-        vals.append(r[0])
-        dens.append(r[1] * x**lo)
-    *inv, inv_fact = _inverses(dens + [factorial(n - 1)], p)
-    out = {}
+    s = _run([[row for k, row in part if k[-1] == d] for part, d in zip(rows, (df, dg))], n, p)
+    xs = range(s, s + n)
+    at = [{k: _values(row, xs, p) for k, row in part} for part in rows]
+    if len(windows) == 1:  # the coefficients in var, each a list over the run
+        nums, dens = _res_batch(*([part.get((e,), [0] * n) for e in range(d + 1)]
+                                  for part, d in zip(at, (df, dg))), p)
+        vals = [{(): v} if v else {} for v in nums]
+    else:
+        vals, dens = zip(*(_res_mod(*({k: v[j] for k, v in part.items() if v[j]} for part in at),
+                                    df, dg, windows[1:], p) for j in range(n)))
+    *inv, inv_fact = _inverses([d * x**lo for d, x in zip(dens, xs)] + [factorial(n - 1)], p)
+    x, out = xs[-1], {}  # the run ends at x
     for key in set().union(*vals):
         diff = [v.get(key, 0) * u % p for v, u in zip(vals, inv)]
         for j in range(1, n):  # diff[j] becomes the j-th forward difference at s

@@ -388,7 +388,7 @@ def _lift(pivots: list[tuple[str, RationalPoly]], point: dict[str, Fraction]):
         yield from _lift(pivots[:-1], {**point, var: root})
 
 
-def solve(system: EinsteinSystem, tol: float = CERTIFY_TOL) -> list[EinsteinSolution]:
+def solve(system: EinsteinSystem) -> list[EinsteinSolution]:
     """All certified positive Einstein solutions found, sorted by x13.
 
     The x13 = 1 branch is produced from the closed-form quadratic.  The
@@ -397,14 +397,14 @@ def solve(system: EinsteinSystem, tol: float = CERTIFY_TOL) -> list[EinsteinSolu
     which gives the reported x13 (the float of the midpoint) and its
     interval, then further to LIFT_WIDTH; the simplest rational in that
     interval is lifted through the resultant pivots (see _lift) and
-    certified exactly.  Roots with no certified lift
+    certified exactly at CERTIFY_TOL.  Roots with no certified lift
     contribute nothing; an empty h-branch is legal.
     """
     decomp = system.decomp
     solutions: list[EinsteinSolution] = []
     jensen = jensen_points(decomp)
     for point in jensen:
-        result = certify(point, decomp, tol, jensen)
+        result = certify(point, decomp, CERTIFY_TOL, jensen)
         if isinstance(result, EinsteinSolution):
             solutions.append(result)
     eliminant, pivots = _eliminate(system)
@@ -419,7 +419,7 @@ def solve(system: EinsteinSystem, tol: float = CERTIFY_TOL) -> list[EinsteinSolu
             for lbl in _free_labels(decomp):
                 coords[lbl] = point[f"x{lbl.name}"]
             coords[OffDiag(1, 3)] = r13  # reported x13: lies in intervals.x13
-            result = certify(coords, decomp, tol, jensen)
+            result = certify(coords, decomp, CERTIFY_TOL, jensen)
             if isinstance(result, EinsteinSolution):
                 solutions.append(
                     replace(result, intervals={"x13": (refined.lo, refined.hi)})

@@ -1,12 +1,16 @@
 """Coefficient-list helpers shared by the test modules, and the oracles the
 Sturm layer must agree with: the halving loop behind root refinement, the
 two-PRS square-free part and root isolation, and the Fraction
-Stern-Brocot walk."""
+Stern-Brocot walk; the one the resultant's degree windows must agree with,
+least and greatest assignments over the Sylvester matrix; and a loader for
+the scripts in tools/."""
 
 from __future__ import annotations
 
+import importlib.util
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,15 @@ from stiefel_einstein.polyalg.sturm import (
     _sign_at,
     root_bound,
 )
+
+
+def tool(name: str):
+    """The script tools/<name>.py, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def times_x_minus_1(coeffs: list[Fraction]) -> list[Fraction]:
@@ -171,3 +184,67 @@ def simplest_oracle(lo: Fraction, hi: Fraction) -> Fraction:
             return Fraction(a * n + b, c * n + d)
         lo, hi = 1 / (hi - k), (None if lo == k else 1 / (lo - k))
         a, b, c, d, lo_open = a * k + b, a, c * k + d, c, not lo_open
+
+
+# -- degree windows of the modular resultant, by assignment --------------------
+
+def _assignment(weights: list[list]) -> int | None:
+    """Least sum of weights[i][perm[i]] over permutations perm that avoid the
+    None entries; None when none does.  Hungarian algorithm with potentials:
+    rows and columns count from 1, and column 0 holds the row being placed."""
+    n = len(weights)
+    cost = [[]] + [[0] + [math.inf if w is None else w for w in row] for row in weights]
+    u, v, match, way = ([0] * (n + 1) for _ in range(4))
+    for i in range(1, n + 1):
+        match[0], j0, slack, used = i, 0, [math.inf] * (n + 1), [False] * (n + 1)
+        while match[j0]:
+            used[j0], i0, delta, j1 = True, match[j0], math.inf, 0
+            for j in range(1, n + 1):
+                if not used[j]:
+                    if (c := cost[i0][j] - u[i0] - v[j]) < slack[j]:
+                        slack[j], way[j] = c, j0
+                    if slack[j] < delta:
+                        delta, j1 = slack[j], j
+            for j in range(n + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            if delta == math.inf:  # the rows reached see too few columns (Hall)
+                return None
+            j0 = j1
+        while j0:  # augment along the alternating path
+            match[j0], j0 = match[way[j0]], way[j0]
+    return sum(cost[match[j]][j] for j in range(1, n + 1))
+
+
+def window_oracle(f: dict, g: dict, df: int, dg: int) -> list[tuple[int, int]] | None:
+    """For each other variable y, a window [lo, hi] holding every y-exponent
+    of Res_var(f, g) (keyed as in resultants._res_mod), or None when no
+    permutation avoids the zero entries, so that Res is 0: each term of the
+    Sylvester determinant is a product of nonzero entries along a
+    permutation, so its y-exponents lie between the least assignment of the
+    entries' lowest y-exponents and the greatest of their y-degrees."""
+    rows = []  # Sylvester rows {column: exponent keys of the entry}: f's, then g's
+    for h, d, shifts in ((f, df, dg), (g, dg, df)):
+        coeffs: dict = {}  # var exponent k -> keys; in shift i it sits in column i + d - k
+        for m in h:
+            coeffs.setdefault(m[-1], []).append(m)
+        rows += [{i + d - k: ms for k, ms in coeffs.items()} for i in range(shifts)]
+
+    def assign(weight):  # of the exponent keys of an entry
+        return _assignment([[weight(row[j]) if j in row else None
+                             for j in range(df + dg)] for row in rows])
+
+    out = []
+    for t in range(len(next(iter(f))) - 1):
+        lo = assign(lambda ms: min(m[t] for m in ms))
+        if lo is None:
+            return None
+        out.append((lo, -assign(lambda ms: -max(m[t] for m in ms))))
+    # with no other variable, one run on zero weights finds whether a
+    # permutation avoids the zero entries
+    if not out and assign(lambda ms: 0) is None:
+        return None
+    return out

@@ -281,6 +281,14 @@ def test_bad_usage_is_domain_error(capsys):
         assert err.startswith("error:") and "--n" in err and "one shape" in err
 
 
+def test_solve_takes_no_tolerance(capsys):
+    # solve certifies at CERTIFY_TOL: --tol 1 once passed two (2,4,3) points
+    # with residuals 0.56 and 0.068 as New metrics
+    code, out, err = run(capsys, "solve", "--blocks", "2,4,3", "--tol", "1")
+    assert code == EXIT_DOMAIN and not out
+    assert err.startswith("error:") and "--tol" in err
+
+
 def test_fixtures_verify(capsys):
     code, out, _ = run(capsys, "fixtures-verify")
     assert code == EXIT_OK

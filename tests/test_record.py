@@ -23,6 +23,7 @@ from stiefel_einstein.solver import (
     EinsteinSystem,
     PositivityRow,
     Rejection,
+    build_system,
     positivity_report,
 )
 from stiefel_einstein.triples import TripleTable, dims, triples_closed_form
@@ -54,7 +55,7 @@ CASES = [
     (RicciComponents, lambda k: RicciComponents({Diag(2): Fraction(k)}), "values", False),
     (IsolatingInterval, lambda k: IsolatingInterval(Fraction(1), Fraction(2 + k), (-3, 2)), "hi",
      True),
-    # polys left empty: a RationalPoly does not survive a pickle round trip
+    # polys left empty; test_system_survives_pickle round-trips a built system
     (EinsteinSystem, lambda k: EinsteinSystem(SHAPES[k], OffDiag(2, 3), (), []), "polys", False),
     (EinsteinSolution, _solution, "lam", False),
     (Rejection, lambda k: Rejection(f"reason {k}"), "reason", True),
@@ -85,6 +86,12 @@ def test_record_semantics(cls, make, field, hashable):
     assert type(copy) is cls and copy == a and copy != other
     with pytest.raises(AttributeError):
         setattr(copy, field, getattr(other, field))
+
+
+def test_system_survives_pickle():
+    # its polys are RationalPoly, whose slots a default unpickling cannot set
+    system = build_system(BlockDecomposition((2, 3, 2)))
+    assert pickle.loads(pickle.dumps(system)) == system
 
 
 def test_equality_is_within_one_class():

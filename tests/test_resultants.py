@@ -21,7 +21,10 @@ sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
 from sympy.polys.subresultants_qq_zz import sylvester  # noqa: E402
+
+from helpers import tool, window_oracle  # noqa: E402
 
 V = ("x", "y", "z")
 X, Y, Z = RationalPoly.gens(V)
@@ -99,13 +102,13 @@ RESTART_CASES = {
 def test_run_restarts_after_a_vanishing_leading_coefficient(p, q, monkeypatch):
     skipped = []
 
-    def recording_res_mod(*args):
-        r = res_mod(*args)
-        skipped.append(r is None)
-        return r
+    def recording_run(*args):
+        s = run(*args)
+        skipped.append(s > 1)
+        return s
 
-    res_mod = resultants._res_mod
-    monkeypatch.setattr(resultants, "_res_mod", recording_res_mod)
+    run = resultants._run
+    monkeypatch.setattr(resultants, "_run", recording_run)
     assert _matches_sylvester(p, q, "x")
     assert any(skipped)
 
@@ -259,6 +262,97 @@ _univariate_mod_p = st.builds(
 @given(_univariate_mod_p, _univariate_mod_p)
 def test_univariate_resultant_matches_sylvester_on_random_lists(a, b):
     assert _res_univariate(a, b, P64) == _sylvester_mod(a, b, P64)
+
+
+def _res_batch(pairs: list[tuple[list[int], list[int]]], p: int) -> list[int]:
+    """Res of each pair mod p, by one batched Euclid over pairs of shared degrees."""
+    a, b = ([list(column) for column in zip(*side)] for side in zip(*pairs))
+    nums, dens = resultants._res_batch(a, b, p)
+    return [u * pow(v, -1, p) % p for u, v in zip(nums, dens)]
+
+
+# degrees 4 and 3 in each pair; the first remainder has degree 2, degree 1
+# (the degree_drop case above), or vanishes: x^3 + x + 1 divides the first
+DIVERGING = [
+    ([1, 2, 3, 4, 5], [6, 7, 8, 9]),
+    ([17, 9, 1, 3, 1], [5, 1, 0, 1]),
+    ([2, 3, 1, 2, 1], [1, 1, 0, 1]),
+]
+
+
+@pytest.mark.parametrize("pairs", [
+    DIVERGING, DIVERGING[::-1], DIVERGING[1:] + DIVERGING[:1] * 2, DIVERGING[2:],
+], ids=["three_degrees", "reversed", "repeated", "one_zero"])
+def test_batched_euclid_splits_where_remainder_degrees_diverge(pairs):
+    assert _res_batch(pairs, P64) == [_sylvester_mod(a, b, P64) for a, b in pairs]
+
+
+@st.composite
+def _batches(draw):
+    """Pairs of ascending lists mod P64 sharing their degrees, leads nonzero;
+    small coefficients make remainder degrees differ between pairs."""
+    m, n, size = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(1, 5))
+    lead = st.one_of(st.integers(1, 3), st.integers(1, P64 - 1))
+
+    def poly(d):
+        return draw(st.lists(_coefficient, min_size=d, max_size=d)) + [draw(lead)]
+
+    return [(poly(m), poly(n)) for _ in range(size)]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(_batches())
+def test_batched_euclid_matches_sylvester_on_random_batches(pairs):
+    assert _res_batch(pairs, P64) == [_sylvester_mod(a, b, P64) for a, b in pairs]
+
+
+def _sparse(others: int):
+    """An integer polynomial keyed (exponents of the other variables, exponent
+    of x), as resultants._windows takes it, of positive degree in x."""
+    return st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * others, st.integers(0, 3)),
+        st.integers(-9, 9).filter(bool),
+        min_size=2,
+        max_size=6,
+    ).filter(lambda h: max(m[-1] for m in h) > 0)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.integers(1, 2).flatmap(lambda k: st.tuples(_sparse(k), _sparse(k))))
+def test_newton_windows_lie_in_the_assignment_windows_and_hold_the_determinant(pair):
+    f, g = pair
+    df, dg = (max(m[-1] for m in h) for h in pair)
+    windows, oracle = resultants._windows(f, g, df, dg), window_oracle(f, g, df, dg)
+    others, x = sympy.symbols(f"y:{len(next(iter(f))) - 1}"), sympy.Symbol("x")
+    f_expr, g_expr = (sympy.Add(*(
+        c * x**m[-1] * sympy.Mul(*(y**e for y, e in zip(others, m))) for m, c in h.items()
+    )) for h in pair)
+    # the determinant over Z[others], as a polynomial keyed by exponent tuples
+    det = DomainMatrix.from_Matrix(sylvester(f_expr, g_expr, x)).convert_to(
+        sympy.ZZ[others]).det()
+    assert (windows is None) == (oracle is None)
+    if windows is None:
+        assert not det
+        return
+    assert all(olo <= lo <= hi <= ohi for (lo, hi), (olo, ohi) in zip(windows, oracle))
+    for exponents in det.monoms() if det else ():
+        assert all(lo <= e <= hi for e, (lo, hi) in zip(exponents, windows))
+
+
+def test_windows_equal_the_assignment_windows_on_every_shape_up_to_n8(monkeypatch):
+    calls = []
+
+    def recording_windows(*args):
+        calls.append((args, windows(*args)))
+        return calls[-1][1]
+
+    windows = resultants._windows
+    monkeypatch.setattr(resultants, "_windows", recording_windows)
+    for blocks in tool("solve_digest").shapes(8):
+        resultants.eliminate_resultant(build_system(BlockDecomposition(blocks)).polys, "x13")
+    assert len(calls) == 35  # one modular resultant per shape
+    for args, got in calls:
+        assert got == window_oracle(*args)
 
 
 def test_windows_hold_every_exponent_of_the_232_resultants(monkeypatch):

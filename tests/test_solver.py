@@ -31,7 +31,7 @@ from stiefel_einstein.solver import (
 )
 from stiefel_einstein.triples import dims, triples_closed_form
 
-from helpers import divides, isolation_oracle
+from helpers import divides, isolation_oracle, tool
 
 
 def _poly(variables, terms):
@@ -498,6 +498,15 @@ def test_reports_are_pinned(tmp_path, argv):
     path = tmp_path / "report.json"
     assert cli.main([*argv, "--output", str(path)]) == cli.EXIT_OK
     assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_SHA256[argv]
+
+
+def test_reports_of_every_shape_up_to_n8_are_pinned():
+    # tools/solve_digest.py 8: one sha256 over the solve --format json reports
+    # of the 35 shapes, as computed before the modular resultant ran one
+    # Euclid per run of points
+    solve_digest = tool("solve_digest")
+    assert solve_digest.digest(solve_digest.shapes(8)) == (
+        "7b617322c952cb807398997598743b6ab3bbf6e5d370f824f2c95d7d77e9e9d5")
 
 
 def test_eliminant_positive_roots_match_sympy():

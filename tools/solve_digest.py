@@ -25,11 +25,17 @@ def shapes(n_max: int) -> list[tuple[int, int, int]]:
             for k1 in range(1, n - 2) for k2 in range(2, n - k1)]
 
 
-if __name__ == "__main__":
-    digest, start, blocks = hashlib.sha256(), time.perf_counter(), shapes(int(sys.argv[1]))
+def digest(blocks: list[tuple[int, int, int]]) -> str:
+    """The sha256 of the shapes' solve reports, one after another."""
+    sha = hashlib.sha256()
     for shape in blocks:
         with redirect_stdout(io.StringIO()) as out:
             if main(["solve", "--blocks", ",".join(map(str, shape)), "--format", "json"]):
                 raise SystemExit(f"solve failed on {shape}")
-        digest.update(out.getvalue().encode())
-    print(len(blocks), digest.hexdigest(), f"{time.perf_counter() - start:.1f} s")
+        sha.update(out.getvalue().encode())
+    return sha.hexdigest()
+
+
+if __name__ == "__main__":
+    start, blocks = time.perf_counter(), shapes(int(sys.argv[1]))
+    print(len(blocks), digest(blocks), f"{time.perf_counter() - start:.1f} s")
