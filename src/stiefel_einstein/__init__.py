@@ -12,7 +12,6 @@ from .errors import (
     EliminationOverflowError,
     InvalidElementError,
     StiefelError,
-    UndefinedKillingRatioError,
     UnsupportedShapeError,
 )
 from .so_algebra import (
@@ -23,8 +22,6 @@ from .so_algebra import (
     ModuleLabel,
     OffDiag,
     bracket,
-    killing_norm,
-    killing_ratio,
     module_of,
 )
 from .triples import TripleTable, dims, triples_bruteforce, triples_closed_form
@@ -41,7 +38,6 @@ __version__ = "0.1.0"
 __all__ = [
     "StiefelError",
     "InvalidElementError",
-    "UndefinedKillingRatioError",
     "DomainError",
     "UnsupportedShapeError",
     "DegenerateSystemError",
@@ -53,8 +49,6 @@ __all__ = [
     "ModuleLabel",
     "OffDiag",
     "bracket",
-    "killing_norm",
-    "killing_ratio",
     "module_of",
     "TripleTable",
     "dims",

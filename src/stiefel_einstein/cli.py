@@ -86,6 +86,9 @@ def _decomp(args) -> BlockDecomposition:
     if len(n_values) != 1:
         raise ValueError(f"--n {args.n} gives {len(n_values)} shapes; "
                          f"{args.command} takes one shape")
+    if n_values[0] <= sum(blocks):
+        raise ValueError(f"--n {args.n} leaves no third block: "
+                         f"--blocks {args.blocks} needs n > {sum(blocks)}")
     return BlockDecomposition((*blocks, n_values[0] - sum(blocks)))
 
 

@@ -9,10 +9,6 @@ class InvalidElementError(StiefelError, ValueError):
     """A basis element's indices are out of range or malformed."""
 
 
-class UndefinedKillingRatioError(StiefelError, ValueError):
-    """Killing ratio requested for so(k) with k < 3 (abelian or trivial)."""
-
-
 class DomainError(StiefelError, ValueError):
     """An input violates a precondition (nonpositive coefficient, bad n, ...)."""
 

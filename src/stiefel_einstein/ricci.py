@@ -97,8 +97,6 @@ def ricci_specialized(
     Uses the k_1 >= 2 form or its k_1 = 1 reduction (where the so(k_1)
     module is absent).  Requires k_2 >= 2.
     """
-    if len(decomp.blocks) != 3:
-        raise UnsupportedShapeError("specialized Ricci needs 3 blocks")
     k1, k2, k3 = decomp.blocks
     if k2 < 2:
         raise UnsupportedShapeError("specialized Ricci needs k_2 >= 2")
@@ -148,8 +146,6 @@ def ricci_specialized(
     return RicciComponents(out)
 
 
-def ricci(metric: InvariantMetric, table: TripleTable | None = None) -> RicciComponents:
-    """General-formula Ricci, building the closed-form triple table if needed."""
-    if table is None:
-        table = triples_closed_form(metric.decomp)
-    return ricci_general(table, metric)
+def ricci(metric: InvariantMetric) -> RicciComponents:
+    """General-formula Ricci from the closed-form triple table."""
+    return ricci_general(triples_closed_form(metric.decomp), metric)

@@ -1,4 +1,4 @@
-"""The Lie algebra so(n): basis, brackets, Killing form, block decompositions.
+"""The Lie algebra so(n): basis, brackets, three-block decompositions.
 
 Everything here is exact.  Basis elements are the antisymmetric matrices
 e_ab = E_ab - E_ba, stored index-normalized (a < b); e_ba is represented as
@@ -7,9 +7,9 @@ e_ab = E_ab - E_ba, stored index-normalized (a < b); e_ba is represented as
 
 from __future__ import annotations
 
-from fractions import Fraction
+import functools
 
-from .errors import DomainError, InvalidElementError, UndefinedKillingRatioError
+from .errors import DomainError, InvalidElementError
 from .record import Record
 
 
@@ -57,10 +57,13 @@ class ModuleLabel(Record, order=True):
         return f"x{self.name}"
 
 
+# One shared label per argument: every caller gets the same immutable record.
+@functools.cache
 def Diag(a: int) -> ModuleLabel:
     return ModuleLabel("diag", (a,))
 
 
+@functools.cache
 def OffDiag(a: int, b: int) -> ModuleLabel:
     return ModuleLabel("offdiag", (a, b))
 
@@ -83,18 +86,18 @@ ISOTROPY = _Isotropy()
 
 
 class BlockDecomposition(Record):
-    """Partition (k_1, ..., k_m) of n, m in {2, 3}, blocks laid out in order.
+    """Partition (k_1, k_2, k_3) of n, blocks laid out in order.
 
-    With m = 3 this models the Stiefel manifold SO(n)/SO(k_3): the last block
-    is the isotropy group.  k_1 = 1 is legal and suppresses the so(k_1)
-    diagonal module.
+    It models the Stiefel manifold SO(n)/SO(k_3): the third block is the
+    isotropy group.  k_1 = 1 is legal and suppresses the so(k_1) diagonal
+    module.  This is the only place the block count is checked.
     """
 
     blocks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.blocks) not in (2, 3):
-            raise DomainError(f"need 2 or 3 blocks, got {self.blocks}")
+        if len(self.blocks) != 3:
+            raise DomainError(f"need 3 blocks, got {self.blocks}")
         if any(k < 1 for k in self.blocks):
             raise DomainError(f"every block must be >= 1: {self.blocks}")
         if self.n < 4:
@@ -119,21 +122,6 @@ class BlockDecomposition(Record):
         """All of so(n)'s basis elements e_ab, a < b."""
         n = self.n
         return [BasisElement(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
-
-
-def check_element(decomp: BlockDecomposition, e: BasisElement) -> None:
-    if e.b > decomp.n:
-        raise InvalidElementError(f"{e} out of range for n = {decomp.n}")
-
-
-def killing_norm(decomp: BlockDecomposition, e: BasisElement) -> Fraction:
-    """-B(e, e) for the Killing form B(X, Y) = (n-2) tr XY of so(n).
-
-    Each basis element has tr(e^2) = -2, so the value is 2(n-2); the
-    -B-orthonormal basis vector is e / sqrt(2(n-2)).
-    """
-    check_element(decomp, e)
-    return Fraction(2 * (decomp.n - 2))
 
 
 def bracket(x: BasisElement, y: BasisElement) -> tuple[int, BasisElement] | None:
@@ -164,27 +152,12 @@ def bracket(x: BasisElement, y: BasisElement) -> tuple[int, BasisElement] | None
 def module_of(decomp: BlockDecomposition, e: BasisElement) -> ModuleLabel | _Isotropy:
     """Classify a basis element by the block pair its indices fall in.
 
-    Elements with both indices inside the last block belong to the isotropy
-    algebra and are tagged ISOTROPY.
+    Elements with both indices inside the third block belong to the isotropy
+    algebra and are tagged ISOTROPY.  An element outside so(n) raises
+    InvalidElementError.
     """
-    check_element(decomp, e)
     ba, bb = decomp.block_of(e.a), decomp.block_of(e.b)
-    last = len(decomp.blocks)
     if ba == bb:
-        if ba == last:
-            return ISOTROPY
-        return Diag(ba)
+        return ISOTROPY if ba == 3 else Diag(ba)
     return OffDiag(ba, bb)
 
-
-def killing_ratio(k: int, n: int) -> Fraction:
-    """Ratio between the Killing form of so(k) and so(n)|_so(k): (k-2)/(n-2).
-
-    Valid for the standard embedding so(k) in so(n), k >= 3; so(2) is abelian
-    and its Killing form vanishes.
-    """
-    if k < 3:
-        raise UndefinedKillingRatioError(f"so({k}) has no Killing ratio (k < 3)")
-    if k > n:
-        raise DomainError(f"need k <= n, got k = {k}, n = {n}")
-    return Fraction(k - 2, n - 2)

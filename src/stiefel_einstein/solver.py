@@ -107,17 +107,11 @@ class Rejection(Record):
 
 
 def _free_labels(decomp: BlockDecomposition) -> list[ModuleLabel]:
-    k1, k2, _ = decomp.blocks
-    labels: list[ModuleLabel] = []
-    if k1 >= 2:
-        labels.append(Diag(1))
-    labels += [Diag(2), OffDiag(1, 2), OffDiag(1, 3)]
-    return labels
+    """The module labels other than the gauge x23 = 1, sorted."""
+    return sorted(lbl for lbl in dims(decomp) if lbl != OffDiag(2, 3))
 
 
 def _check_shape(decomp: BlockDecomposition) -> None:
-    if len(decomp.blocks) != 3:
-        raise UnsupportedShapeError("solver needs a 3-block decomposition")
     if decomp.blocks[1] < 2:
         raise UnsupportedShapeError("solver needs k_2 >= 2")
 

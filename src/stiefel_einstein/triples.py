@@ -2,15 +2,10 @@
 
 A triple is the sum of squared structure constants over -B-orthonormal bases
 of three metric modules.  Two routes compute the same table: brute-force
-summation over basis brackets, and the closed forms
-
-    [a;aa]       = k_a (k_a - 1)(k_a - 2) / (2(n - 2))
-    [a;(ab)(ab)] = k_a k_b (k_a - 1)     / (2(n - 2))
-    [(ac);(ab)(bc)] = k_a k_b k_c        / (2(n - 2))
-
-The brute-force route is the oracle; the closed forms are what the solver
-uses.  Triples never touch the isotropy block: sums run over metric modules
-only.
+summation over basis brackets, and the closed forms of the seven triple
+shapes that can be nonzero (see _admissible_triples).  The brute-force route
+is the oracle; the closed forms are what the solver uses.  Triples never
+touch the isotropy block: sums run over metric modules only.
 """
 
 from __future__ import annotations
@@ -44,11 +39,10 @@ def triple_key(i: ModuleLabel, j: ModuleLabel, k: ModuleLabel) -> TripleKey:
 def dims(decomp: BlockDecomposition) -> dict[ModuleLabel, int]:
     """Dimension of every metric module of the decomposition.
 
-    Diag(a) appears only for a in {1, 2} with k_a >= 2; the last block is
-    isotropy and contributes nothing.
+    Diag(a) appears only for a in {1, 2} with k_a >= 2; the third block is
+    isotropy and contributes nothing.  The free coordinates of the solver
+    are these labels other than x23.
     """
-    if len(decomp.blocks) != 3:
-        raise DomainError("module dimensions are defined for 3-block decompositions")
     k = decomp.blocks
     out: dict[ModuleLabel, int] = {}
     for a in (1, 2):
@@ -59,25 +53,34 @@ def dims(decomp: BlockDecomposition) -> dict[ModuleLabel, int]:
     return out
 
 
-# The seven triple shapes that can be nonzero, as unordered block-label
-# multisets; anything else is identically zero (and the table enforces it).
-def _admissible_keys(decomp: BlockDecomposition) -> set[TripleKey]:
-    keys = set()
-    d = dims(decomp)
-    def have(lbl: ModuleLabel) -> bool:
-        return lbl in d
-    for a in (1, 2):
-        if have(Diag(a)):
-            keys.add(triple_key(Diag(a), Diag(a), Diag(a)))
-    for a in (1, 2):
+def _admissible_triples(decomp: BlockDecomposition) -> dict[TripleKey, Fraction]:
+    """Every triple shape that can be nonzero, with its closed-form value,
+    zeros included; every other triple vanishes identically.  With
+    D = 2(n - 2), a in {1, 2} with k_a >= 2 and b != a:
+
+        [a;aa]          = k_a (k_a - 1)(k_a - 2) / D
+        [a;(ab)(ab)]    = k_a k_b (k_a - 1)      / D
+        [(13);(12)(23)] = k_1 k_2 k_3            / D
+
+    which is at most seven shapes, in this order.
+    """
+    k = decomp.blocks
+    den = 2 * (decomp.n - 2)
+    diags = [lbl.blocks[0] for lbl in dims(decomp) if lbl.kind == "diag"]
+    out: dict[TripleKey, Fraction] = {}
+    for a in diags:
+        ka = k[a - 1]
+        out[triple_key(Diag(a), Diag(a), Diag(a))] = Fraction(ka * (ka - 1) * (ka - 2), den)
+    for a in diags:
+        ka = k[a - 1]
         for b in (1, 2, 3):
-            if a == b:
-                continue
-            ab = OffDiag(min(a, b), max(a, b))
-            if have(Diag(a)) and have(ab):
-                keys.add(triple_key(Diag(a), ab, ab))
-    keys.add(triple_key(OffDiag(1, 2), OffDiag(1, 3), OffDiag(2, 3)))
-    return keys
+            if b != a:
+                ab = OffDiag(min(a, b), max(a, b))
+                out[triple_key(Diag(a), ab, ab)] = Fraction(ka * k[b - 1] * (ka - 1), den)
+    out[triple_key(OffDiag(1, 2), OffDiag(1, 3), OffDiag(2, 3))] = Fraction(
+        k[0] * k[1] * k[2], den
+    )
+    return out
 
 
 class TripleTable(Record):
@@ -90,7 +93,7 @@ class TripleTable(Record):
     def __post_init__(self) -> None:
         if not self.dims:
             object.__setattr__(self, "dims", dims(self.decomp))
-        admissible = _admissible_keys(self.decomp)
+        admissible = _admissible_triples(self.decomp)
         for key, val in self.entries.items():
             if val < 0:
                 raise DomainError(f"negative triple {key}: {val}")
@@ -210,34 +213,8 @@ def triples_bruteforce(decomp: BlockDecomposition) -> TripleTable:
 
 @functools.cache
 def triples_closed_form(decomp: BlockDecomposition) -> TripleTable:
-    """Triples from the closed forms; only the seven admissible shapes.  One
-    table per decomposition, shared by every caller."""
-    if len(decomp.blocks) != 3:
-        raise DomainError("triples are defined for 3-block decompositions")
-    k = decomp.blocks
-    n = decomp.n
-    den = 2 * (n - 2)
-    d = dims(decomp)
-    entries: dict[TripleKey, Fraction] = {}
-
-    for a in (1, 2):
-        if Diag(a) in d:
-            ka = k[a - 1]
-            entries[triple_key(Diag(a), Diag(a), Diag(a))] = Fraction(
-                ka * (ka - 1) * (ka - 2), den
-            )
-    for a in (1, 2):
-        if Diag(a) not in d:
-            continue
-        ka = k[a - 1]
-        for b in (1, 2, 3):
-            if b == a:
-                continue
-            kb = k[b - 1]
-            ab = OffDiag(min(a, b), max(a, b))
-            entries[triple_key(Diag(a), ab, ab)] = Fraction(ka * kb * (ka - 1), den)
-    entries[triple_key(OffDiag(1, 2), OffDiag(1, 3), OffDiag(2, 3))] = Fraction(
-        k[0] * k[1] * k[2], den
-    )
-    entries = {key: v for key, v in entries.items() if v != 0}
+    """Triples from the closed forms: the nonzero entries of
+    _admissible_triples.  One table per decomposition, shared by every
+    caller."""
+    entries = {key: v for key, v in _admissible_triples(decomp).items() if v != 0}
     return TripleTable(decomp, entries)

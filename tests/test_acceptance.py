@@ -215,7 +215,7 @@ def test_criterion_9_property_suites():
 
     # Jacobi identity for n <= 8
     for n in range(4, 9):
-        blocks = (1, 3, n - 4) if n > 4 else (1, 3)
+        blocks = (1, 3, n - 4) if n > 4 else (1, 2, 1)
         basis = BlockDecomposition(blocks).basis()
         for x, y, z in combinations(basis, 3):
             total: dict = {}

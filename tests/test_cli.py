@@ -279,6 +279,12 @@ def test_bad_usage_is_domain_error(capsys):
         code, out, err = run(capsys, cmd, "--blocks", "1,3,R", "--n", "6..8", *extra)
         assert code == EXIT_DOMAIN and not out
         assert err.startswith("error:") and "--n" in err and "one shape" in err
+    # an n that leaves no third block names --n and --blocks, not a block
+    # the user never typed
+    for cmd, blocks in [("solve", "1,3,R"), ("triples", "2,3,R")]:
+        code, out, err = run(capsys, cmd, "--blocks", blocks, "--n", "4")
+        assert code == EXIT_DOMAIN and not out
+        assert err.startswith("error:") and "--n" in err and "--blocks" in err
 
 
 def test_solve_takes_no_tolerance(capsys):

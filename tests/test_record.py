@@ -48,7 +48,7 @@ def _solution(k: int) -> EinsteinSolution:
 # (record type, make(k): equal for equal k, field to assign, hashable)
 CASES = [
     (BasisElement, lambda k: BasisElement(1, 2 + k), "a", True),
-    (ModuleLabel, lambda k: OffDiag(1, 2 + k), "kind", True),
+    (ModuleLabel, lambda k: ModuleLabel("offdiag", (1, 2 + k)), "kind", True),
     (BlockDecomposition, lambda k: BlockDecomposition((2 - k, 3, 2)), "blocks", True),
     (TripleTable, _table, "entries", False),
     (InvariantMetric, _metric, "coeffs", False),

@@ -2,16 +2,11 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from stiefel_einstein.errors import (
-    DomainError,
-    InvalidElementError,
-    UndefinedKillingRatioError,
-)
+from stiefel_einstein.errors import DomainError, InvalidElementError
 from stiefel_einstein.so_algebra import (
     ISOTROPY,
     BasisElement,
@@ -19,8 +14,6 @@ from stiefel_einstein.so_algebra import (
     Diag,
     OffDiag,
     bracket,
-    killing_norm,
-    killing_ratio,
     module_of,
 )
 
@@ -48,6 +41,8 @@ def test_decomposition_validation():
         BlockDecomposition((1, 2))  # n = 3 too small
     with pytest.raises(DomainError):
         BlockDecomposition((0, 3, 2))
+    with pytest.raises(DomainError):
+        BlockDecomposition((3, 3))  # two blocks
 
 
 def test_bracket_shared_index():
@@ -78,7 +73,7 @@ def test_bracket_antisymmetry_exhaustive():
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_jacobi_identity(n):
-    blocks = (1, 3, n - 4) if n > 4 else (1, 3)
+    blocks = (1, 3, n - 4) if n > 4 else (1, 2, 1)
     d = BlockDecomposition(blocks)
     basis = d.basis()
     for x, y, z in combinations(basis, 3):
@@ -96,13 +91,6 @@ def test_jacobi_identity(n):
         assert all(v == 0 for v in total.values()), (x, y, z, total)
 
 
-def test_killing_norm_value():
-    d = BlockDecomposition((1, 3, 2))
-    # -B(e, e) = 2(n - 2) for every basis element
-    for e in d.basis():
-        assert killing_norm(d, e) == Fraction(2 * (d.n - 2))
-
-
 def test_module_of_classification():
     d = BlockDecomposition((1, 3, 2))
     assert module_of(d, BasisElement(2, 3)) == Diag(2)
@@ -110,13 +98,6 @@ def test_module_of_classification():
     assert module_of(d, BasisElement(1, 5)) == OffDiag(1, 3)
     assert module_of(d, BasisElement(2, 6)) == OffDiag(2, 3)
     assert module_of(d, BasisElement(5, 6)) is ISOTROPY
-
-
-def test_killing_ratio():
-    assert killing_ratio(3, 6) == Fraction(1, 4)
-    assert killing_ratio(4, 7) == Fraction(2, 5)
-    with pytest.raises(UndefinedKillingRatioError):
-        killing_ratio(2, 6)
 
 
 def test_labels_sortable_and_named():

@@ -13,7 +13,7 @@ from stiefel_einstein.errors import DomainError, UnsupportedShapeError
 from stiefel_einstein.fixtures import h1_coeffs, jensen_x2, jensen_x2_142
 from stiefel_einstein.polyalg import RationalPoly, isolate_real_roots
 from stiefel_einstein.ricci import InvariantMetric, ricci, ricci_general
-from stiefel_einstein.so_algebra import BlockDecomposition, Diag, OffDiag
+from stiefel_einstein.so_algebra import BlockDecomposition, Diag, ModuleLabel, OffDiag
 from stiefel_einstein.solver import (
     EinsteinSolution,
     Rejection,
@@ -165,8 +165,6 @@ def test_build_system_matches_symbolic_ricci(blocks):
 
 
 def test_build_system_rejects_unsupported_shapes():
-    with pytest.raises(UnsupportedShapeError):
-        build_system(BlockDecomposition((3, 3)))
     with pytest.raises(UnsupportedShapeError):
         build_system(BlockDecomposition((2, 1, 3)))
 
@@ -500,13 +498,62 @@ def test_reports_are_pinned(tmp_path, argv):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_SHA256[argv]
 
 
-def test_reports_of_every_shape_up_to_n8_are_pinned():
-    # tools/solve_digest.py 8: one sha256 over the solve --format json reports
-    # of the 35 shapes, as computed before the modular resultant ran one
-    # Euclid per run of points
+# tools/solve_digest.py N: one sha256 over the solve --format json reports of
+# every shape with n <= N, 35 for N = 8 and 84 for N = 10; N = 8 as computed
+# before the modular resultant ran one Euclid per run of points
+SOLVE_DIGEST = {
+    8: "7b617322c952cb807398997598743b6ab3bbf6e5d370f824f2c95d7d77e9e9d5",
+    10: "aef7b2bdc5ca2273ae08caff1a68409f703bdbb4697bdd29767391d081dd4a1e",
+}
+
+
+@pytest.mark.parametrize("n_max", SOLVE_DIGEST)
+def test_reports_of_every_shape_up_to_n_are_pinned(n_max):
     solve_digest = tool("solve_digest")
-    assert solve_digest.digest(solve_digest.shapes(8)) == (
-        "7b617322c952cb807398997598743b6ab3bbf6e5d370f824f2c95d7d77e9e9d5")
+    assert solve_digest.digest(solve_digest.shapes(n_max)) == SOLVE_DIGEST[n_max]
+
+
+def _swap_blocks(coords: dict) -> dict:
+    """The image of a solution on (k1, k2, k3) on (k2, k1, k3): so(k1) and
+    so(k2) trade places, as do m13 and m23, in the gauge x23 = 1 again."""
+    t = coords[OffDiag(1, 3)]
+    image = {Diag(1): coords[Diag(2)], Diag(2): coords[Diag(1)],
+             OffDiag(1, 2): coords[OffDiag(1, 2)], OffDiag(1, 3): coords[OffDiag(2, 3)],
+             OffDiag(2, 3): t}
+    return {lbl: x / t for lbl, x in image.items()}
+
+
+def test_block_swap_maps_solutions_onto_solutions():
+    # every shape with k1, k2 >= 2 and n <= 9 (35): swapping the first two
+    # blocks is an isometry, so each solution's image certifies on the swapped
+    # shape and is one of its reported solutions, of the same kind
+    shapes = [b for b in SHAPES_UP_TO_9 if b[0] >= 2]
+    sols = {b: solve(build_system(BlockDecomposition(b))) for b in shapes}
+    for (k1, k2, k3), found in sols.items():
+        swapped = sols[(k2, k1, k3)]
+        assert len(found) == len(swapped), (k1, k2, k3)
+        for s in found:
+            image = _swap_blocks(s.coords)
+            cert = certify(image, BlockDecomposition((k2, k1, k3)))
+            assert isinstance(cert, EinsteinSolution), (k1, k2, k3, cert)
+            assert cert.classification == s.classification
+            near = [r for r in swapped
+                    if all(abs(r.coords[lbl] - x) <= 1e-9 for lbl, x in image.items())]
+            assert len(near) == 1, (k1, k2, k3, s.coords)
+            assert near[0].classification == s.classification
+
+
+def test_warm_solve_builds_no_module_label(capsys, monkeypatch):
+    # Diag and OffDiag return one shared label per argument; a (2,3,2) solve
+    # once built 83 labels, warm or not
+    argv = ["solve", "--blocks", "2,3,2"]
+    assert cli.main(argv) == cli.EXIT_OK
+    built = []
+    check = ModuleLabel.__post_init__
+    monkeypatch.setattr(ModuleLabel, "__post_init__",
+                        lambda self: built.append(self) or check(self))
+    assert cli.main(argv) == cli.EXIT_OK
+    assert built == []
 
 
 def test_eliminant_positive_roots_match_sympy():
