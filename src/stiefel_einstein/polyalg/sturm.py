@@ -10,9 +10,12 @@ last member of the primitive PRS of f and f'.  Isolation bisects (lo, hi]
 at the midpoints, nudged off roots, that a Sturm recursion takes, and
 decides each cell by Descartes' rule of signs (Collins & Akritas, SYMSAC
 1976); a subtree that holds one root gives its top cell, where the Sturm
-recursion stops.  All intervals are half-open, (lo, hi].  Refinement
-returns the cell that halving an isolating interval ends in, reached by
-quadratic interval refinement on the grid of those cells.
+recursion stops.  A cell that kept a pair of roots through 8, 16, 32, ...
+halvings in a row may part it in one step: where exact signs show one root
+in each half of a grid cell, those halves are the tree's intervals.  All
+intervals are half-open, (lo, hi].  Refinement returns the cell that halving
+an isolating interval ends in, reached by quadratic interval refinement on
+the grid of those cells.
 """
 
 from __future__ import annotations
@@ -215,17 +218,53 @@ def _halve(q: ZCoeffs) -> ZCoeffs:
     return [a >> k for a in out]
 
 
-def _descartes(q: ZCoeffs) -> int:
-    """q's roots in (0, 1] when Descartes' rule of signs shows at most one,
-    else 2: the sign variations of (u + 1)^deg q(1 / (u + 1)), up to 2, bound
-    those in (0, 1), and q(1) = 0 adds one.  Its coefficients come out from
-    the constant up, by repeated synthetic division of rev q by u - 1."""
+def _descartes(q: ZCoeffs, cap: int = 2) -> int:
+    """q's roots in (0, 1] when Descartes' rule of signs shows fewer than cap,
+    else cap: the sign variations of (u + 1)^deg q(1 / (u + 1)), up to cap,
+    bound those in (0, 1), and q(1) = 0 adds one.  Its coefficients come out
+    from the constant up, by repeated synthetic division of rev q by u - 1."""
     runs, desc = [], q  # the signs of the runs of nonzero coefficients
-    while desc and len(runs) < 3:
+    while desc and len(runs) <= cap:
         desc = list(accumulate(desc))
         if (c := desc.pop()) and (not runs or (c > 0) != runs[-1]):
             runs.append(c > 0)
-    return min(len(runs) - 1 + (sum(q) == 0), 2)
+    return min(len(runs) - 1 + (sum(q) == 0), cap)
+
+
+def _pair(q: ZCoeffs) -> list[Fraction] | None:
+    """Ends and midpoint of a grid cell of (0, 1] where q has signs s, -s, s,
+    by the two-root step of Newton-Descartes (Sagraloff, ISSAC 2012), else
+    None.  The estimates use q's leading 288 bits, in fixed point u = U /
+    2^128: _horner of _scaled(p, 2^128) at U is 2^(128 deg p) p(u), so a
+    Newton step of p is the value of p over that of p'.  The signs are exact."""
+    d1 = _derivative(q)
+    # the two-fold Newton steps from 0 and 1, e / den and g / den, agree to 1/64
+    den, e, g = d1[0] * sum(d1), -2 * q[0] * sum(d1), (sum(d1) - 2 * sum(q)) * d1[0]
+    if not den or 64 * abs(e - g) > abs(den):
+        return None
+    shift, one = max(0, max(map(int.bit_length, q)) - 288), 1 << 128
+    t = [a >> shift for a in q]
+    p0, p1, p2 = (_scaled(p, one) for p in (t, _derivative(t), _derivative(_derivative(t))))
+
+    def newton(p, dp, u):  # until a step floors to 0; 1/64 to 2^-128 takes < 16
+        for _ in range(16):
+            if not (v := _horner(dp, u)) or not (step := _horner(p, u) // v):
+                break
+            u -= step
+        return u
+
+    c = newton(p1, p2, (e + g) * one // (2 * den))  # the centre, where q' = 0
+    qc, q2c = _horner(p0, c), _horner(p2, c)
+    if qc * q2c >= 0:  # no real pair resolved at this precision
+        return None
+    s = math.isqrt(-2 * qc // q2c)  # half the gap: q(c +- s) = 0 to second order
+    lo, hi = newton(p0, p1, c - s) - 1, newton(p0, p1, c + s) - 1  # less 1: (lo, hi]
+    if not 0 <= lo < hi < one:
+        return None
+    b, exact = (lo ^ hi).bit_length(), _scaled(q, one)  # the deepest cell of both
+    cut = [(lo >> b << b) + (i << b - 1) for i in range(3)]
+    v0, v1, v2 = (_horner(exact, u) for u in cut)
+    return [Fraction(u, one) for u in cut] if v0 * v1 < 0 and v1 * v2 < 0 else None
 
 
 def isolate_real_roots(
@@ -244,16 +283,24 @@ def isolate_real_roots(
     b = hi if hi is not None else bound
     if a >= b:
         return []
-    coeffs, out, todo = tuple(f), [], [(a, b, _cell(f, a, b))]
-    # cells (x, y, q), depth first without recursion; a split cell comes back
-    # as (x, y, n) after its halves, and replaces out[n] if that is all they found
+    coeffs, out, q = tuple(f), [], _cell(f, a, b)
+    # cells (x, y, q, k, t), k = _descartes(q), t the halvings in a row whose
+    # other half held no root, depth first without recursion; a split cell comes
+    # back as (x, y, None, n, 0) after its halves, and replaces out[n] if that
+    # is all they found
+    todo = [(a, b, q, _descartes(q), 0)]
     while todo:
-        x, y, q = todo.pop()
-        if isinstance(q, int):
-            if len(out) == q + 1:
-                out[q] = IsolatingInterval(x, y, coeffs)
-        elif (k := _descartes(q)) < 2:
+        x, y, q, k, t = todo.pop()
+        if q is None:
+            if len(out) == k + 1:
+                out[k] = IsolatingInterval(x, y, coeffs)
+        elif k < 2:
             out += [IsolatingInterval(x, y, coeffs)] * k
+        elif t >= 8 and not t & (t - 1) and _descartes(q, 3) == 2 and (cut := _pair(q)):
+            # at most two roots, one in each half of a grid cell: the tree
+            # would split down to that cell and give its halves
+            ends = [x + (y - x) * u for u in cut]
+            out += [IsolatingInterval(*ends[:2], coeffs), IsolatingInterval(*ends[1:], coeffs)]
         else:
             mid, left = (x + y) / 2, _halve(q)
             if sum(left):
@@ -265,7 +312,9 @@ def isolate_real_roots(
                     step = (y - x) / 16
                     mid = mid + step if mid + step < y else (mid + y) / 2
                 left, right = _cell(f, x, mid), _cell(f, mid, y)
-            todo += [(x, y, len(out)), (mid, y, right), (x, mid, left)]
+            kl, kr = _descartes(left), _descartes(right)
+            todo += [(x, y, None, len(out), 0), (mid, y, right, kr, 0 if kl else t + 1),
+                     (x, mid, left, kl, 0 if kr else t + 1)]
     return out
 
 

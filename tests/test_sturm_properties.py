@@ -1,20 +1,25 @@
 """Hypothesis properties of the Sturm layer's square-free parts, root
-counts, isolation, interval points and refinement."""
+counts, isolation, interval points and refinement, and where the isolation
+walk's two-root step runs."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from stiefel_einstein import solver
 from stiefel_einstein.polyalg import (
     IsolatingInterval,
     bisect_to_width,
     count_real_roots,
     isolate_real_roots,
     squarefree_part,
+    sturm,
 )
+from stiefel_einstein.so_algebra import BlockDecomposition
 from helpers import (
     count_oracle,
     halving_oracle,
@@ -119,6 +124,78 @@ def test_one_prs_matches_the_two_prs_oracle(factors, point):
             assert count_real_roots(p, lo, hi) == count_oracle(p, lo, hi), (lo, hi)
             assert isolate_real_roots(p, lo, hi) == isolation_oracle(p, lo, hi), (lo, hi)
 
+
+
+def _pair_steps():
+    """A list that gets the result of every call of the two-root step, and
+    the patch that records them."""
+    results, step = [], sturm._pair
+
+    def recorded(q, *args):
+        results.append(step(q, *args))
+        return results[-1]
+
+    return results, mock.patch.object(sturm, "_pair", recorded)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_factors, st.integers(-6, 6), st.integers(1, 6), st.integers(12, 120),
+       st.booleans())
+def test_tight_pairs_match_the_two_prs_oracle(factors, k, r, e, real):
+    # roots a and a + 2^-e, or a +- i 2^-e, times g; a = (7k + r) / 7 keeps
+    # every root of g at least about 2^-12 away from a
+    a = Fraction(7 * k + r, 7)
+    n = a.numerator
+    if real:
+        p = _times([-n, 7], [-(n << e) - 7, 7 << e])
+    else:
+        p = _times([-(n << e), 7 << e], [-(n << e), 7 << e])
+        p[0] += 49
+    for (coeffs, _), mult in factors:
+        for _ in range(mult):
+            p = _times(p, coeffs)
+    ends = [None, a - 1, a, a + 1]
+    results, patch = _pair_steps()
+    with patch:
+        for lo in ends:
+            for hi in ends:
+                if lo is None or hi is None or lo < hi:
+                    assert isolate_real_roots(p, lo, hi) == isolation_oracle(p, lo, hi)
+    if real and e >= 24:
+        assert any(cut is not None for cut in results)
+
+
+def test_tight_x12_pairs_on_243_take_few_descartes_tests():
+    # at the two eliminant roots on 7x^2 - 18x + 7 the x12 pivot has two real
+    # roots about 2e-21 apart, which halving alone parts in 143 and 163 tests
+    counts, at = {}, [None]
+    univariate_at, descartes = solver._univariate_at, sturm._descartes
+
+    def recorded_univariate_at(pivot, var, point):
+        at[0] = (var, point["x13"])
+        return univariate_at(pivot, var, point)
+
+    def counted_descartes(q, *args):
+        counts[at[0]] = counts.get(at[0], 0) + 1
+        return descartes(q, *args)
+
+    with (mock.patch.object(solver, "_univariate_at", recorded_univariate_at),
+          mock.patch.object(sturm, "_descartes", counted_descartes)):
+        solver.solve(solver.build_system(BlockDecomposition((2, 4, 3))))
+    on_pair = [n for key, n in counts.items() if key and key[0] == "x12"
+               and abs(7 * key[1] ** 2 - 18 * key[1] + 7) < 1e-9]
+    assert len(on_pair) == 2 and max(on_pair) <= 40
+
+
+def test_two_root_step_parts_no_pair_on_232_or_the_sweep():
+    # (2,3,2) never reaches the step; on the sweep a few eliminant cells over
+    # a complex pair reach it (n = 17..28), and the two-end check refuses each
+    results, patch = _pair_steps()
+    with patch:
+        solver.solve(solver.build_system(BlockDecomposition((2, 3, 2))))
+        assert results == []
+        solver.sweep(list(range(6, 31)))
+    assert not any(results)
 
 
 # linear and quadratic factors with coefficients up to 2^200; the first has a

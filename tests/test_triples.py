@@ -91,9 +91,17 @@ def test_table_rejects_negative_value():
         TripleTable(d, bad)
 
 
-def test_dims_needs_three_blocks():
-    with pytest.raises(DomainError):
-        dims(BlockDecomposition((2, 2)))
+@pytest.mark.parametrize("blocks, expected", [
+    ((1, 3, 2), {Diag(2): 3, OffDiag(1, 2): 3, OffDiag(1, 3): 2, OffDiag(2, 3): 6}),
+    ((2, 3, 2), {Diag(1): 1, Diag(2): 3, OffDiag(1, 2): 6, OffDiag(1, 3): 4,
+                 OffDiag(2, 3): 6}),
+], ids=["132", "232"])
+def test_dims_fill_so_n_less_the_isotropy(blocks, expected):
+    # labels in order, Diag(1) only when k1 >= 2, and so(n) less so(k3)
+    d = dims(BlockDecomposition(blocks))
+    assert list(d.items()) == list(expected.items())
+    n, k3 = sum(blocks), blocks[2]
+    assert sum(d.values()) == n * (n - 1) // 2 - k3 * (k3 - 1) // 2
 
 
 def test_to_json_roundtrip_shape():

@@ -6,7 +6,8 @@ Each report holds the bytes that `stiefel-einstein solve --blocks k1,k2,k3
 --format json` writes, made in-process through `cli.main`.  Shapes with
 k1, k3 >= 1, k2 >= 2 and k1 + k2 + k3 <= N (84 for N = 10, 165 for N = 12)
 are taken in the order (n, k1, k2), and their reports are hashed one after
-another.  Prints the shape count, the digest and the wall time.
+another; one pass gives the digest of every smaller N too.  Prints the shape
+count, the digest and the wall time.
 """
 
 from __future__ import annotations
@@ -25,17 +26,20 @@ def shapes(n_max: int) -> list[tuple[int, int, int]]:
             for k1 in range(1, n - 2) for k2 in range(2, n - k1)]
 
 
-def digest(blocks: list[tuple[int, int, int]]) -> str:
-    """The sha256 of the shapes' solve reports, one after another."""
-    sha = hashlib.sha256()
-    for shape in blocks:
-        with redirect_stdout(io.StringIO()) as out:
+def digests(n_max: int) -> dict[int, str]:
+    """{m: the sha256 of the solve reports of shapes(m), one after another}
+    for 4 <= m <= n_max, from one pass: shapes(m) begins shapes(n_max)."""
+    sha, out = hashlib.sha256(), {}
+    for shape in shapes(n_max):
+        with redirect_stdout(io.StringIO()) as report:
             if main(["solve", "--blocks", ",".join(map(str, shape)), "--format", "json"]):
                 raise SystemExit(f"solve failed on {shape}")
-        sha.update(out.getvalue().encode())
-    return sha.hexdigest()
+        sha.update(report.getvalue().encode())
+        out[sum(shape)] = sha.hexdigest()
+    return out
 
 
 if __name__ == "__main__":
-    start, blocks = time.perf_counter(), shapes(int(sys.argv[1]))
-    print(len(blocks), digest(blocks), f"{time.perf_counter() - start:.1f} s")
+    start, n_max = time.perf_counter(), int(sys.argv[1])
+    digest = digests(n_max)[n_max]
+    print(len(shapes(n_max)), digest, f"{time.perf_counter() - start:.1f} s")
