@@ -1,6 +1,7 @@
-"""Exact multivariate polynomial arithmetic, elimination, and root isolation."""
+"""Exact polynomial algebra: elimination by resultants and Gröbner bases on
+integer polynomials keyed by exponent tuples (resultants.Poly), and real-root
+isolation on primitive integer coefficient lists (sturm.ZCoeffs)."""
 
-from .poly import RationalPoly
 from .resultants import eliminate_resultant, resultant
 from .sturm import (
     IsolatingInterval,
@@ -12,7 +13,6 @@ from .sturm import (
 )
 
 __all__ = [
-    "RationalPoly",
     "buchberger",
     "saturation_generators",
     "eliminate_resultant",

@@ -1,23 +1,21 @@
-"""Buchberger's algorithm over Q with lexicographic order.
+"""Buchberger's algorithm over Q with lexicographic order, on integer
+polynomials keyed by exponent tuples (resultants.Poly).
 
-The public interface speaks RationalPoly; internally polynomials are kept
-with coprime integer coefficients and reductions are fraction-free, which is
-what makes the larger eliminations tractable.  Pair selection follows the
-sugar strategy; the product and chain criteria prune pairs; a configurable
-pair-reduction cap guards runaway eliminations.
+Polynomials are kept with coprime integer coefficients and reductions are
+fraction-free, which is what makes the larger eliminations tractable.  Pair
+selection follows the sugar strategy; the product and chain criteria prune
+pairs; a cap on pair reductions guards runaway eliminations.
 """
 
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from math import gcd
 
 from ..errors import DomainError, EliminationOverflowError
-from .poly import RationalPoly
+from .resultants import Poly, _addmul
 
 Mono = tuple[int, ...]
-ITerms = dict[Mono, int]
 
 DEFAULT_PAIR_CAP = 200_000
 
@@ -38,7 +36,7 @@ def _mono_div(a: Mono, b: Mono) -> Mono:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _content_strip(terms: ITerms) -> ITerms:
+def _content_strip(terms: Poly) -> Poly:
     g = 0
     for c in terms.values():
         g = gcd(g, c)
@@ -49,29 +47,18 @@ def _content_strip(terms: ITerms) -> ITerms:
     return terms
 
 
-def _to_int_terms(p: RationalPoly) -> ITerms:
-    if p.is_zero():
-        return {}
-    prim = p.primitive()
-    return {m: int(c) for m, c in prim.terms.items()}
-
-
-def _from_int_terms(variables: tuple[str, ...], terms: ITerms) -> RationalPoly:
-    return RationalPoly(variables, {m: Fraction(c) for m, c in terms.items()})
-
-
 class _Basis:
     """Working basis: parallel lists of term dicts, leading data, and sugar."""
 
     __slots__ = ("terms", "lm", "lc", "sugar")
 
     def __init__(self) -> None:
-        self.terms: list[ITerms] = []
+        self.terms: list[Poly] = []
         self.lm: list[Mono] = []
         self.lc: list[int] = []
         self.sugar: list[int] = []
 
-    def add(self, t: ITerms, sugar: int) -> int:
+    def add(self, t: Poly, sugar: int) -> int:
         lm = max(t)
         lc = t[lm]
         if lc < 0:
@@ -84,7 +71,7 @@ class _Basis:
         return len(self.terms) - 1
 
 
-def _joint_strip(p: ITerms, out: ITerms) -> None:
+def _joint_strip(p: Poly, out: Poly) -> None:
     """Divide both dicts in place by their common content."""
     g = 0
     for c in p.values():
@@ -102,7 +89,7 @@ def _joint_strip(p: ITerms, out: ITerms) -> None:
             out[m] //= g
 
 
-def _normal_form(p: ITerms, basis: _Basis, skip: int = -1) -> ITerms:
+def _normal_form(p: Poly, basis: _Basis, skip: int = -1) -> Poly:
     """Fraction-free full normal form of p modulo the basis.
 
     The intermediate coefficients are jointly content-stripped at intervals;
@@ -110,7 +97,7 @@ def _normal_form(p: ITerms, basis: _Basis, skip: int = -1) -> ITerms:
     integers grow exponentially during a single reduction.
     """
     p = dict(p)
-    out: ITerms = {}
+    out: Poly = {}
     lms = basis.lm
     steps = 0
     while p:
@@ -149,13 +136,13 @@ def _normal_form(p: ITerms, basis: _Basis, skip: int = -1) -> ITerms:
     return _content_strip(out)
 
 
-def _spoly(basis: _Basis, i: int, j: int) -> ITerms:
+def _spoly(basis: _Basis, i: int, j: int) -> Poly:
     li, lj = basis.lm[i], basis.lm[j]
     L = _mono_lcm(li, lj)
     ci, cj = basis.lc[i], basis.lc[j]
     d = gcd(ci, cj)
     mi, mj = _mono_div(L, li), _mono_div(L, lj)
-    out: ITerms = {}
+    out: Poly = {}
     fi, fj = cj // d, ci // d
     for m, c in basis.terms[i].items():
         out[_mono_mul(m, mi)] = c * fi
@@ -169,34 +156,18 @@ def _spoly(basis: _Basis, i: int, j: int) -> ITerms:
     return _content_strip(out)
 
 
-def _prepare(gens: list[RationalPoly]) -> tuple[tuple[str, ...], list[ITerms]]:
-    if not gens:
-        raise DomainError("empty generator list")
-    variables = gens[0].vars
-    ints = []
-    for g in gens:
-        gg = g if g.vars == variables else g.reorder(variables)
-        t = _to_int_terms(gg)
-        if t:
-            ints.append(t)
-    if not ints:
-        raise DomainError("all generators are zero")
-    return variables, ints
-
-
-def buchberger(
-    gens: list[RationalPoly],
-    max_pair_reductions: int = DEFAULT_PAIR_CAP,
-) -> list[RationalPoly]:
+def buchberger(gens: list[Poly]) -> list[Poly]:
     """Reduced lex Groebner basis of the ideal generated by gens.
 
     The result is pairwise reduced and content-normalized (coprime integer
     coefficients, positive leading coefficient), sorted by increasing leading
     monomial; identical inputs give identical outputs.
 
-    Raises EliminationOverflowError when the pair-reduction cap is hit.
+    Raises EliminationOverflowError after DEFAULT_PAIR_CAP pair reductions.
     """
-    variables, ints = _prepare(gens)
+    ints = [_content_strip(t) for t in gens if t]
+    if not ints:
+        raise DomainError("no nonzero generators")
     basis = _Basis()
     pairs: list[tuple[int, Mono, int, int]] = []  # (sugar, lcm, i, j)
     pending: set[tuple[int, int]] = set()
@@ -243,9 +214,9 @@ def buchberger(
         if skip:
             continue
         reductions += 1
-        if reductions > max_pair_reductions:
+        if reductions > DEFAULT_PAIR_CAP:
             raise EliminationOverflowError(
-                f"exceeded {max_pair_reductions} pair reductions"
+                f"exceeded {DEFAULT_PAIR_CAP} pair reductions"
             )
         s = _spoly(basis, i, j)
         if not s:
@@ -256,10 +227,10 @@ def buchberger(
         idx = basis.add(nf, sug)
         push_pairs(idx)
 
-    return _reduce_basis(variables, basis)
+    return _reduce_basis(basis)
 
 
-def _reduce_basis(variables: tuple[str, ...], basis: _Basis) -> list[RationalPoly]:
+def _reduce_basis(basis: _Basis) -> list[Poly]:
     # minimal basis: drop members whose lm is divisible by another member's lm
     order_idx = sorted(range(len(basis.lm)), key=lambda i: basis.lm[i])
     keep: list[int] = []
@@ -270,7 +241,7 @@ def _reduce_basis(variables: tuple[str, ...], basis: _Basis) -> list[RationalPol
     reduced = _Basis()
     for i in keep:
         reduced.add(dict(basis.terms[i]), basis.sugar[i])
-    final: list[ITerms] = []
+    final: list[Poly] = []
     for pos in range(len(keep)):
         nf = _normal_form(dict(reduced.terms[pos]), reduced, skip=pos)
         final.append(nf)
@@ -281,52 +252,23 @@ def _reduce_basis(variables: tuple[str, ...], basis: _Basis) -> list[RationalPol
         reduced.lm[pos] = lm
         reduced.lc[pos] = abs(nf[lm])
     final.sort(key=max)
-    return [_from_int_terms(variables, t) for t in final]
+    return final
 
 
-def s_polynomial(f: RationalPoly, g: RationalPoly) -> RationalPoly:
-    """S-polynomial under lex on the polynomials' shared variable tuple."""
-    if f.vars != g.vars:
-        raise DomainError("variable lists differ")
-    basis = _Basis()
-    basis.add(_to_int_terms(f), 0)
-    basis.add(_to_int_terms(g), 0)
-    return _from_int_terms(f.vars, _spoly(basis, 0, 1))
-
-
-def reduce_poly(p: RationalPoly, basis_polys: list[RationalPoly]) -> RationalPoly:
-    """Full normal form of p modulo a list of polynomials (lex)."""
-    basis = _Basis()
-    for g in basis_polys:
-        gg = g if g.vars == p.vars else g.reorder(p.vars)
-        t = _to_int_terms(gg)
-        if t:
-            basis.add(t, 0)
-    t = _to_int_terms(p)
-    if not t:
-        return RationalPoly.zero(p.vars)
-    return _from_int_terms(p.vars, _normal_form(t, basis))
-
-
-def saturation_generators(
-    gens: list[RationalPoly],
-    factors: list[RationalPoly],
-    sat_var: str = "z",
-) -> list[RationalPoly]:
+def saturation_generators(gens: list[Poly], factors: list[Poly]) -> list[Poly]:
     """Generators of the ideal saturated by the product of the factors.
 
-    Adjoins sat_var * prod(factors) - 1 with sat_var ranked highest, which
-    excludes the vanishing locus of the product from the variety.
+    Adjoins a new variable z, at index 0 and so ranked highest, and the
+    generator z * prod(factors) - 1, which excludes the vanishing locus of
+    the product from the variety.
     """
-    if not gens:
-        raise DomainError("empty generator list")
-    old_vars = gens[0].vars
-    if sat_var in old_vars:
-        raise DomainError(f"variable {sat_var!r} already in use")
-    variables = (sat_var,) + old_vars
-    out = [g.reorder(variables) for g in gens]
-    prod = RationalPoly.var(variables, sat_var)
+    out = [{(0,) + m: c for m, c in g.items()} for g in gens if g]
+    if not out:
+        raise DomainError("no nonzero generators")
+    one = (0,) * len(next(iter(out[0])))
+    prod = {(1,) + one[1:]: 1}
     for f in factors:
-        prod = prod * f.reorder(variables)
-    out.append(prod - 1)
+        prod = _addmul({}, prod, {(0,) + m: c for m, c in f.items()})
+    prod[one] = prod.get(one, 0) - 1
+    out.append({m: c for m, c in prod.items() if c})
     return out

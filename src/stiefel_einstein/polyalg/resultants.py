@@ -1,5 +1,5 @@
 """Resultants and resultant-based elimination, on integer polynomials keyed
-by exponent tuples.
+by exponent tuples (Poly), the package's one multivariate format.
 
 Against an operand of degree 1 in the eliminated variable, a1 var + a0, the
 resultant is the closed form a1^n g(-a0/a1) = sum_k g_k (-a0)^k a1^(n-k),
@@ -17,10 +17,10 @@ resultant on pseudo-remainders whose coefficients are lists over its
 points, as a numerator and a denominator per point.  One modular inverse
 per run serves all its denominators (Montgomery, Math. Comp. 48, 1987), and
 forward differences interpolate the run.
-Elimination clears its generators once to primitive integer polynomials,
-chains resultants against a low-degree pivot and strips the content and
-every monomial factor from each resultant; a resultant that vanishes
-identically is a DegenerateSystemError.
+Elimination strips the content and every monomial factor from its
+generators and from each resultant, and chains resultants against a
+low-degree pivot; a resultant that vanishes identically is a
+DegenerateSystemError.
 """
 
 from __future__ import annotations
@@ -31,7 +31,10 @@ from math import factorial, gcd, isqrt, prod
 from operator import sub
 
 from ..errors import DegenerateSystemError, DomainError, EliminationOverflowError
-from .poly import RationalPoly
+
+# An integer polynomial: exponent tuple -> nonzero coefficient, the tuple
+# order being the variable order (index 0 ranks highest in lex)
+Poly = dict[tuple[int, ...], int]
 
 # Most 64-bit words of modulus x evaluation points one resultant may take;
 # the largest call of a (3,3,2) solve takes 6 x 117 = 702.
@@ -294,9 +297,18 @@ def _addmul(out: dict, a: dict, b: dict) -> dict:
     return out
 
 
-def _resultant(f: dict, g: dict, i: int, var: str) -> dict:
-    """Res_var(f, g) for nonzero integer polynomials keyed by exponent tuples,
-    var at index i; see resultant.  {} when it vanishes identically."""
+def resultant(f: Poly, g: Poly, i: int, var: str) -> Poly:
+    """Res_var(f, g), the Sylvester determinant, for nonzero integer
+    polynomials keyed by exponent tuples, var at index i.
+
+    The result is keyed like f and g, with exponent 0 at index i; it is {}
+    exactly when f and g share a factor of positive degree in var.  When
+    either operand has degree 1 in var it is the closed form of the module
+    docstring, with the sign (-1)^(deg f) when only g is linear.  Otherwise it is computed modulo primes, the variables in
+    neither operand left out, and raises EliminationOverflowError, before
+    any evaluation, when the 64-bit words of its moduli x its points would
+    exceed RESULTANT_BUDGET.
+    """
     df, dg = max(m[i] for m in f), max(m[i] for m in g)
     order = [j for j in range(len(next(iter(f)))) if j != i] + [i]
     f, g = ({tuple(m[j] for j in order): c for m, c in h.items()} for h in (f, g))
@@ -348,31 +360,7 @@ def _resultant(f: dict, g: dict, i: int, var: str) -> dict:
     return lifted
 
 
-def resultant(p: RationalPoly, q: RationalPoly, var: str) -> RationalPoly:
-    """Resultant of p and q with respect to var: the Sylvester determinant.
-
-    The result is a polynomial in the remaining variables (a constant when
-    both inputs are univariate); it is identically zero exactly when p and q
-    share a factor of positive degree in var.  When either operand has
-    degree 1 in var it is the closed form of the module docstring, with the
-    sign (-1)^(deg p) when only q is linear.  Otherwise it is computed
-    modulo primes, the variables in neither operand left out, and raises
-    EliminationOverflowError, before any evaluation, when the 64-bit words
-    of its moduli x its points would exceed RESULTANT_BUDGET.  With contents
-    cp and cq it is cp^(deg q) cq^(deg p) times the resultant of the
-    primitive integer parts.
-    """
-    if q.vars != p.vars:
-        q = q.reorder(p.vars)
-    if p.is_zero() or q.is_zero():
-        return RationalPoly.zero(p.vars)
-    cp, cq = p.content(), q.content()
-    f, g = ({m: int(c / ch) for m, c in h.terms.items()} for h, ch in ((p, cp), (q, cq)))
-    r = _resultant(f, g, p.vars.index(var), var)
-    return RationalPoly(p.vars, r) * (cp ** q.degree(var) * cq ** p.degree(var))
-
-
-def _primitive(h: dict) -> dict:
+def _primitive(h: Poly) -> Poly:
     """A nonzero integer polynomial over its content and its largest monomial
     factor (which has no root with every coordinate positive), with a
     positive lex-leading coefficient."""
@@ -384,35 +372,33 @@ def _primitive(h: dict) -> dict:
 
 
 def eliminate_resultant(
-    gens: list[RationalPoly], keep: str
-) -> tuple[RationalPoly, list[tuple[str, RationalPoly]]]:
-    """Univariate eliminant in keep via successive pairwise resultants.
+    gens: list[Poly], variables: tuple[str, ...], keep: str
+) -> tuple[Poly, list[tuple[str, Poly]]]:
+    """Univariate eliminant in keep via successive pairwise resultants, for
+    integer polynomials keyed by exponent tuples over variables.
 
     Variables are eliminated in ranking order against the generator of
     lowest degree in the variable being removed.  The root set of the
-    eliminant contains the keep-coordinates of all system solutions;
-    extraneous roots are possible and are expected to be filtered by
-    back-substitution.  The eliminant is the surviving univariate constraint
-    of least degree, content-normalized: each one holds every solution's
+    eliminant contains the keep-coordinates of all system solutions with
+    nonzero coordinates; extraneous roots are possible and are expected to
+    be filtered by back-substitution.  The eliminant is the surviving
+    univariate constraint of least degree: each one holds every solution's
     keep-coordinate.  A resultant that vanishes identically (the pivot and
     another generator share a factor in the variable) raises
-    DegenerateSystemError.  The generators are cleared once to primitive
-    integer polynomials; every resultant and strip runs on those.
+    DegenerateSystemError.  The generators, and every resultant, are
+    normalized by _primitive.
 
     Returns (eliminant, pivots): pivots lists (var, pivot) in elimination
     order, each pivot a polynomial in var and the variables eliminated after
     it.  Read backwards from keep they form a triangular set for lifting a
     root of the eliminant to a full solution.
     """
-    gens = [g.primitive() for g in gens if not g.is_zero()]
-    if not gens:
+    polys = [_primitive(h) for h in gens if h]
+    if not polys:
         raise DomainError("no nonzero generators")
-    variables = gens[0].vars
     if keep not in variables:
         raise DomainError(f"variable {keep!r} not in {variables}")
-    gens = [g if g.vars == variables else g.reorder(variables) for g in gens]
-    polys = [{m: c.numerator for m, c in g.terms.items()} for g in gens]
-    pivots: list[tuple[str, dict]] = []
+    pivots: list[tuple[str, Poly]] = []
     for i, var in enumerate(variables):
         if var == keep:
             continue
@@ -425,7 +411,7 @@ def eliminate_resultant(
         for h in using:
             if h is pivot:
                 continue
-            r = _resultant(pivot, h, i, var)
+            r = resultant(pivot, h, i, var)
             if not r:
                 raise DegenerateSystemError(
                     f"resultant in {var!r} vanished identically: "
@@ -440,6 +426,4 @@ def eliminate_resultant(
         raise DegenerateSystemError(
             f"elimination produced no constraint on {keep!r}"
         )
-    eliminant = min(final, key=lambda h: max(m[k] for m in h))
-    return (RationalPoly(variables, eliminant),
-            [(var, RationalPoly(variables, h)) for var, h in pivots])
+    return min(final, key=lambda h: max(m[k] for m in h)), pivots

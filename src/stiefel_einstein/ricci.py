@@ -7,7 +7,10 @@ Two routes: the general structure-constant formula
 
 with the sums over ordered pairs of metric modules, and the specialized
 closed forms for 3-block decompositions.  Both work over exact rationals or
-floats; the scalar type is whatever the metric carries.
+floats; the scalar type is whatever the metric carries.  The general
+formula also runs over symbolic scalars, elements of any field such as
+sympy's rational functions, where it checks the integer Laurent form that
+the solver reads (TripleTable.laurent).
 """
 
 from __future__ import annotations

@@ -1,13 +1,14 @@
 """End-to-end Einstein-metric pipeline for 3-block Stiefel decompositions.
 
 build_system reads the polynomial Einstein system, normalized by x23 = 1,
-off the integer Laurent form of the general Ricci formula
-(TripleTable.laurent: integer coefficients times Laurent monomials over one
-shared denominator).  solve eliminates to a univariate polynomial in x13 by
-iterated resultants, isolates its real roots, lifts each root exactly
-through the triangular set of resultant pivots (one univariate root
-isolation per variable), and certifies each candidate with the exact Ricci
-mean and residual, evaluated from the same form in integers.  The x13 = 1
+as integer polynomials keyed by exponent tuples, off the integer Laurent
+form of the general Ricci formula (TripleTable.laurent: integer
+coefficients times Laurent monomials over one shared denominator).  solve
+eliminates to a univariate polynomial in x13 by iterated resultants,
+isolates its real roots, lifts each root exactly through the triangular
+set of resultant pivots (one univariate root isolation per variable), and
+certifies each candidate with the exact Ricci mean and residual, evaluated
+from the same form in integers.  The x13 = 1
 branch is handled in closed form via the classical equal-off-diagonal
 quadratic, also read off that form.
 """
@@ -35,12 +36,12 @@ from .fixtures import (
     sqrt_fraction,
 )
 from .polyalg import (
-    RationalPoly,
     alternating_sign_check,
     bisect_to_width,
     eliminate_resultant,
     isolate_real_roots,
 )
+from .polyalg.resultants import Poly, _primitive
 from .record import Record, replace
 from .ricci import InvariantMetric
 from .so_algebra import BlockDecomposition, Diag, ModuleLabel, OffDiag
@@ -54,12 +55,13 @@ JENSEN_DIGITS = 50  # decimals of the closed-form equal-off-diagonal roots
 
 
 class EinsteinSystem(Record):
-    """Cleared-numerator polynomial form of the Einstein equations."""
+    """Cleared-numerator polynomial form of the Einstein equations: integer
+    polynomials keyed by exponent tuples over variables."""
 
     decomp: BlockDecomposition
     normalization: ModuleLabel
     variables: tuple[str, ...]
-    polys: list[RationalPoly]
+    polys: list[Poly]
 
 
 class EinsteinSolution(Record):
@@ -116,16 +118,25 @@ def _check_shape(decomp: BlockDecomposition) -> None:
         raise UnsupportedShapeError("solver needs k_2 >= 2")
 
 
+def _univariate(h: Poly, i: int) -> list[int]:
+    """Ascending coefficients of h, in which only variable i occurs."""
+    coeffs = [0] * (max((m[i] for m in h), default=-1) + 1)
+    for m, c in h.items():
+        coeffs[m[i]] = c
+    return coeffs
+
+
 def _numerator(
     decomp: BlockDecomposition,
     a: ModuleLabel,
     b: ModuleLabel,
     variables: tuple[str, ...],
     column: dict[ModuleLabel, int | None],
-) -> RationalPoly:
-    """Cleared primitive numerator of r_a - r_b, read off the integer Laurent
-    form of the Ricci formula (TripleTable.laurent) with x_l replaced by
-    variables[column[l]], or by 1 where column[l] is None."""
+) -> Poly:
+    """Numerator of r_a - r_b, normalized by _primitive ({} when it
+    vanishes), read off the integer Laurent form of the Ricci formula
+    (TripleTable.laurent) with x_l replaced by variables[column[l]], or by 1
+    where column[l] is None."""
     table = triples_closed_form(decomp)
     _, comps = table.laurent
     cols = [column[lbl] for lbl in table.labels()]
@@ -138,16 +149,18 @@ def _numerator(
                     mono[col] += e
             key = tuple(mono)
             terms[key] = terms.get(key, 0) + sign * c
-    return RationalPoly(variables, terms).cleared().primitive()
+    terms = {m: c for m, c in terms.items() if c}
+    return _primitive(terms) if terms else {}
 
 
 def build_system(decomp: BlockDecomposition) -> EinsteinSystem:
     """Polynomial Einstein system in the free coefficients, x23 = 1.
 
-    The polynomials are the cleared, content-normalized numerators of the
-    chained component differences (r1 - r2 when the first diagonal module
-    exists, then r2 - r12, r12 - r23, r23 - r13), read off the integer
-    Laurent form of the Ricci formula with the x23 column dropped.
+    The polynomials are the numerators of the chained component differences
+    (r1 - r2 when the first diagonal module exists, then r2 - r12,
+    r12 - r23, r23 - r13), read off the integer Laurent form of the Ricci
+    formula with the x23 column dropped, each with its content and its
+    monomial factor stripped and a positive lex-leading coefficient.
     """
     _check_shape(decomp)
     norm = OffDiag(2, 3)
@@ -164,7 +177,7 @@ def build_system(decomp: BlockDecomposition) -> EinsteinSystem:
         (norm, OffDiag(1, 3)),
     ]
     polys = [_numerator(decomp, a, b, variables, column) for a, b in chain]
-    if any(p.is_zero() for p in polys):
+    if not all(polys):
         raise DegenerateSystemError("identically satisfied equation in chain")
     return EinsteinSystem(decomp, norm, variables, polys)
 
@@ -175,22 +188,23 @@ def _jensen_scaled(lbl: ModuleLabel) -> bool:
     return 3 not in lbl.blocks
 
 
-def jensen_quadratic(decomp: BlockDecomposition) -> list[Fraction]:
+def jensen_quadratic(decomp: BlockDecomposition) -> list[int]:
     """Ascending coefficients of the quadratic whose positive roots are the
     common coefficient x of the classical one-parameter Einstein metrics
     (x on the so(k1+k2)-block modules, 1 on the block-3 modules): the
-    cleared primitive numerator of r12 - r13 under that ansatz, the only
-    Ricci difference it leaves nonzero, read off the integer Laurent form
-    with every label mapped to x or 1; solve certifies each root exactly.
+    primitive numerator of r12 - r13 under that ansatz, the only Ricci
+    difference it leaves nonzero, read off the integer Laurent form with
+    every label mapped to x or 1; solve certifies each root exactly.
     Raises DegenerateSystemError unless the numerator has degree 2."""
     _check_shape(decomp)
     column = {lbl: 0 if _jensen_scaled(lbl) else None for lbl in dims(decomp)}
     num = _numerator(decomp, OffDiag(1, 2), OffDiag(1, 3), ("x",), column)
-    if num.degree("x") != 2:
+    coeffs = _univariate(num, 0)
+    if len(coeffs) != 3:
         raise DegenerateSystemError(
-            f"equal-off-diagonal numerator has degree {num.degree('x')}, not 2"
+            f"equal-off-diagonal numerator has degree {len(coeffs) - 1}, not 2"
         )
-    return num.univariate_coeffs("x")
+    return coeffs
 
 
 def jensen_points(decomp: BlockDecomposition) -> list[dict[ModuleLabel, Fraction]]:
@@ -300,9 +314,7 @@ def _classify(
 
 # -- elimination and back-substitution --------------------------------------
 
-def _eliminate(
-    system: EinsteinSystem,
-) -> tuple[list[int], list[tuple[str, RationalPoly]]]:
+def _eliminate(system: EinsteinSystem) -> tuple[list[int], list[tuple[str, Poly]]]:
     """Univariate x13-eliminant of the system by iterated resultants, as
     primitive integer coefficients with every (x13 - 1) factor divided out:
     that root is the closed-form branch.  x13 - 1 is monic, so synthetic
@@ -312,18 +324,15 @@ def _eliminate(
     The eliminant may carry extraneous factors; their roots find no
     certified lift and drop out in solve.
     """
-    elim, pivots = eliminate_resultant(system.polys, "x13")
-    i = elim.vars.index("x13")
-    coeffs = [0] * (elim.degree("x13") + 1)
-    for m, c in elim.terms.items():
-        coeffs[m[i]] = c.numerator
+    elim, pivots = eliminate_resultant(system.polys, system.variables, "x13")
+    coeffs = _univariate(elim, system.variables.index("x13"))
     while len(coeffs) > 1 and sum(coeffs) == 0:
         # quotient coefficient k is c_(k+1) + ... + c_deg
         coeffs = list(accumulate(coeffs[:0:-1]))[::-1]
     return coeffs, pivots
 
 
-def groebner_eliminant(system: EinsteinSystem) -> list[Fraction]:
+def groebner_eliminant(system: EinsteinSystem) -> list[int]:
     """Exact x13-eliminant of the h-branch: the univariate member of the
     reduced lex Gröbner basis of the system saturated by every coordinate
     and by x13 - 1.  An independent check on the resultant route; overflow
@@ -331,41 +340,39 @@ def groebner_eliminant(system: EinsteinSystem) -> list[Fraction]:
     # imported here: no solve or sweep needs it, and every run would load it
     from .polyalg.groebner import buchberger, saturation_generators
 
-    x13 = RationalPoly.var(system.variables, "x13")
-    factors = [RationalPoly.var(system.variables, v) for v in system.variables]
-    basis = buchberger(saturation_generators(system.polys, factors + [x13 - 1]))
-    for g in basis:
-        if g.variables_used() <= {"x13"}:
-            return g.univariate_coeffs("x13")
+    width, k = len(system.variables), system.variables.index("x13")
+    x13 = tuple(int(j == k) for j in range(width))
+    factors = [{(1,) * width: 1}, {x13: 1, (0,) * width: -1}]  # prod x_j, x13 - 1
+    for g in buchberger(saturation_generators(system.polys, factors)):
+        if all(e == 0 for m in g for j, e in enumerate(m) if j != k + 1):
+            return _univariate(g, k + 1)  # the saturation variable is column 0
     raise DegenerateSystemError("no univariate eliminant in basis")
 
 
-def _univariate_at(
-    pivot: RationalPoly, var: str, point: dict[str, Fraction]
-) -> list[int]:
-    """Ascending coefficients in var of pivot with point substituted, times
-    a positive integer, in integer arithmetic.  The pivot is primitive; with
-    x_j = a_j / b_j and E_j the largest exponent of x_j in the pivot, a term
-    c x_j^e_j ... contributes c a_j^e_j b_j^(E_j - e_j) ..., which scales
-    every coefficient by prod b_j^E_j."""
-    at = pivot.vars.index(var)
-    powers = {}  # column i of x_j -> a_j^e b_j^(E_j - e) for e = 0 .. E_j
-    for i, name in enumerate(pivot.vars):
-        top = max(m[i] for m in pivot.terms)
-        if i != at and top:
-            a, b = point[name].numerator, point[name].denominator
-            powers[i] = [a**e * b ** (top - e) for e in range(top + 1)]
-    coeffs = [0] * (pivot.degree(var) + 1)
-    for mono, c in pivot.terms.items():
-        c = c.numerator
-        for i, pw in powers.items():
-            c *= pw[mono[i]]
+def _univariate_at(pivot: Poly, at: int, point: dict[int, Fraction]) -> list[int]:
+    """Ascending coefficients in variable at of pivot with the variables
+    point[j] substituted, times a positive integer, in integer arithmetic.
+    With x_j = a_j / b_j and E_j the largest exponent of x_j in the pivot, a
+    term c x_j^e_j ... contributes c a_j^e_j b_j^(E_j - e_j) ..., which
+    scales every coefficient by prod b_j^E_j."""
+    powers = {}  # j -> a_j^e b_j^(E_j - e) for e = 0 .. E_j
+    for j, x in point.items():
+        top = max(m[j] for m in pivot)
+        if top:
+            a, b = x.numerator, x.denominator
+            powers[j] = [a**e * b ** (top - e) for e in range(top + 1)]
+    coeffs = [0] * (max(m[at] for m in pivot) + 1)
+    for mono, c in pivot.items():
+        for j, pw in powers.items():
+            c *= pw[mono[j]]
         coeffs[mono[at]] += c
     return coeffs
 
 
-def _lift(pivots: list[tuple[str, RationalPoly]], point: dict[str, Fraction]):
-    """Yield the positive points above point on the triangular pivot set.
+def _lift(pivots: list[tuple[int, Poly]], point: dict[int, Fraction]):
+    """Yield the positive points above point on the triangular pivot set,
+    each pivot given with the column of its variable, and points keyed by
+    column.
 
     The last pivot, with point substituted in integers (see _univariate_at),
     is univariate in its variable; each positive root is refined to width
@@ -376,10 +383,10 @@ def _lift(pivots: list[tuple[str, RationalPoly]], point: dict[str, Fraction]):
     if not pivots:
         yield point
         return
-    var, pivot = pivots[-1]
-    for iv in isolate_real_roots(_univariate_at(pivot, var, point), lo=Fraction(0)):
+    at, pivot = pivots[-1]
+    for iv in isolate_real_roots(_univariate_at(pivot, at, point), lo=Fraction(0)):
         root = bisect_to_width(iv, LIFT_WIDTH).simplest()
-        yield from _lift(pivots[:-1], {**point, var: root})
+        yield from _lift(pivots[:-1], {**point, at: root})
 
 
 def solve(system: EinsteinSystem) -> list[EinsteinSolution]:
@@ -402,16 +409,18 @@ def solve(system: EinsteinSystem) -> list[EinsteinSolution]:
         if isinstance(result, EinsteinSolution):
             solutions.append(result)
     eliminant, pivots = _eliminate(system)
+    pivots = [(system.variables.index(var), pivot) for var, pivot in pivots]
+    k = system.variables.index("x13")
     for iv in isolate_real_roots(eliminant, lo=Fraction(0)):
         refined = bisect_to_width(iv, REPORT_WIDTH)
         r13 = float(refined.midpoint())
         root = bisect_to_width(refined, LIFT_WIDTH).simplest()
-        for point in _lift(pivots, {"x13": root}):
+        for point in _lift(pivots, {k: root}):
             coords: dict[ModuleLabel, float | Fraction] = {
                 system.normalization: Fraction(1)
             }
-            for lbl in _free_labels(decomp):
-                coords[lbl] = point[f"x{lbl.name}"]
+            for j, lbl in enumerate(_free_labels(decomp)):  # x_lbl is column j
+                coords[lbl] = point[j]
             coords[OffDiag(1, 3)] = r13  # reported x13: lies in intervals.x13
             result = certify(coords, decomp, CERTIFY_TOL, jensen)
             if isinstance(result, EinsteinSolution):

@@ -44,6 +44,30 @@ def times_x_minus_1(coeffs: list[Fraction]) -> list[Fraction]:
     return out
 
 
+def int_poly(expr, variables) -> dict:
+    """A polynomial with integer coefficients, a sympy expression or its
+    text, as an integer polynomial keyed by exponent tuples over variables."""
+    sympy = pytest.importorskip("sympy")
+    return {m: int(c) for m, c in sympy.Poly(expr, *sympy.symbols(variables)).terms() if c}
+
+
+def sympy_expr(h: dict, variables):
+    """An integer polynomial keyed by exponent tuples as a sympy expression."""
+    sympy = pytest.importorskip("sympy")
+    symbols = sympy.symbols(variables)
+    return sympy.Add(*(c * sympy.Mul(*(s**e for s, e in zip(symbols, m))) for m, c in h.items()))
+
+
+def univariate(h: dict, i: int) -> list[int]:
+    """Ascending coefficients of an integer polynomial keyed by exponent
+    tuples in which only variable i occurs."""
+    coeffs = [0] * (max(m[i] for m in h) + 1)
+    for m, c in h.items():
+        assert not any(e for j, e in enumerate(m) if j != i), m
+        coeffs[m[i]] = c
+    return coeffs
+
+
 def divides(d: list, p: list) -> bool:
     """Whether the ascending coefficient list d divides p over Q, by the
     remainder of sympy's Poly.rem."""

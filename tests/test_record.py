@@ -55,8 +55,7 @@ CASES = [
     (RicciComponents, lambda k: RicciComponents({Diag(2): Fraction(k)}), "values", False),
     (IsolatingInterval, lambda k: IsolatingInterval(Fraction(1), Fraction(2 + k), (-3, 2)), "hi",
      True),
-    # polys left empty; test_system_survives_pickle round-trips a built system
-    (EinsteinSystem, lambda k: EinsteinSystem(SHAPES[k], OffDiag(2, 3), (), []), "polys", False),
+    (EinsteinSystem, lambda k: build_system(SHAPES[k]), "polys", False),
     (EinsteinSolution, _solution, "lam", False),
     (Rejection, lambda k: Rejection(f"reason {k}"), "reason", True),
     (PositivityRow, lambda k: positivity_report([6 + k])[0], "n", True),
@@ -89,7 +88,6 @@ def test_record_semantics(cls, make, field, hashable):
 
 
 def test_system_survives_pickle():
-    # its polys are RationalPoly, whose slots a default unpickling cannot set
     system = build_system(BlockDecomposition((2, 3, 2)))
     assert pickle.loads(pickle.dumps(system)) == system
 

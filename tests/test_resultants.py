@@ -8,12 +8,10 @@ Res_x(x + 1, x^3), whose Sylvester determinant is -1.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import pytest
 
 from stiefel_einstein.errors import EliminationOverflowError
-from stiefel_einstein.polyalg import RationalPoly, eliminate_resultant, resultant, resultants
+from stiefel_einstein.polyalg import eliminate_resultant, resultant, resultants
 from stiefel_einstein.so_algebra import BlockDecomposition
 from stiefel_einstein.solver import build_system
 
@@ -24,32 +22,28 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 from sympy.polys.subresultants_qq_zz import sylvester  # noqa: E402
 
-from helpers import tool, window_oracle  # noqa: E402
+from helpers import int_poly, sympy_expr, tool, window_oracle  # noqa: E402
 
 V = ("x", "y", "z")
-X, Y, Z = RationalPoly.gens(V)
+X, Y, Z = sympy.symbols(V)
 FIRST_PRIME = next(resultants._primes(resultants.MAX_PRIME_BITS))
 
 
-def _to_sympy(f: RationalPoly):
-    syms = sympy.symbols(f.vars)
-    return sympy.Add(*(
-        sympy.Rational(c.numerator, c.denominator)
-        * sympy.Mul(*(s**e for s, e in zip(syms, m)))
-        for m, c in f.terms.items()
-    ))
+def P(expr) -> dict:
+    """The integer polynomial in x, y and z that the sympy expression spells."""
+    return int_poly(expr, V)
 
 
-def _matches_sylvester(p: RationalPoly, q: RationalPoly, var: str) -> bool:
-    want = sylvester(_to_sympy(p), _to_sympy(q), sympy.Symbol(var)).det(method="berkowitz")
-    return sympy.expand(_to_sympy(resultant(p, q, var)) - want) == 0
+def _matches_sylvester(p, q) -> bool:
+    """Whether Res_x(p, q), for sympy expressions p and q with integer
+    coefficients, is the determinant of their Sylvester matrix."""
+    want = sylvester(p, q, X).det(method="berkowitz")
+    return sympy.expand(sympy_expr(resultant(P(p), P(q), 0, "x"), V) - want) == 0
 
 
 CASES = {
-    "rational": (
-        Fraction(1, 2) * X**2 + Fraction(3, 4) * X * Y - Fraction(2, 3),
-        Fraction(5, 7) * X**2 - Y**2 * X + Fraction(1, 3),
-    ),
+    # the kernel takes integer polynomials that need not be primitive
+    "content": (12 * X**2 + 18 * X * Y - 16, 15 * X**2 - 21 * Y**2 * X + 7),
     "three_variables": (X**2 * Y + Z * X - 1, X**3 - Y * Z + Z**2 * X),
     "shared_factor": ((X - Y * Z) * (X + 1), (X - Y * Z) * (X**2 - 3)),
     # the leading coefficient y vanishes at y = 0, the first point tried
@@ -69,13 +63,13 @@ CASES = {
 
 @pytest.mark.parametrize("p, q", CASES.values(), ids=CASES.keys())
 def test_resultant_matches_sylvester_determinant(p, q):
-    assert _matches_sylvester(p, q, "x")
+    assert _matches_sylvester(p, q)
 
 
 def test_resultant_sign_and_zero():
-    assert resultant(X + Y, X**3 - 2 * Y * X + 5, "x") == -(Y**3) + 2 * Y**2 + 5
-    assert resultant(X**3 - 2 * Y * X + 5, X + Y, "x") == Y**3 - 2 * Y**2 - 5
-    assert resultant(*CASES["shared_factor"], "x").is_zero()
+    assert resultant(P(X + Y), P(X**3 - 2 * Y * X + 5), 0, "x") == P(-(Y**3) + 2 * Y**2 + 5)
+    assert resultant(P(X**3 - 2 * Y * X + 5), P(X + Y), 0, "x") == P(Y**3 - 2 * Y**2 - 5)
+    assert resultant(*map(P, CASES["shared_factor"]), 0, "x") == {}
 
 
 def test_resultant_without_permutation_is_zero_before_evaluating(monkeypatch):
@@ -86,8 +80,8 @@ def test_resultant_without_permutation_is_zero_before_evaluating(monkeypatch):
         raise AssertionError("evaluation started")
 
     monkeypatch.setattr(resultants, "_res_mod", evaluate)
-    assert resultant(X**2, X**2, "x").is_zero()
-    assert resultant(X**2 * Y, X**3 + X**2 * Z, "x").is_zero()
+    assert resultant(P(X**2), P(X**2), 0, "x") == {}
+    assert resultant(P(X**2 * Y), P(X**3 + X**2 * Z), 0, "x") == {}
 
 
 # the leading coefficient vanishes at y = 3, inside the first run y = 1 .. 5,
@@ -109,24 +103,24 @@ def test_run_restarts_after_a_vanishing_leading_coefficient(p, q, monkeypatch):
 
     run = resultants._run
     monkeypatch.setattr(resultants, "_run", recording_run)
-    assert _matches_sylvester(p, q, "x")
+    assert _matches_sylvester(p, q)
     assert any(skipped)
 
 
-def test_rational_generators_eliminate_as_their_integer_multiples():
-    # elimination clears each generator to a primitive integer polynomial, and
-    # resultant scales by the contents, cp^deg(q) cq^deg(p)
+def test_generators_eliminate_as_their_primitive_parts():
+    # elimination strips each generator's content, sign and monomial factor
     circle, line = X**2 + Y**2 - 4, X - Y
-    half, two_thirds = Fraction(1, 2) * circle, Fraction(2, 3) * line
-    assert eliminate_resultant([half, two_thirds], "y") == eliminate_resultant([circle, line], "y")
-    assert eliminate_resultant([-half, two_thirds], "y") == eliminate_resultant([circle, line], "y")
+    want = eliminate_resultant([P(circle), P(line)], V, "y")
+    for scaled in ([3 * circle, 2 * line], [-3 * circle, -2 * line], [Y * circle, X * Z * line]):
+        assert eliminate_resultant(list(map(P, scaled)), V, "y") == want
     # Res_x(yx + 1, x^2 - 2) = 1 - 2y^2 leads with -2: the strip negates it
-    elim = eliminate_resultant([Fraction(1, 3) * (X**2 - 2), Fraction(-5, 2) * (Y * X + 1)], "y")
-    assert elim == (2 * Y**2 - 1, [("x", Y * X + 1)])
-    assert _matches_sylvester(half, two_thirds, "x")
-    assert _matches_sylvester(half, Fraction(3, 4) * (X**2 - Y), "x")
-    assert resultant(half, two_thirds, "x") == Fraction(1, 2) * Fraction(2, 3) ** 2 * resultant(
-        circle, line, "x")
+    elim = eliminate_resultant([P(3 * (X**2 - 2)), P(-5 * (Y * X + 1))], V, "y")
+    assert elim == (P(2 * Y**2 - 1), [("x", P(Y * X + 1))])
+
+
+def _shifted(terms: dict, a: int, b: int) -> dict:
+    """terms times y^a z^b."""
+    return {(m[0], m[1] + a, m[2] + b): c for m, c in terms.items()}
 
 
 _small_bivariate = st.dictionaries(
@@ -134,18 +128,18 @@ _small_bivariate = st.dictionaries(
     st.integers(-9, 9).filter(bool),
     min_size=1,
     max_size=5,
-).map(lambda terms: RationalPoly(V, terms))
+).map(lambda terms: sympy_expr(terms, V))
 
 
 @settings(derandomize=True, max_examples=25, deadline=None, database=None)
 @given(_small_bivariate, _small_bivariate)
 def test_resultant_matches_sylvester_on_random_bivariates(p, q):
-    assert _matches_sylvester(p, q, "x")
+    assert _matches_sylvester(p, q)
 
 
 # a monomial factor in y and z lifts the lower ends of their windows
 _small_trivariate = st.builds(
-    lambda terms, a, b: RationalPoly(V, terms) * Y**a * Z**b,
+    lambda terms, a, b: sympy_expr(_shifted(terms, a, b), V),
     st.dictionaries(
         st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
         st.integers(-9, 9).filter(bool),
@@ -160,20 +154,20 @@ _small_trivariate = st.builds(
 @settings(derandomize=True, max_examples=25, deadline=None, database=None)
 @given(_small_trivariate, _small_trivariate)
 def test_resultant_matches_sylvester_on_random_trivariates(p, q):
-    assert _matches_sylvester(p, q, "x")
+    assert _matches_sylvester(p, q)
 
 
-# a polynomial of exactly the given degree in x, with rational coefficients
+# a polynomial of exactly the given degree in x, with integer coefficients
 # in y and z and a monomial factor in y and z
-_rational = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 4))
+_integer = st.integers(-36, 36).filter(bool)
 _exponent = st.integers(0, 2)
 
 
 def _of_degree_in_x(d: int):
     return st.builds(
-        lambda lead, terms, a, b: RationalPoly(V, {**terms, lead[0]: lead[1]}) * Y**a * Z**b,
-        st.tuples(st.tuples(st.just(d), _exponent, _exponent), _rational),
-        st.dictionaries(st.tuples(st.integers(0, d), _exponent, _exponent), _rational,
+        lambda lead, terms, a, b: sympy_expr(_shifted({**terms, lead[0]: lead[1]}, a, b), V),
+        st.tuples(st.tuples(st.just(d), _exponent, _exponent), _integer),
+        st.dictionaries(st.tuples(st.integers(0, d), _exponent, _exponent), _integer,
                         max_size=3),
         _exponent,
         _exponent,
@@ -184,7 +178,7 @@ def _of_degree_in_x(d: int):
 @given(_of_degree_in_x(1), st.integers(0, 4).flatmap(_of_degree_in_x), st.booleans())
 def test_closed_form_matches_sylvester(linear, other, linear_second):
     p, q = (other, linear) if linear_second else (linear, other)
-    assert _matches_sylvester(p, q, "x")
+    assert _matches_sylvester(p, q)
 
 
 def test_linear_operand_never_evaluates(monkeypatch):
@@ -194,10 +188,10 @@ def test_linear_operand_never_evaluates(monkeypatch):
     monkeypatch.setattr(resultants, "_res_mod", evaluate)
     cases = [
         (Y * X + Z, X**3 - Y * Z * X + 5),  # deg q odd
-        (X**4 - Y * X**2 + Z, Fraction(2, 3) * Z * X - Y),  # only q linear
-        (X**3 + Y * X - Z, Fraction(2, 3) * Z * X - Y),  # only q linear, deg p odd
+        (X**4 - Y * X**2 + Z, 2 * Z * X - 3 * Y),  # only q linear
+        (X**3 + Y * X - Z, 2 * Z * X - 3 * Y),  # only q linear, deg p odd
         (Y * X - 1, Z**2 + Y),  # q constant in x
-        (X - Y * Z, Fraction(1, 2) * X + Z),  # both linear
+        (X - Y * Z, X + 2 * Z),  # both linear
         (X + Y, X**3 - 2 * Y * X + 5),  # deg p < deg q, both odd
         (FIRST_PRIME * X**2 + X + Y, X - Y),  # a coefficient above the prime cap
         (Y * X**2 + Z * Y**2, Z * X - Y * Z**2 + Y * Z),
@@ -205,8 +199,8 @@ def test_linear_operand_never_evaluates(monkeypatch):
         (X * Y, X**2 + X * Z),
     ]
     for p, q in cases:
-        assert _matches_sylvester(p, q, "x")
-    assert resultant((X - Y) * (X + 1), (X - Y) * Z, "x").is_zero()
+        assert _matches_sylvester(p, q)
+    assert resultant(P((X - Y) * (X + 1)), P((X - Y) * Z), 0, "x") == {}
 
 
 P64 = next(resultants._primes(64))
@@ -349,7 +343,8 @@ def test_windows_equal_the_assignment_windows_on_every_shape_up_to_n8(monkeypatc
     windows = resultants._windows
     monkeypatch.setattr(resultants, "_windows", recording_windows)
     for blocks in tool("solve_digest").shapes(8):
-        resultants.eliminate_resultant(build_system(BlockDecomposition(blocks)).polys, "x13")
+        system = build_system(BlockDecomposition(blocks))
+        resultants.eliminate_resultant(system.polys, system.variables, "x13")
     assert len(calls) == 35  # one modular resultant per shape
     for args, got in calls:
         assert got == window_oracle(*args)
@@ -378,10 +373,11 @@ def test_windows_hold_every_exponent_of_the_232_resultants(monkeypatch):
             assert lo <= min(m[j] for m in r) and max(m[j] for m in r) <= hi
         return r
 
-    windows, res = resultants._windows, resultants._resultant
+    windows, res = resultants._windows, resultants.resultant
     monkeypatch.setattr(resultants, "_windows", recording_windows)
-    monkeypatch.setattr(resultants, "_resultant", checked_resultant)
-    resultants.eliminate_resultant(build_system(BlockDecomposition((2, 3, 2))).polys, "x13")
+    monkeypatch.setattr(resultants, "resultant", checked_resultant)
+    system = build_system(BlockDecomposition((2, 3, 2)))
+    resultants.eliminate_resultant(system.polys, system.variables, "x13")
     assert len(resultant_calls) == 6 and len(calls) == 1
     # the last step, in x12, interpolates x13 (the only other variable left)
     # over 81 points (the row-sum degree bound asked for 161); the result has
@@ -397,13 +393,13 @@ def test_resultant_budget_refuses_before_evaluating(monkeypatch):
     p = X**30 + 10**90 * Y**200 * X + Z**150
     q = X**25 - 7**120 * Y**100 * Z**200 + 1
     with pytest.raises(EliminationOverflowError, match="budget"):
-        resultant(p, q, "x")
+        resultant(P(p), P(q), 0, "x")
 
 
 def test_several_small_primes_give_the_one_prime_elimination(monkeypatch):
     # with 64-bit primes the last (2,3,2) resultant needs four of them
-    system = build_system(BlockDecomposition((2, 3, 2))).polys
-    one_prime = resultants.eliminate_resultant(system, "x13")
+    system = build_system(BlockDecomposition((2, 3, 2)))
+    one_prime = resultants.eliminate_resultant(system.polys, system.variables, "x13")
     primes = set()
 
     def recording_res_mod(f, g, df, dg, windows, p):
@@ -413,5 +409,5 @@ def test_several_small_primes_give_the_one_prime_elimination(monkeypatch):
     res_mod = resultants._res_mod
     monkeypatch.setattr(resultants, "MAX_PRIME_BITS", 64)
     monkeypatch.setattr(resultants, "_res_mod", recording_res_mod)
-    assert resultants.eliminate_resultant(system, "x13") == one_prime
+    assert resultants.eliminate_resultant(system.polys, system.variables, "x13") == one_prime
     assert len(primes) == 4 and all(p.bit_length() == 64 for p in primes)

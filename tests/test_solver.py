@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import importlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from stiefel_einstein import cli, solver
 from stiefel_einstein.errors import DomainError, UnsupportedShapeError
 from stiefel_einstein.fixtures import h1_coeffs, jensen_x2, jensen_x2_142
-from stiefel_einstein.polyalg import RationalPoly, isolate_real_roots
+from stiefel_einstein.polyalg import isolate_real_roots
 from stiefel_einstein.ricci import InvariantMetric, ricci, ricci_general
 from stiefel_einstein.so_algebra import BlockDecomposition, Diag, ModuleLabel, OffDiag
 from stiefel_einstein.solver import (
@@ -35,18 +36,10 @@ from stiefel_einstein.triples import dims, triples_closed_form
 from helpers import divides, isolation_oracle, tool
 
 
-def _poly(variables, terms):
-    return RationalPoly(variables, {m: Fraction(c) for m, c in terms.items()})
-
-
-def _proportional(p: RationalPoly, q: RationalPoly) -> bool:
-    """p == c * q for some nonzero rational c."""
-    if p.vars != q.vars:
-        q = q.reorder(p.vars)
-    if set(p.terms) != set(q.terms):
-        return False
-    ratios = {p.terms[m] / q.terms[m] for m in p.terms}
-    return len(ratios) == 1
+def _proportional(p: dict, q: dict) -> bool:
+    """p == c * q for some nonzero rational c, both keyed by the exponents
+    of one variable tuple."""
+    return set(p) == set(q) and len({Fraction(p[m], q[m]) for m in p}) == 1
 
 
 # every shape the solver accepts with n <= 9: 56 of them
@@ -59,41 +52,39 @@ SHAPE_IDS = ["".join(map(str, b)) for b in SHAPES_UP_TO_9]
 # keyed by exponents of the system's variable tuple
 def _reference_system_k1_eq_1(n: int):
     # variables (x2, x12, x13)
-    V = ("x2", "x12", "x13")
-    f1 = _poly(V, {
+    f1 = {
         (1, 3, 0): -(n - 4), (2, 2, 1): n - 4, (1, 1, 2): n - 4,
         (1, 1, 1): -2 * (n - 2), (1, 1, 0): n - 4, (0, 2, 1): 1, (2, 0, 1): 3,
-    })
-    f2 = _poly(V, {
+    }
+    f2 = {
         (0, 3, 0): n - 3, (0, 2, 1): -2 * (n - 2), (0, 1, 2): -(n - 5),
         (0, 1, 1): 2 * (n - 2), (0, 1, 0): 3 - n, (1, 2, 1): 2, (1, 0, 1): -2,
-    })
-    f3 = _poly(V, {
+    }
+    f3 = {
         (0, 1, 1): n - 2, (0, 1, 0): -(n - 2), (0, 2, 0): 1,
         (1, 1, 1): -1, (0, 0, 2): -2, (0, 0, 0): 2,
-    })
+    }
     return [f1, f2, f3]
 
 
 def _reference_system_232():
     # variables (x1, x2, x12, x13), n = 7
-    V = ("x1", "x2", "x12", "x13")
-    g1 = _poly(V, {
+    g1 = {
         (1, 1, 2, 0): 2, (1, 1, 0, 2): 3, (0, 2, 2, 2): -2,
         (0, 0, 2, 2): -1, (0, 2, 0, 2): -2,
-    })
-    g2 = _poly(V, {
+    }
+    g2 = {
         (1, 1, 0, 1): 1, (0, 1, 3, 0): -2, (0, 2, 2, 1): 2, (0, 0, 2, 1): 1,
         (0, 1, 1, 2): 2, (0, 1, 1, 1): -10, (0, 1, 1, 0): 2, (0, 2, 0, 1): 4,
-    })
-    g3 = _poly(V, {
+    }
+    g3 = {
         (1, 0, 0, 1): -1, (0, 0, 3, 0): 4, (0, 1, 2, 1): 2, (0, 0, 2, 1): -10,
         (0, 0, 1, 1): 10, (0, 0, 1, 0): -4, (0, 1, 0, 1): -2,
-    })
-    g4 = _poly(V, {
+    }
+    g4 = {
         (1, 0, 1, 0): 1, (0, 0, 2, 1): 1, (0, 1, 1, 2): -2, (0, 0, 1, 2): 10,
         (0, 0, 1, 1): -10, (0, 0, 0, 3): -5, (0, 0, 0, 1): 5,
-    })
+    }
     return [g1, g2, g3, g4]
 
 
@@ -121,20 +112,20 @@ def test_build_system_matches_reference_142():
     # (1, 4, 2) is the n = 7 member of the k1 = 1 closed form with k2 = 4;
     # the fixed reference instance differs only by overall scaling
     system = build_system(BlockDecomposition((1, 4, 2)))
-    V = ("x2", "x12", "x13")
+    assert system.variables == ("x2", "x12", "x13")
     refs = [
-        _poly(V, {
+        {
             (1, 3, 0): -1, (2, 2, 1): 1, (0, 2, 1): 1, (1, 1, 2): 1,
             (1, 1, 1): -5, (1, 1, 0): 1, (2, 0, 1): 2,
-        }),
-        _poly(V, {
+        },
+        {
             (0, 3, 0): 3, (1, 2, 1): 3, (0, 2, 1): -10, (0, 1, 2): -1,
             (0, 1, 1): 10, (0, 1, 0): -3, (1, 0, 1): -3,
-        }),
-        _poly(V, {
+        },
+        {
             (0, 2, 0): 3, (1, 1, 1): -3, (0, 1, 1): 10, (0, 1, 0): -10,
             (0, 0, 2): -5, (0, 0, 0): 5,
-        }),
+        },
     ]
     _systems_match(system.polys, refs)
 
@@ -145,18 +136,34 @@ def test_build_system_matches_reference_232():
     _systems_match(system.polys, _reference_system_232())
 
 
+def _numerator(f) -> dict:
+    """The numerator of f, an element of a sympy rational function field over
+    ZZ, as an integer polynomial keyed by exponent tuples ({} when f = 0):
+    its content and monomial factor stripped, its lex-leading coefficient
+    positive."""
+    if not f:
+        return {}
+    _, num = f.numer.primitive()
+    if num.LC < 0:
+        num = -num
+    low = [min(e) for e in zip(*num.monoms())]
+    return {tuple(e - l for e, l in zip(m, low)): int(c) for m, c in num.terms()}
+
+
 def _symbolic_system(decomp):
-    """build_system's polynomials by symbolic Ricci over RationalPoly
-    coordinates: the chain differences, cleared and made primitive."""
+    """build_system's polynomials by symbolic Ricci over sympy's field of
+    rational functions in the coordinates: the numerators of the chain
+    differences."""
+    sympy = pytest.importorskip("sympy")
     free = solver._free_labels(decomp)
     variables = tuple(f"x{l.name}" for l in free)
-    coeffs = {l: RationalPoly.var(variables, f"x{l.name}") for l in free}
-    coeffs[OffDiag(2, 3)] = RationalPoly.const(variables, 1)
+    field, *gens = sympy.field(variables, sympy.ZZ)
+    coeffs = dict(zip(free, gens))
+    coeffs[OffDiag(2, 3)] = field.one
     r = ricci(InvariantMetric(decomp, coeffs)).values
     labels = [Diag(1), Diag(2)] if Diag(1) in coeffs else [Diag(2)]
     labels += [OffDiag(1, 2), OffDiag(2, 3), OffDiag(1, 3)]
-    return variables, [(r[a] - r[b]).cleared().primitive()
-                       for a, b in zip(labels, labels[1:])]
+    return variables, [_numerator(r[a] - r[b]) for a, b in zip(labels, labels[1:])]
 
 
 @pytest.mark.parametrize("blocks", SHAPES_UP_TO_9, ids=SHAPE_IDS)
@@ -243,14 +250,12 @@ def test_substituting_jensen_form_recovers_quadratic():
         i12 = system.variables.index("x12")
         i13 = system.variables.index("x13")
         for p in system.polys:
-            terms: dict[tuple[int, ...], Fraction] = {}
-            for m, c in p.terms.items():
-                key = (m[i2] + m[i12],)
-                terms[key] = terms.get(key, Fraction(0)) + c
-            sub = RationalPoly(("t",), {m: c for m, c in terms.items() if c})
-            if sub.is_zero():
+            sub = [0] * (max(m[i2] + m[i12] for m in p) + 1)
+            for m, c in p.items():
+                sub[m[i2] + m[i12]] += c
+            if not any(sub):
                 continue
-            assert divides(quad, sub.univariate_coeffs("t")), (n, p)
+            assert divides(quad, sub), (n, p)
 
 
 # the first five keep their test ids; then every other shape with n <= 9
@@ -260,17 +265,18 @@ JENSEN_SHAPES += [b for b in SHAPES_UP_TO_9 if b not in JENSEN_SHAPES]
 
 @pytest.mark.parametrize("blocks", JENSEN_SHAPES)
 def test_jensen_ansatz_leaves_only_r12_minus_r13(blocks):
-    # symbolic Ricci over RationalPoly coefficients is the oracle for the
+    # symbolic Ricci over sympy's rational functions is the oracle for the
     # integer Laurent form; (2, 2, k3): k1 + k2 = 4, where so(4) is not simple
+    sympy = pytest.importorskip("sympy")
     d = BlockDecomposition(blocks)
-    x = RationalPoly.var(("x",), "x")
-    coeffs = {l: x if 3 not in l.blocks else RationalPoly.const(("x",), 1) for l in dims(d)}
+    field, x = sympy.field("x", sympy.ZZ)
+    coeffs = {l: x if 3 not in l.blocks else field.one for l in dims(d)}
     r = ricci(InvariantMetric(d, coeffs)).values
     labels = sorted(r)
-    diffs = {(a, b): r[a] - r[b] for a, b in zip(labels, labels[1:])}
-    assert [k for k, v in diffs.items() if not v.is_zero()] == [(OffDiag(1, 2), OffDiag(1, 3))]
-    num = diffs[OffDiag(1, 2), OffDiag(1, 3)].cleared().primitive()
-    assert jensen_quadratic(d) == num.univariate_coeffs("x")
+    diffs = {(a, b): _numerator(r[a] - r[b]) for a, b in zip(labels, labels[1:])}
+    assert [k for k, v in diffs.items() if v] == [(OffDiag(1, 2), OffDiag(1, 3))]
+    quad = {(e,): c for e, c in enumerate(jensen_quadratic(d))}
+    assert quad == diffs[OffDiag(1, 2), OffDiag(1, 3)]
 
 
 def _record_isolations(monkeypatch) -> list:
@@ -347,9 +353,10 @@ def test_eliminant_has_no_root_at_one(blocks):
     assert all(type(c) is int for c in eliminant)
 
 
-# sha256 of the repr of _eliminate's coefficients and its (var, vars, sorted
-# terms) pivots, as computed when the resultant still worked modulo several
-# 61-bit primes with a modular inverse per Euclid step
+# sha256 of the repr of _eliminate's coefficients and its (var, variables,
+# sorted (monomial, Fraction coefficient) terms) pivots, as computed when the
+# resultant still worked modulo several 61-bit primes with a modular inverse
+# per Euclid step
 ELIMINATION_SHA256 = {
     (2, 3, 2): "e1e35e2142193b2417d8697381ae8cb7c87caa8a6876ecf6322343c5666be3e3",
     (2, 4, 3): "48ed0a7de5e76e6826a04e2fcda06d52ec0122ef8229655aa0bfa25c385cd3ef",
@@ -364,9 +371,30 @@ ELIMINATION_SHA256 = {
 
 @pytest.mark.parametrize("blocks", ELIMINATION_SHA256, ids=lambda b: "".join(map(str, b)))
 def test_elimination_is_pinned(blocks):
-    coeffs, pivots = _eliminate(build_system(BlockDecomposition(blocks)))
-    text = repr((coeffs, [(var, p.vars, sorted(p.terms.items())) for var, p in pivots]))
+    text = _elimination_text(blocks)
     assert hashlib.sha256(text.encode()).hexdigest() == ELIMINATION_SHA256[blocks]
+
+
+def _elimination_text(blocks) -> str:
+    system = build_system(BlockDecomposition(blocks))
+    coeffs, pivots = _eliminate(system)
+    return repr((coeffs, [
+        (var, system.variables, sorted((m, Fraction(c)) for m, c in pivot.items()))
+        for var, pivot in pivots
+    ]))
+
+
+# one sha256 over the texts of test_elimination_is_pinned for the 35 shapes of
+# SMALL_SHAPES, one after another, as computed when the system, the
+# eliminant and the pivots were still Fraction polynomials
+SMALL_ELIMINATIONS_SHA256 = "c90bd91366e210602923bfe5a34d4ea224f7ffd717f6c36626038c20d3b4ca8d"
+
+
+def test_eliminations_of_every_shape_up_to_n8_are_pinned():
+    sha = hashlib.sha256()
+    for blocks in SMALL_SHAPES:
+        sha.update(_elimination_text(blocks).encode())
+    assert sha.hexdigest() == SMALL_ELIMINATIONS_SHA256
 
 
 def test_lift_points_have_short_denominators(monkeypatch):
@@ -390,13 +418,12 @@ def test_lift_points_have_short_denominators(monkeypatch):
 
 def test_lift_substitution_matches_fraction_subs(monkeypatch):
     # at every point the lift visits, the integer substitution is the
-    # Fraction one, pivot.subs(point).univariate_coeffs(var), times a
-    # positive rational
+    # Fraction one, term by term, times a positive rational
     calls = []
 
-    def recording(pivot, var, point):
-        coeffs = univariate_at(pivot, var, point)
-        calls.append((pivot, var, point, coeffs))
+    def recording(pivot, at, point):
+        coeffs = univariate_at(pivot, at, point)
+        calls.append((pivot, at, point, coeffs))
         return coeffs
 
     univariate_at = solver._univariate_at
@@ -404,8 +431,13 @@ def test_lift_substitution_matches_fraction_subs(monkeypatch):
     for blocks in ((2, 3, 2), (2, 4, 3), (3, 3, 2)):
         solve(build_system(BlockDecomposition(blocks)))
     assert len(calls) > 20
-    for pivot, var, point, coeffs in calls:
-        exact = pivot.subs(point).univariate_coeffs(var)
+    for pivot, at, point, coeffs in calls:
+        exact = [Fraction(0)] * (max(m[at] for m in pivot) + 1)
+        for m, c in pivot.items():
+            assert all(e == 0 or j == at or j in point for j, e in enumerate(m))
+            exact[m[at]] += c * math.prod(x ** m[j] for j, x in point.items())
+        while exact and not exact[-1]:
+            exact.pop()
         assert all(type(c) is int for c in coeffs)
         assert exact and not any(coeffs[len(exact):])
         ratio = next(Fraction(c) / e for c, e in zip(coeffs, exact) if e)

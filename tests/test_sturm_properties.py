@@ -168,21 +168,23 @@ def test_tight_pairs_match_the_two_prs_oracle(factors, k, r, e, real):
 def test_tight_x12_pairs_on_243_take_few_descartes_tests():
     # at the two eliminant roots on 7x^2 - 18x + 7 the x12 pivot has two real
     # roots about 2e-21 apart, which halving alone parts in 143 and 163 tests
-    counts, at = {}, [None]
+    counts, where = {}, [None]
     univariate_at, descartes = solver._univariate_at, sturm._descartes
+    system = solver.build_system(BlockDecomposition((2, 4, 3)))
+    x12, x13 = map(system.variables.index, ("x12", "x13"))  # pivot columns
 
-    def recorded_univariate_at(pivot, var, point):
-        at[0] = (var, point["x13"])
-        return univariate_at(pivot, var, point)
+    def recorded_univariate_at(pivot, at, point):
+        where[0] = (at, point[x13])
+        return univariate_at(pivot, at, point)
 
     def counted_descartes(q, *args):
-        counts[at[0]] = counts.get(at[0], 0) + 1
+        counts[where[0]] = counts.get(where[0], 0) + 1
         return descartes(q, *args)
 
     with (mock.patch.object(solver, "_univariate_at", recorded_univariate_at),
           mock.patch.object(sturm, "_descartes", counted_descartes)):
-        solver.solve(solver.build_system(BlockDecomposition((2, 4, 3))))
-    on_pair = [n for key, n in counts.items() if key and key[0] == "x12"
+        solver.solve(system)
+    on_pair = [n for key, n in counts.items() if key and key[0] == x12
                and abs(7 * key[1] ** 2 - 18 * key[1] + 7) < 1e-9]
     assert len(on_pair) == 2 and max(on_pair) <= 40
 
