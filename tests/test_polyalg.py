@@ -48,12 +48,19 @@ def test_poly_arithmetic():
 
 
 def test_primitive_and_content():
-    # content, sign and monomial factor go; negative exponents, as in the
-    # Laurent numerators of the system, shift up to 0 like positive ones
+    # content, sign and monomial factor go
     assert resultants._primitive(P("6*x**2 + 9*y")) == P("2*x**2 + 3*y")
     assert resultants._primitive(P("-3*x - 2")) == P("3*x + 2")
     assert resultants._primitive(P("2*x**3*y + 4*x*y**2")) == P("x**2 + 2*y")
-    # x^-2 y + x y^2 -> 1 + x^3 y
+
+
+def test_cleared_shifts_only_negative_variables():
+    # negative exponents, as in the Laurent numerators of the system, shift
+    # up to 0; a variable whose least exponent is already 0 stays put
+    # x^-2 + x y^2 -> 1 + x^3 y^2: x shifts by 2, y not at all
+    assert resultants._primitive({(-2, 0): 1, (1, 2): 1}) == P("x**3*y**2 + 1")
+    assert resultants._primitive(P("x + y")) == P("x + y")
+    # x^-2 y + x y^2 -> 1 + x^3 y: the monomial factor y goes as well
     assert resultants._primitive({(-2, 1): 1, (1, 2): 1}) == P("x**3*y + 1")
 
 
