@@ -1,6 +1,7 @@
-"""Exact polynomial algebra: elimination by resultants and Gröbner bases on
-integer polynomials keyed by exponent tuples (resultants.Poly), and real-root
-isolation on primitive integer coefficient lists (sturm.ZCoeffs)."""
+"""Exact polynomial algebra: elimination by resultants and, in the groebner
+module (imported on first use), Gröbner bases on integer polynomials keyed
+by exponent tuples (resultants.Poly), and real-root isolation on primitive
+integer coefficient lists (sturm.ZCoeffs)."""
 
 from .resultants import eliminate_resultant, resultant
 from .sturm import (
@@ -13,8 +14,6 @@ from .sturm import (
 )
 
 __all__ = [
-    "buchberger",
-    "saturation_generators",
     "eliminate_resultant",
     "resultant",
     "IsolatingInterval",
@@ -25,10 +24,3 @@ __all__ = [
     "squarefree_part",
 ]
 
-
-def __getattr__(name: str):  # PEP 562: the Gröbner code loads on first use
-    if name in ("buchberger", "saturation_generators"):
-        from . import groebner
-
-        return getattr(groebner, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -190,13 +190,9 @@ def buchberger(gens: list[Poly]) -> list[Poly]:
 
     reductions = 0
     while pairs:
-        sug, L, i, j = heapq.heappop(pairs)
-        if (i, j) not in pending:
-            continue
+        sug, L, i, j = heapq.heappop(pairs)  # each pair is pushed once
         pending.discard((i, j))
         li, lj = basis.lm[i], basis.lm[j]
-        if _mono_lcm(li, lj) != L:
-            continue  # stale entry
         # product criterion: coprime leading monomials
         if L == _mono_mul(li, lj):
             continue

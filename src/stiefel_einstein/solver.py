@@ -59,7 +59,6 @@ class EinsteinSystem(Record):
     polynomials keyed by exponent tuples over variables."""
 
     decomp: BlockDecomposition
-    normalization: ModuleLabel
     variables: tuple[str, ...]
     polys: list[Poly]
 
@@ -113,11 +112,6 @@ def _free_labels(decomp: BlockDecomposition) -> list[ModuleLabel]:
     return sorted(lbl for lbl in dims(decomp) if lbl != OffDiag(2, 3))
 
 
-def _check_shape(decomp: BlockDecomposition) -> None:
-    if decomp.blocks[1] < 2:
-        raise UnsupportedShapeError("solver needs k_2 >= 2")
-
-
 def _univariate(h: Poly, i: int) -> list[int]:
     """Ascending coefficients of h, in which only variable i occurs."""
     coeffs = [0] * (max((m[i] for m in h), default=-1) + 1)
@@ -162,7 +156,8 @@ def build_system(decomp: BlockDecomposition) -> EinsteinSystem:
     formula with the x23 column dropped, each with its content and its
     monomial factor stripped and a positive lex-leading coefficient.
     """
-    _check_shape(decomp)
+    if decomp.blocks[1] < 2:
+        raise UnsupportedShapeError("solver needs k_2 >= 2")
     norm = OffDiag(2, 3)
     free = _free_labels(decomp)
     variables = tuple(f"x{l.name}" for l in free)
@@ -179,7 +174,7 @@ def build_system(decomp: BlockDecomposition) -> EinsteinSystem:
     polys = [_numerator(decomp, a, b, variables, column) for a, b in chain]
     if not all(polys):
         raise DegenerateSystemError("identically satisfied equation in chain")
-    return EinsteinSystem(decomp, norm, variables, polys)
+    return EinsteinSystem(decomp, variables, polys)
 
 
 def _jensen_scaled(lbl: ModuleLabel) -> bool:
@@ -194,37 +189,35 @@ def jensen_quadratic(decomp: BlockDecomposition) -> list[int]:
     (x on the so(k1+k2)-block modules, 1 on the block-3 modules): the
     primitive numerator of r12 - r13 under that ansatz, the only Ricci
     difference it leaves nonzero, read off the integer Laurent form with
-    every label mapped to x or 1; solve certifies each root exactly.
-    Raises DegenerateSystemError unless the numerator has degree 2."""
-    _check_shape(decomp)
+    every label mapped to x or 1; solve certifies each root exactly.  With
+    k1 = k2 = 1 the numerator is linear, (n - 1) x - 2(n - 2).
+    Raises DegenerateSystemError unless the numerator has degree 1 or 2."""
     column = {lbl: 0 if _jensen_scaled(lbl) else None for lbl in dims(decomp)}
     num = _numerator(decomp, OffDiag(1, 2), OffDiag(1, 3), ("x",), column)
     coeffs = _univariate(num, 0)
-    if len(coeffs) != 3:
+    if len(coeffs) not in (2, 3):
         raise DegenerateSystemError(
-            f"equal-off-diagonal numerator has degree {len(coeffs) - 1}, not 2"
+            f"equal-off-diagonal numerator has degree {len(coeffs) - 1}, not 1 or 2"
         )
     return coeffs
 
 
 def jensen_points(decomp: BlockDecomposition) -> list[dict[ModuleLabel, Fraction]]:
-    """Coordinates of the equal-off-diagonal Einstein metrics, to
-    JENSEN_DIGITS decimals."""
-    c, b, a = jensen_quadratic(decomp)
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return []
-    s = sqrt_fraction(disc, JENSEN_DIGITS)
-    out = []
-    for root in sorted({(-b - s) / (2 * a), (-b + s) / (2 * a)}):
-        if root <= 0:
-            continue
-        coords = {
-            lbl: (root if _jensen_scaled(lbl) else Fraction(1))
-            for lbl in dims(decomp)
-        }
-        out.append(coords)
-    return out
+    """Coordinates of the equal-off-diagonal Einstein metrics: the root of a
+    linear jensen_quadratic exactly, those of a quadratic to JENSEN_DIGITS
+    decimals."""
+    coeffs = jensen_quadratic(decomp)
+    if len(coeffs) == 2:
+        roots = [Fraction(-coeffs[0], coeffs[1])]
+    else:
+        c, b, a = coeffs
+        disc = b * b - 4 * a * c
+        if disc < 0:
+            return []
+        s = sqrt_fraction(disc, JENSEN_DIGITS)
+        roots = sorted({(-b - s) / (2 * a), (-b + s) / (2 * a)})
+    return [{lbl: (root if _jensen_scaled(lbl) else Fraction(1)) for lbl in dims(decomp)}
+            for root in roots if root > 0]
 
 
 def _lambda_and_residual(
@@ -416,9 +409,7 @@ def solve(system: EinsteinSystem) -> list[EinsteinSolution]:
         r13 = float(refined.midpoint())
         root = bisect_to_width(refined, LIFT_WIDTH).simplest()
         for point in _lift(pivots, {k: root}):
-            coords: dict[ModuleLabel, float | Fraction] = {
-                system.normalization: Fraction(1)
-            }
+            coords: dict[ModuleLabel, float | Fraction] = {OffDiag(2, 3): Fraction(1)}
             for j, lbl in enumerate(_free_labels(decomp)):  # x_lbl is column j
                 coords[lbl] = point[j]
             coords[OffDiag(1, 3)] = r13  # reported x13: lies in intervals.x13

@@ -88,17 +88,19 @@ class TripleTable(Record):
 
     decomp: BlockDecomposition
     entries: dict[TripleKey, Fraction]
-    dims: dict[ModuleLabel, int] | None = None
 
     def __post_init__(self) -> None:
-        if not self.dims:
-            object.__setattr__(self, "dims", dims(self.decomp))
         admissible = _admissible_triples(self.decomp)
         for key, val in self.entries.items():
             if val < 0:
                 raise DomainError(f"negative triple {key}: {val}")
             if val != 0 and key not in admissible:
                 raise DomainError(f"inadmissible nonzero triple shape {key}")
+
+    @functools.cached_property
+    def dims(self) -> dict[ModuleLabel, int]:
+        """dims(decomp): the dimension of every metric module."""
+        return dims(self.decomp)
 
     @functools.cached_property
     def terms(self) -> dict[ModuleLabel, tuple[tuple, tuple]]:

@@ -2,19 +2,25 @@
 Sturm layer must agree with: the halving loop behind root refinement, the
 two-PRS square-free part and root isolation, and the Fraction
 Stern-Brocot walk; the one the resultant's degree windows must agree with,
-least and greatest assignments over the Sylvester matrix; and a loader for
-the scripts in tools/."""
+least and greatest assignments over the Sylvester matrix; a loader for
+the scripts in tools/; and one traced CLI solve per shape, which the
+shape-space tests share."""
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import importlib.util
 import math
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
+from unittest.mock import patch
 
 import pytest
 
-from stiefel_einstein.polyalg import IsolatingInterval
+from stiefel_einstein import cli, solver
+from stiefel_einstein.polyalg import IsolatingInterval, resultants
 from stiefel_einstein.polyalg.sturm import (
     _degree,
     _derivative,
@@ -26,6 +32,7 @@ from stiefel_einstein.polyalg.sturm import (
 )
 
 
+@functools.cache
 def tool(name: str):
     """The script tools/<name>.py, loaded as a module."""
     path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
@@ -33,6 +40,46 @@ def tool(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+class TracedSolve(NamedTuple):
+    """One solve of a shape through cli.main; each call is (args, kwargs,
+    result)."""
+
+    report: str  # the text of solve --format json
+    system: solver.EinsteinSystem
+    elimination: tuple  # what solver._eliminate returned
+    solutions: list
+    isolations: list  # the calls of solver.isolate_real_roots
+    windows: list  # the calls of resultants._windows
+
+
+def _recorder(fn, calls: list):
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs, fn(*args, **kwargs)))
+        return calls[-1][2]
+
+    return recorded
+
+
+@functools.cache
+def traced_solve(blocks: tuple[int, int, int]) -> TracedSolve:
+    """The one `solve --blocks k1,k2,k3 --format json` the tests run on a
+    shape (tools/solve_digest.report), with the isolations, the degree
+    windows, the elimination and the solve that cli calls recorded.  Every
+    caller gets the same objects, so none may change them."""
+    hooks = [(solver, "isolate_real_roots"), (resultants, "_windows"),
+             (solver, "_eliminate"), (cli, "solve")]
+    calls: dict[str, list] = {name: [] for _, name in hooks}
+    with contextlib.ExitStack() as stack:
+        for module, name in hooks:
+            recorded = _recorder(getattr(module, name), calls[name])
+            stack.enter_context(patch.object(module, name, recorded))
+        report = tool("solve_digest").report(blocks)
+    ((_, _, elimination),) = calls["_eliminate"]
+    (((system,), _, solutions),) = calls["solve"]
+    return TracedSolve(report, system, elimination, solutions,
+                       calls["isolate_real_roots"], calls["_windows"])
 
 
 def times_x_minus_1(coeffs: list[Fraction]) -> list[Fraction]:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import stiefel_einstein
+from stiefel_einstein import cli
 from stiefel_einstein.cli import EXIT_DOMAIN, EXIT_OK, EXIT_RESOURCE, main
 from stiefel_einstein.polyalg import resultants
 
@@ -64,6 +65,17 @@ def test_solve_pretty_and_json(capsys):
     for rec in data["solutions"]:
         assert rec["coords"]["x23"] == 1
         assert rec["residual"] < 1e-10
+    # csv: one row per solution of the JSON report, in its order
+    code, out, _ = run(capsys, "solve", "--blocks", "1,3,2", "--format", "csv")
+    assert code == EXIT_OK
+    header, *rows = out.splitlines()
+    assert header == "n,branch,classification,x12,x13,x2,x23,lambda,residual"
+    assert [row.split(",") for row in rows] == [
+        ["6", rec["branch"], rec["classification"],
+         *(str(rec["coords"][k]) for k in ("x12", "x13", "x2", "x23")),
+         str(rec["lambda"]), str(rec["residual"])]
+        for rec in data["solutions"]
+    ]
 
 
 def test_solve_is_byte_deterministic(tmp_path):
@@ -71,6 +83,10 @@ def test_solve_is_byte_deterministic(tmp_path):
     assert main(["solve", "--blocks", "1,3,2", "--output", str(a)]) == EXIT_OK
     assert main(["solve", "--blocks", "1,3,2", "--output", str(b)]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+    # the parametric spelling of the same shape writes the same bytes
+    c = tmp_path / "c.json"
+    assert main(["solve", "--blocks", "1,3,R", "--n", "6", "--output", str(c)]) == EXIT_OK
+    assert c.read_bytes() == a.read_bytes()
 
 
 @pytest.mark.parametrize("target, reason", [
@@ -92,6 +108,13 @@ def test_sweep_csv(capsys):
     assert header[:3] == ["n", "branch", "classification"]
     assert len(lines) == 1 + 8  # four solutions per n
     assert {line.split(",")[0] for line in lines[1:]} == {"6", "7"}
+    # pretty: a heading per n, then that n's solutions
+    code, out, _ = run(capsys, "sweep", "--blocks", "1,3,R", "--n", "6..7",
+                       "--format", "pretty")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert [lines[0], lines[5]] == ["n=6", "n=7"] and len(lines) == 10
+    assert sorted(line.split()[0] for line in lines[1:5]) == ["Jensen", "Jensen", "New", "New"]
 
 
 def test_sweep_json_includes_reports(capsys):
@@ -199,6 +222,22 @@ def test_certify_exact_jensen_point(capsys):
     assert data["classification"] == "Jensen"
 
 
+@pytest.mark.parametrize("blocks, coords", [
+    ("1,1,4", "x12=8/5,x13=1,x23=1"),
+    # x1 = x12 = (4 + sqrt(11)) / 5
+    ("2,1,3", "x1=1.4633249580710799,x12=1.4633249580710799,x13=1,x23=1"),
+], ids=["114", "213"])
+def test_certify_accepts_jensen_metrics_with_k2_1(capsys, blocks, coords):
+    # solve needs k2 >= 2, certify does not: with k1 = k2 = 1 the Jensen
+    # numerator is linear, x12 = 2(n - 2) / (n - 1)
+    code, out, _ = run(capsys, "certify", "--blocks", blocks, "--coords", coords)
+    assert code == EXIT_OK
+    data = json.loads(out)
+    assert data["accepted"] is True
+    assert data["classification"] == "Jensen"
+    assert data["residual"] < 1e-15
+
+
 def test_bad_usage_is_domain_error(capsys):
     code, _, err = run(capsys, "solve", "--blocks", "1,3")
     assert code == EXIT_DOMAIN
@@ -209,6 +248,9 @@ def test_bad_usage_is_domain_error(capsys):
         capsys, "ricci", "--blocks", "1,3,2", "--coords", "x2=1"
     )
     assert code == EXIT_DOMAIN
+    code, out, err = run(capsys, "solve", "--blocks", "1,3,2", "--n", "6")
+    assert code == EXIT_DOMAIN and not out
+    assert err == "error: --n is only valid with a parametric block spec\n"
     code, _, err = run(capsys, "solve")  # missing --blocks
     assert code == EXIT_DOMAIN
     assert "--blocks" in err
@@ -266,9 +308,9 @@ def test_bad_usage_is_domain_error(capsys):
             assert code == EXIT_DOMAIN and not out
             assert err.startswith("error: --coords") and what in err
             assert "x2, x12, x13, x23" in err
-    # a negative or NaN tolerance
+    # a negative, NaN or non-numeric tolerance
     for cmd, extra in [("solve", []), ("certify", ["--coords", "x2=1,x12=1,x13=1,x23=1"])]:
-        for tol in ("-1", "nan"):
+        for tol in ("-1", "nan", "abc"):
             code, out, err = run(capsys, cmd, "--blocks", "1,3,2", *extra, f"--tol={tol}")
             assert code == EXIT_DOMAIN and not out
             assert err.startswith("error:") and "--tol" in err
@@ -295,10 +337,18 @@ def test_solve_takes_no_tolerance(capsys):
     assert err.startswith("error:") and "--tol" in err
 
 
-def test_fixtures_verify(capsys):
+def test_fixtures_verify(capsys, monkeypatch):
     code, out, _ = run(capsys, "fixtures-verify")
     assert code == EXIT_OK
     assert json.loads(out) == {"ok": True, "problems": []}
+    # a stored factor that is off in one coefficient is a problem
+    stored = cli.v5r7_142_h2_coeffs()
+    monkeypatch.setattr(cli, "v5r7_142_h2_coeffs", lambda: [stored[0] + 1, *stored[1:]])
+    code, out, _ = run(capsys, "fixtures-verify")
+    assert code == EXIT_DOMAIN
+    assert json.loads(out) == {
+        "ok": False, "problems": ["recomputed (1,4,2) eliminant differs from stored factor"]
+    }
 
 
 def test_ricci_float_report(capsys):
@@ -354,8 +404,8 @@ def test_start_up_loads_neither_dataclasses_nor_the_groebner_code():
         "from stiefel_einstein import cli\n"
         "cli.build_parser()\n"
         "new = [m for m in sys.modules if m not in before]\n"
-        "from stiefel_einstein import polyalg\n"
-        "print(json.dumps({'new': new, 'buchberger': polyalg.buchberger.__module__}))\n"
+        "from stiefel_einstein.polyalg import groebner\n"
+        "print(json.dumps({'new': new, 'buchberger': groebner.buchberger.__module__}))\n"
         "sys.exit(cli.main(['fixtures-verify']))"
     )
     src = str(Path(stiefel_einstein.__file__).resolve().parents[1])

@@ -16,15 +16,14 @@ from stiefel_einstein.polyalg import (
     IsolatingInterval,
     alternating_sign_check,
     bisect_to_width,
-    buchberger,
     count_real_roots,
     eliminate_resultant,
     isolate_real_roots,
     resultant,
-    saturation_generators,
     squarefree_part,
 )
 from stiefel_einstein.polyalg import groebner, resultants, sturm
+from stiefel_einstein.polyalg.groebner import buchberger, saturation_generators
 from stiefel_einstein.so_algebra import BlockDecomposition
 from stiefel_einstein.solver import _eliminate, _univariate, _univariate_at, build_system
 from helpers import halving_oracle, int_poly, squarefree_oracle, sympy_expr, univariate

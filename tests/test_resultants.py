@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 from sympy.polys.subresultants_qq_zz import sylvester  # noqa: E402
 
-from helpers import int_poly, sympy_expr, tool, window_oracle  # noqa: E402
+from helpers import int_poly, sympy_expr, tool, traced_solve, window_oracle  # noqa: E402
 
 V = ("x", "y", "z")
 X, Y, Z = sympy.symbols(V)
@@ -333,20 +333,10 @@ def test_newton_windows_lie_in_the_assignment_windows_and_hold_the_determinant(p
         assert all(lo <= e <= hi for e, (lo, hi) in zip(exponents, windows))
 
 
-def test_windows_equal_the_assignment_windows_on_every_shape_up_to_n8(monkeypatch):
-    calls = []
-
-    def recording_windows(*args):
-        calls.append((args, windows(*args)))
-        return calls[-1][1]
-
-    windows = resultants._windows
-    monkeypatch.setattr(resultants, "_windows", recording_windows)
+def test_windows_equal_the_assignment_windows_on_every_shape_up_to_n8():
     for blocks in tool("solve_digest").shapes(8):
-        system = build_system(BlockDecomposition(blocks))
-        resultants.eliminate_resultant(system.polys, system.variables, "x13")
-    assert len(calls) == 35  # one modular resultant per shape
-    for args, got in calls:
+        # one modular resultant per shape
+        ((args, _, got),) = traced_solve(blocks).windows
         assert got == window_oracle(*args)
 
 

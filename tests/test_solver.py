@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import importlib
 import math
@@ -33,7 +32,7 @@ from stiefel_einstein.solver import (
 )
 from stiefel_einstein.triples import dims, triples_closed_form
 
-from helpers import divides, isolation_oracle, tool
+from helpers import divides, isolation_oracle, tool, traced_solve
 
 
 def _proportional(p: dict, q: dict) -> bool:
@@ -204,13 +203,25 @@ def test_jensen_points_match_closed_form():
         assert p[Diag(2)] == p[OffDiag(1, 2)]
 
 
+# (1, 4, 2), then every shape with k2 = 1 and n <= 10: build_system needs
+# k2 >= 2, the Jensen points do not
+JENSEN_POINT_SHAPES = [(1, 4, 2)] + [(k1, 1, n - 1 - k1) for n in range(4, 11)
+                                     for k1 in range(1, n - 1)]
+
+
 def test_jensen_points_certify_as_jensen():
-    d = BlockDecomposition((1, 4, 2))
-    for point in jensen_points(d):
-        result = certify(point, d)
-        assert isinstance(result, EinsteinSolution)
-        assert result.classification == "Jensen"
-        assert result.residual < 1e-12
+    for blocks in JENSEN_POINT_SHAPES:
+        d = BlockDecomposition(blocks)
+        points = jensen_points(d)
+        if blocks[:2] == (1, 1):  # the one root of a linear numerator, exact
+            assert [p[OffDiag(1, 2)] for p in points] == [Fraction(2 * (d.n - 2), d.n - 1)]
+        else:
+            assert len(points) == 2, d
+        for point in points:
+            result = certify(point, d)
+            assert isinstance(result, EinsteinSolution), (d, result)
+            assert result.classification == "Jensen"
+            assert result.residual < 1e-12
 
 
 def test_certify_rejects_nonpositive():
@@ -279,52 +290,37 @@ def test_jensen_ansatz_leaves_only_r12_minus_r13(blocks):
     assert quad == diffs[OffDiag(1, 2), OffDiag(1, 3)]
 
 
-def _record_isolations(monkeypatch) -> list:
-    """The (p, lo, hi, intervals) of each isolate_real_roots call in solver."""
-    calls, inner = [], solver.isolate_real_roots
-
-    def recorded(p, lo=None, hi=None):
-        calls.append((p, lo, hi, inner(p, lo, hi)))
-        return calls[-1][3]
-
-    monkeypatch.setattr(solver, "isolate_real_roots", recorded)
-    return calls
-
-
 # every shape the solver accepts with n <= 8: 35 of them
 SMALL_SHAPES = [b for b in SHAPES_UP_TO_9 if sum(b) <= 8]
 
 
 @pytest.mark.parametrize("blocks", SMALL_SHAPES,
                          ids=["".join(map(str, b)) for b in SMALL_SHAPES])
-def test_every_shape_up_to_n8_solves(blocks, monkeypatch):
-    # no DegenerateSystemError from the elimination or the Jensen quadratic,
-    # and every positive root of the quadratic certifies as a Jensen metric;
-    # each isolation, of the eliminant and of every lift pivot, gives the
-    # cells of the two-PRS Sturm recursion
-    calls = _record_isolations(monkeypatch)
-    d = BlockDecomposition(blocks)
-    sols = solve(build_system(d))
-    quad = jensen_quadratic(d)
-    jensen = [s for s in sols if s.classification == "Jensen"]
+def test_every_shape_up_to_n8_solves(blocks):
+    # the CLI solve exits 0, so no DegenerateSystemError from the elimination
+    # or the Jensen quadratic; every positive root of the quadratic certifies
+    # as a Jensen metric; each isolation in that solve, of the eliminant and
+    # of every lift pivot, gives the cells of the two-PRS Sturm recursion
+    run = traced_solve(blocks)
+    quad = jensen_quadratic(BlockDecomposition(blocks))
+    jensen = [s for s in run.solutions if s.classification == "Jensen"]
     assert len(jensen) == len(isolate_real_roots(quad, lo=Fraction(0)))
-    assert calls
-    for p, lo, hi, ivs in calls:
-        assert ivs == isolation_oracle(p, lo, hi)
+    assert run.isolations
+    for args, kwargs, ivs in run.isolations:
+        assert ivs == isolation_oracle(*args, **kwargs)
 
 
-def test_close_x12_roots_on_243_match_the_oracle(monkeypatch):
+def test_close_x12_roots_on_243_match_the_oracle():
     # one x12 pivot of the (2,4,3) lift has two roots near 1.10819418755439,
     # less than 1e-15 apart
-    calls = _record_isolations(monkeypatch)
-    solve(build_system(BlockDecomposition((2, 4, 3))))
     near = Fraction("1.10819418755439")
-    close = [c for c in calls if sum(abs(iv.lo - near) < 1e-12 for iv in c[3]) == 2]
+    close = [c for c in traced_solve((2, 4, 3)).isolations
+             if sum(abs(iv.lo - near) < 1e-12 for iv in c[2]) == 2]
     assert len(close) == 1
-    p, lo, hi, ivs = close[0]
+    args, kwargs, ivs = close[0]
     first, second = (iv for iv in ivs if abs(iv.lo - near) < 1e-12)
     assert second.hi - first.lo < Fraction(1, 10**15)
-    assert ivs == isolation_oracle(p, lo, hi)
+    assert ivs == isolation_oracle(*args, **kwargs)
 
 
 def test_groebner_eliminant_proportional_to_h1():
@@ -371,13 +367,13 @@ ELIMINATION_SHA256 = {
 
 @pytest.mark.parametrize("blocks", ELIMINATION_SHA256, ids=lambda b: "".join(map(str, b)))
 def test_elimination_is_pinned(blocks):
-    text = _elimination_text(blocks)
+    system = build_system(BlockDecomposition(blocks))
+    text = _elimination_text(system, _eliminate(system))
     assert hashlib.sha256(text.encode()).hexdigest() == ELIMINATION_SHA256[blocks]
 
 
-def _elimination_text(blocks) -> str:
-    system = build_system(BlockDecomposition(blocks))
-    coeffs, pivots = _eliminate(system)
+def _elimination_text(system, elimination) -> str:
+    coeffs, pivots = elimination
     return repr((coeffs, [
         (var, system.variables, sorted((m, Fraction(c)) for m, c in pivot.items()))
         for var, pivot in pivots
@@ -393,7 +389,8 @@ SMALL_ELIMINATIONS_SHA256 = "c90bd91366e210602923bfe5a34d4ea224f7ffd717f6c366260
 def test_eliminations_of_every_shape_up_to_n8_are_pinned():
     sha = hashlib.sha256()
     for blocks in SMALL_SHAPES:
-        sha.update(_elimination_text(blocks).encode())
+        run = traced_solve(blocks)
+        sha.update(_elimination_text(run.system, run.elimination).encode())
     assert sha.hexdigest() == SMALL_ELIMINATIONS_SHA256
 
 
@@ -540,15 +537,12 @@ SOLVE_DIGEST = {
 }
 
 
-@functools.cache
-def _solve_digests() -> dict[int, str]:
-    """Both pinned digests from one pass over the n <= 10 reports."""
-    return tool("solve_digest").digests(max(SOLVE_DIGEST))
-
-
 @pytest.mark.parametrize("n_max", SOLVE_DIGEST)
 def test_reports_of_every_shape_up_to_n_are_pinned(n_max):
-    assert _solve_digests()[n_max] == SOLVE_DIGEST[n_max]
+    sha = hashlib.sha256()
+    for shape in tool("solve_digest").shapes(n_max):
+        sha.update(traced_solve(shape).report.encode())
+    assert sha.hexdigest() == SOLVE_DIGEST[n_max]
 
 
 def _swap_blocks(coords: dict) -> dict:
@@ -566,7 +560,7 @@ def test_block_swap_maps_solutions_onto_solutions():
     # blocks is an isometry, so each solution's image certifies on the swapped
     # shape and is one of its reported solutions, of the same kind
     shapes = [b for b in SHAPES_UP_TO_9 if b[0] >= 2]
-    sols = {b: solve(build_system(BlockDecomposition(b))) for b in shapes}
+    sols = {b: traced_solve(b).solutions for b in shapes}
     for (k1, k2, k3), found in sols.items():
         swapped = sols[(k2, k1, k3)]
         assert len(found) == len(swapped), (k1, k2, k3)

@@ -26,15 +26,20 @@ def shapes(n_max: int) -> list[tuple[int, int, int]]:
             for k1 in range(1, n - 2) for k2 in range(2, n - k1)]
 
 
+def report(shape: tuple[int, int, int]) -> str:
+    """The text that `solve --blocks k1,k2,k3 --format json` writes."""
+    with redirect_stdout(io.StringIO()) as out:
+        if main(["solve", "--blocks", ",".join(map(str, shape)), "--format", "json"]):
+            raise SystemExit(f"solve failed on {shape}")
+    return out.getvalue()
+
+
 def digests(n_max: int) -> dict[int, str]:
     """{m: the sha256 of the solve reports of shapes(m), one after another}
     for 4 <= m <= n_max, from one pass: shapes(m) begins shapes(n_max)."""
     sha, out = hashlib.sha256(), {}
     for shape in shapes(n_max):
-        with redirect_stdout(io.StringIO()) as report:
-            if main(["solve", "--blocks", ",".join(map(str, shape)), "--format", "json"]):
-                raise SystemExit(f"solve failed on {shape}")
-        sha.update(report.getvalue().encode())
+        sha.update(report(shape).encode())
         out[sum(shape)] = sha.hexdigest()
     return out
 
