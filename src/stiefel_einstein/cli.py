@@ -29,6 +29,7 @@ from .solver import (
     positivity_report,
     solve,
     sweep,
+    to_float,
 )
 from .triples import dims, triples_bruteforce, triples_closed_form
 
@@ -215,15 +216,13 @@ def _cmd_triples(args) -> int:
 
 def _cmd_ricci(args) -> int:
     decomp = _decomp(args)
-    coords = _parse_coords(args.coords, decomp)
-    comp = ricci(InvariantMetric(decomp, coords))
-    values = {
-        f"r{l.name}": _fmt(float(v)) for l, v in sorted(comp.values.items())
-    }
+    coords = {l: Fraction(v) for l, v in _parse_coords(args.coords, decomp).items()}
+    comp = ricci(InvariantMetric(decomp, coords))  # exact, so no float overflows midway
     out = {
-        "components": values,
-        "lambda_candidate": _fmt(float(comp.einstein_constant_candidate)),
-        "residual": _fmt(float(comp.residual())),
+        "components": {f"r{l.name}": _fmt(to_float(v, f"r{l.name}"))
+                       for l, v in sorted(comp.values.items())},
+        "lambda_candidate": _fmt(to_float(comp.einstein_constant_candidate, "lambda")),
+        "residual": _fmt(to_float(comp.residual(), "the residual")),
     }
     _emit(args, json.dumps(out, indent=1, sort_keys=True) + "\n")
     return EXIT_OK
@@ -278,17 +277,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_certify(args) -> int:
     decomp = _decomp(args)
-    coords = _parse_coords(args.coords, decomp)
-    try:
-        result = certify(coords, decomp, tol=args.tol)
-    except StiefelError as exc:
-        result = None
-        out = {"accepted": False, "reason": str(exc)}
-    if result is not None:
-        if isinstance(result, EinsteinSolution):
-            out = {"accepted": True, **_solutions_json([result])["solutions"][0]}
-        else:
-            out = {"accepted": False, "reason": result.reason}
+    result = certify(_parse_coords(args.coords, decomp), decomp, tol=args.tol)
+    if isinstance(result, EinsteinSolution):
+        out = {"accepted": True, **_solutions_json([result])["solutions"][0]}
+    else:
+        out = {"accepted": False, "reason": result.reason}
     _emit(args, json.dumps(out, indent=1, sort_keys=True) + "\n")
     return EXIT_OK if out["accepted"] else EXIT_DOMAIN
 

@@ -4,19 +4,18 @@ by exponent tuples (Poly), the package's one multivariate format.
 Against an operand of degree 1 in the eliminated variable, a1 var + a0, the
 resultant is the closed form a1^n g(-a0/a1) = sum_k g_k (-a0)^k a1^(n-k),
 expanded by Horner in integer arithmetic (von zur Gathen & Gerhard, Modern
-Computer Algebra, section 6).  Otherwise it evaluates and interpolates
-modulo a prime (Collins, JACM 18, 1971): a Proth prime k 2^e + 1, proven by
-Proth's theorem, of the least multiple of 64 bits, up to MAX_PRIME_BITS,
-that exceeds twice the Goldstein-Graham coefficient bound (SIAM Review 16,
-1974); larger bounds combine several primes by CRT.  Degree windows, from
-the Newton polygons of the operands, fix its points; with the bound they
-fix its cost before any evaluation.  The points of each variable are a run
-of consecutive integers, and every coefficient is evaluated over the run by
+Computer Algebra, section 6).  Otherwise it evaluates and interpolates modulo
+one prime (Collins, JACM 18, 1971): the least Proth prime k 2^e + 1, proven by
+Proth's theorem, of the least multiple of 64 bits that exceeds twice the
+Goldstein-Graham coefficient bound (SIAM Review 16, 1974).  Degree windows,
+from the Newton polygons of the operands, fix its points; with the bound they
+fix its cost before any evaluation.  The points of each variable are a run of
+consecutive integers, and every coefficient is evaluated over the run by
 Horner on its dense row.  The run of the last variable takes one Euclidean
-resultant on pseudo-remainders whose coefficients are lists over its
-points, as a numerator and a denominator per point.  One modular inverse
-per run serves all its denominators (Montgomery, Math. Comp. 48, 1987), and
-forward differences interpolate the run.
+resultant on pseudo-remainders whose coefficients are lists over its points,
+as a numerator and a denominator per point.  One modular inverse per run
+serves all its denominators (Montgomery, Math. Comp. 48, 1987), and forward
+differences interpolate the run.
 Elimination strips the content and every monomial factor from its
 generators and from each resultant, and chains resultants against a
 low-degree pivot; a resultant that vanishes identically is a
@@ -26,7 +25,7 @@ DegenerateSystemError.
 from __future__ import annotations
 
 from functools import cache
-from itertools import accumulate, count
+from itertools import accumulate
 from math import factorial, gcd, isqrt, prod
 from operator import sub
 
@@ -40,9 +39,6 @@ Poly = dict[tuple[int, ...], int]
 # the largest call of a (3,3,2) solve takes 6 x 117 = 702.
 RESULTANT_BUDGET = 50_000
 
-# Largest prime the resultant works modulo; bounds above it take several
-MAX_PRIME_BITS = 1024
-
 # Bases tried in Proth's test; a prime that all of them leave at 1 is skipped
 PROTH_BASES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -55,14 +51,13 @@ def _odd_primes_product() -> int:
 
 
 @cache
-def _proth_prime(bits: int, i: int) -> int:
-    """The i-th prime p = k 2^e + 1 with bits = 2e bits and k odd, by k
+def _proth_prime(bits: int) -> int:
+    """The least prime p = k 2^e + 1 with bits = 2e bits and k odd, by k
     ascending from 2^(e-1), past candidates with an odd factor below 2^12.
     Since k < 2^e, Proth's theorem proves p prime once a^((p-1)/2) = -1 mod
     p for some base a; any result but 1 proves p composite."""
     e, small = bits // 2, _odd_primes_product()
-    start = (_proth_prime(bits, i - 1) >> e) + 2 if i else (1 << e - 1) + 1
-    for k in range(start, 1 << e, 2):
+    for k in range((1 << e - 1) + 1, 1 << e, 2):
         p = (k << e) + 1
         if gcd(p, small) > 1:
             continue
@@ -73,18 +68,13 @@ def _proth_prime(bits: int, i: int) -> int:
             return p
 
 
-def _primes(bits: int):
-    """Proth primes of the given (even) bit length, ascending."""
-    for i in count():
-        yield _proth_prime(bits, i)
-
-
 def _res_batch(a: list[list[int]], b: list[list[int]], p: int) -> tuple[list[int], list[int]]:
     """Res(a, b) mod p as (nums, dens), Res = num / den at each point of a
     batch: a and b are ascending lists of coefficients, each a list over the
-    points, with leads nonzero at every point.  Euclid on pseudo-remainders:
-    with m = deg a and n = deg b, d >= m - n + 1 steps of division give
-    prem(a, b) = lc(b)^d (a mod b), so Res(a, b) is
+    points, with leads nonzero at every point (against one of degree 0, Res
+    is that constant to the other degree, and the other lead is never read).
+    Euclid on pseudo-remainders: with m = deg a and n = deg b, d >= m - n + 1
+    steps of division give prem(a, b) = lc(b)^d (a mod b), so Res(a, b) is
     (-1)^(mn) Res(b, prem(a, b)) / lc(b)^(dn - m + deg prem), a power that is
     never negative.  d is made even and the steps go in pairs: with q0 and q1
     the leading coefficients met by the two steps, one pass sets
@@ -127,13 +117,6 @@ def _res_batch(a: list[list[int]], b: list[list[int]], p: int) -> tuple[list[int
             den_e = [v * pow(c, d * n + e - m, p) % p for v, c in zip(den_e, lb_e)]
             work.append((rows[:n + 1], rows[n + 1:], at_e, -sign if m * n & 1 else sign, den_e))
     return nums, dens
-
-
-def _res_univariate(a: list[int], b: list[int], p: int) -> tuple[int, int]:
-    """Res(a, b) mod p as (num, den) for ascending lists with nonzero leads:
-    a batch of one (see _res_batch)."""
-    nums, dens = _res_batch([[c] for c in a], [[c] for c in b], p)
-    return nums[0], dens[0]
 
 
 def _inverses(xs: list[int], p: int) -> list[int]:
@@ -211,10 +194,10 @@ def _run(leads: list[list[list[int]]], n: int, p: int) -> int:
     return xs[0]
 
 
-def _res_mod(f: dict, g: dict, df: int, dg: int, windows: list[tuple[int, int]], p: int):
-    """Res_var(f, g) mod p as (terms, den), Res = terms / den with terms keyed
-    by the exponents of the other variables, or None when a leading
-    coefficient in var vanishes mod p.
+def _res_mod(f: dict, g: dict, df: int, dg: int, windows: list[tuple[int, int]], p: int) -> dict:
+    """Res_var(f, g) mod p, keyed by the exponents of the other variables, for
+    f and g of degrees df and dg in var whose leading coefficients do not
+    vanish mod p, unless one of them has degree 0 (see _res_batch).
 
     f and g map (exponents of the other variables, exponent of var) to
     residues; windows[i] = (lo, hi) holds the result's exponents in the i-th
@@ -228,12 +211,10 @@ def _res_mod(f: dict, g: dict, df: int, dg: int, windows: list[tuple[int, int]],
     sum_k D^k binom(x - s, k), which is expanded by Horner in integers,
     times (N - 1)!, and reduced once per coefficient.
     """
-    if not (any(m[-1] == df for m in f) and any(m[-1] == dg for m in g)):
-        return None
     if not windows:
-        num, den = _res_univariate([f.get((e,), 0) for e in range(df + 1)],
-                                   [g.get((e,), 0) for e in range(dg + 1)], p)
-        return {(): num} if num else {}, den
+        (num,), (den,) = _res_batch(*([[h.get((e,), 0)] for e in range(d + 1)]
+                                      for h, d in ((f, df), (g, dg))), p)
+        return {(): v} if (v := num * pow(den, -1, p) % p) else {}
     lo, hi = windows[0]
     n = hi - lo + 1
     split: list[dict] = [{}, {}]  # {rest of the key: {first exponent: c}}
@@ -250,8 +231,9 @@ def _res_mod(f: dict, g: dict, df: int, dg: int, windows: list[tuple[int, int]],
                                   for part, d in zip(at, (df, dg))), p)
         vals = [{(): v} if v else {} for v in nums]
     else:
-        vals, dens = zip(*(_res_mod(*({k: v[j] for k, v in part.items() if v[j]} for part in at),
-                                    df, dg, windows[1:], p) for j in range(n)))
+        vals = [_res_mod(*({k: v[j] for k, v in part.items() if v[j]} for part in at),
+                         df, dg, windows[1:], p) for j in range(n)]
+        dens = [1] * n
     *inv, inv_fact = _inverses([d * x**lo for d, x in zip(dens, xs)] + [factorial(n - 1)], p)
     x, out = xs[-1], {}  # the run ends at x
     for key in set().union(*vals):
@@ -265,7 +247,7 @@ def _res_mod(f: dict, g: dict, df: int, dg: int, windows: list[tuple[int, int]],
             coeffs = ([diff[k] * weight - node * coeffs[0]]
                       + [u - node * v for u, v in zip(coeffs, coeffs[1:])] + [coeffs[-1]])
         out.update(((e + lo,) + key, v) for e, u in enumerate(coeffs) if (v := u * inv_fact % p))
-    return out, 1
+    return out
 
 
 def _linear(f: dict, g: dict, s: int) -> dict:
@@ -304,10 +286,14 @@ def resultant(f: Poly, g: Poly, i: int, var: str) -> Poly:
     The result is keyed like f and g, with exponent 0 at index i; it is {}
     exactly when f and g share a factor of positive degree in var.  When
     either operand has degree 1 in var it is the closed form of the module
-    docstring, with the sign (-1)^(deg f) when only g is linear.  Otherwise it is computed modulo primes, the variables in
-    neither operand left out, and raises EliminationOverflowError, before
-    any evaluation, when the 64-bit words of its moduli x its points would
-    exceed RESULTANT_BUDGET.
+    docstring, with the sign (-1)^(deg f) when only g is linear.  Otherwise
+    it is computed modulo the one prime of the module docstring, the
+    variables in neither operand left out, and raises
+    EliminationOverflowError, before any evaluation, when the 64-bit words
+    of that prime x its points would exceed RESULTANT_BUDGET.  No lead
+    vanishes mod the prime: the bound exceeds every coefficient of f and g
+    when both have positive degree in var, and against degree 0 the other
+    lead is never read (see _res_batch).
     """
     df, dg = max(m[i] for m in f), max(m[i] for m in g)
     order = [j for j in range(len(next(iter(f)))) if j != i] + [i]
@@ -329,34 +315,21 @@ def resultant(f: Poly, g: Poly, i: int, var: str) -> Poly:
             row[m[-1]] += abs(c)
     bound2 = sum(v * v for v in l1[0]) ** dg * sum(v * v for v in l1[1]) ** df  # B^2
     need = (bound2.bit_length() + 1) // 2 + 2  # 2^(need - 1) > 2B
-    bits = min(-(-need // 64) * 64, MAX_PRIME_BITS)
-    words = bits // 64 * -(-(need - 1) // (bits - 1))  # each prime exceeds 2^(bits - 1)
+    words = -(-need // 64)  # the prime exceeds 2^(64 words - 1) >= 2^(need - 1)
     points = prod(hi - lo + 1 for lo, hi in windows)
     if words * points > RESULTANT_BUDGET:
         raise EliminationOverflowError(
             f"resultant in {var}: {words} words x {points} points "
             f"exceeds the budget {RESULTANT_BUDGET}"
         )
-    terms, modulus, primes = {}, 1, _primes(bits)
-    while modulus**2 <= 4 * bound2:  # until the modulus exceeds 2B
-        prime = next(primes)
-        fp, gp = ({m: c % prime for m, c in h.items() if c % prime} for h in (f, g))
-        r = _res_mod(fp, gp, df, dg, windows, prime)
-        if r is None:
-            continue  # a leading coefficient in var vanishes mod prime
-        r, den = r
-        inv = pow(modulus * den, -1, prime)
-        for key in terms.keys() | r.keys():  # CRT
-            x = terms.get(key, 0)
-            terms[key] = x + modulus * ((r.get(key, 0) - x * den) * inv % prime)
-        modulus *= prime
+    prime = _proth_prime(64 * words)
+    fp, gp = ({m: c % prime for m, c in h.items() if c % prime} for h in (f, g))
     lifted = {}
-    for key, x in terms.items():
-        if x:
-            m = [0] * len(order)
-            for t, e in zip(used, key):
-                m[order[t]] = e
-            lifted[tuple(m)] = x - modulus if 2 * x > modulus else x
+    for key, x in _res_mod(fp, gp, df, dg, windows, prime).items():
+        m = [0] * len(order)
+        for t, e in zip(used, key):
+            m[order[t]] = e
+        lifted[tuple(m)] = x - prime if 2 * x > prime else x
     return lifted
 
 

@@ -254,6 +254,15 @@ def _lambda_and_residual(
     return lam, Fraction(max(abs(m * v - total) for v in nums), total)
 
 
+def to_float(q: Fraction, name: str) -> float:
+    """q as a float; a DomainError, naming q, when it overflows one."""
+    try:
+        return float(q)
+    except OverflowError:
+        digits = len(str(abs(q.numerator))) - len(str(q.denominator))
+        raise DomainError(f"{name} is about 10^{digits}, beyond the float range") from None
+
+
 def certify(
     coords: dict[ModuleLabel, float | Fraction],
     decomp: BlockDecomposition,
@@ -266,7 +275,7 @@ def certify(
     coordinates, in integers (see _lambda_and_residual); the candidate is
     accepted iff all coordinates are positive, lambda > 0 and
     max |r_i - lambda| / lambda <= tol; jensen is jensen_points(decomp), if
-    known.
+    known.  A value to report that overflows a float is a DomainError.
     """
     exact = {}
     for lbl, c in coords.items():
@@ -276,14 +285,14 @@ def certify(
     InvariantMetric(decomp, exact)  # checks the coordinate keys
     lam, exact_residual = _lambda_and_residual(decomp, exact)
     if exact_residual is None:
-        return Rejection(f"Ricci mean lambda = {float(lam):.6g} is not positive")
-    residual = float(exact_residual)
+        return Rejection(f"Ricci mean lambda = {to_float(lam, 'lambda'):.6g} is not positive")
+    residual = to_float(exact_residual, "the Einstein residual")
     if not residual <= tol:
         return Rejection(f"Einstein residual {residual:.3e} exceeds {tol:.1e}")
     return EinsteinSolution(
         decomp=decomp,
-        coords={l: float(c) for l, c in exact.items()},
-        lam=float(lam),
+        coords={l: to_float(c, f"x{l.name}") for l, c in exact.items()},
+        lam=to_float(lam, "lambda"),
         residual=residual,
         classification=_classify(exact, decomp, jensen),
     )

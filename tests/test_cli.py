@@ -285,6 +285,26 @@ def test_bad_usage_is_domain_error(capsys):
         code, out, err = run(capsys, cmd, "--blocks", "1,3,2", "--coords", coords)
         assert code == EXIT_DOMAIN and not out
         assert err.startswith("error:")
+    # finite coordinates far from 1: ricci evaluates exactly, so no float
+    # overflows or turns NaN midway; a value to report beyond the float range
+    # is an error, in ricci and certify alike, as is the lambda of the (1,1,4)
+    # Jensen metric scaled by 10^-400
+    tiny = "0" * 400
+    for cmd, blocks, coords, r1 in [
+        ("ricci", "2,3,2", "x1=1e300,x2=1e-300,x12=1,x13=1,x23=1", 2.5e299),
+        ("ricci", "2,3,2", "x1=1e-320,x2=1,x12=1,x13=1,x23=1", 2.5e-321),
+        ("ricci", "2,3,2", "x1=1,x2=1,x12=1,x13=1e-320,x23=1", None),
+        ("certify", "3,3,2", "x1=1,x2=1,x12=1,x13=1e-320,x23=1", None),
+        ("certify", "3,3,2", f"x1=1,x2=1,x12=1,x13=1/1{tiny},x23=1", None),
+        ("certify", "1,1,4", f"x12=8/5{tiny},x13=1/1{tiny},x23=1/1{tiny}", None),
+    ]:
+        code, out, err = run(capsys, cmd, "--blocks", blocks, "--coords", coords)
+        if r1 is None:
+            assert code == EXIT_DOMAIN and not out
+            assert err.startswith("error:") and "beyond the float range" in err
+        else:
+            assert code == EXIT_OK and "NaN" not in out and "Infinity" not in out
+            assert json.loads(out)["components"]["r1"] == r1
     # a malformed coordinate names --coords, the coordinate and the value
     for key, item in [("x12", "x12=abc"), ("x2", "x2"), ("x2", "x2=1.2.3"),
                       ("x2", "x2=1/x")]:
@@ -338,12 +358,22 @@ def test_solve_takes_no_tolerance(capsys):
 
 
 def test_fixtures_verify(capsys, monkeypatch):
+    eliminants = []
+
+    def recording_eliminant(system):
+        eliminants.append(groebner_eliminant(system))
+        return eliminants[-1]
+
+    groebner_eliminant = cli.groebner_eliminant
+    monkeypatch.setattr(cli, "groebner_eliminant", recording_eliminant)
     code, out, _ = run(capsys, "fixtures-verify")
     assert code == EXIT_OK
     assert json.loads(out) == {"ok": True, "problems": []}
-    # a stored factor that is off in one coefficient is a problem
+    # a stored factor that is off in one coefficient is a problem; the
+    # eliminants recorded above are compared again, not recomputed
     stored = cli.v5r7_142_h2_coeffs()
     monkeypatch.setattr(cli, "v5r7_142_h2_coeffs", lambda: [stored[0] + 1, *stored[1:]])
+    monkeypatch.setattr(cli, "groebner_eliminant", lambda system: eliminants.pop(0))
     code, out, _ = run(capsys, "fixtures-verify")
     assert code == EXIT_DOMAIN
     assert json.loads(out) == {

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 
@@ -327,17 +326,20 @@ def test_refinement_evaluation_counts(monkeypatch):
 def test_proth_primes_have_their_form_and_bit_length():
     sympy = pytest.importorskip("sympy")
     for bits in (64, 256, 1024):
-        primes = list(islice(resultants._primes(bits), 3))
-        assert primes == sorted(set(primes))
-        for p in primes:
-            e = ((p - 1) & (1 - p)).bit_length() - 1  # p = k 2^e + 1, k odd
-            assert p.bit_length() == bits and (p - 1) >> e < 2**e
-            assert sympy.isprime(p)
+        p = resultants._proth_prime(bits)
+        e = ((p - 1) & (1 - p)).bit_length() - 1  # p = k 2^e + 1, k odd
+        assert p.bit_length() == bits and (p - 1) >> e < 2**e
+        assert sympy.isprime(p)
+        # the least such prime: every smaller odd k gives a composite
+        k = (p - 1) >> e
+        assert not any(sympy.isprime((j << e) + 1) for j in range((1 << e - 1) + 1, k, 2))
 
 
-def test_fourth_1024_bit_proth_prime():
-    # k = 2^511 + 2123 follows a gap of 999 odd k after the third prime
-    assert resultants._proth_prime(1024, 3) == ((1 << 511) + 2123 << 512) + 1
+@pytest.mark.parametrize("bits, k", [(64, 37), (256, 95), (1024, 37)])
+def test_least_proth_prime_of_each_size(bits, k):
+    # p = (2^(e-1) + k) 2^e + 1 with e = bits / 2
+    e = bits // 2
+    assert resultants._proth_prime(bits) == ((1 << e - 1) + k << e) + 1
 
 
 def test_squarefree_part():

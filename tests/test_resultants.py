@@ -26,7 +26,8 @@ from helpers import int_poly, sympy_expr, tool, traced_solve, window_oracle  # n
 
 V = ("x", "y", "z")
 X, Y, Z = sympy.symbols(V)
-FIRST_PRIME = next(resultants._primes(resultants.MAX_PRIME_BITS))
+# the prime that a Goldstein-Graham bound below 2^62 picks
+P64 = resultants._proth_prime(64)
 
 
 def P(expr) -> dict:
@@ -51,11 +52,13 @@ CASES = {
     # deg p < deg q, both odd: Res(p, q) = -Res(q, p)
     "odd_degrees_swapped": (X**3 + Y, X**5 - 2 * Y * X + 5),
     "constant_in_var": (Y**2 + 1, X**2 + Y),
-    # no other variable: the Euclid's denominator reaches the CRT
+    # no other variable: the Euclid's denominator is divided out mod the prime
     "univariate": (2 * X**3 + X + 1, 3 * X**2 - 2),
-    # the bound exceeds MAX_PRIME_BITS, so the first prime tried is the first
-    # prime of that size; it is dropped
-    "lc_vanishes_mod_first_prime": (FIRST_PRIME * X**2 + X + Y, X**2 - Y),
+    # against an operand of degree 0 the bound leaves out the other operand:
+    # it picks P64, at which the other lead vanishes; Res is the constant
+    # cubed, in either order
+    "lead_vanishes_against_degree_0": (P64 * X**3 + X + Y, Y**2 + 3),
+    "degree_0_against_vanishing_lead": (Y**2 + 3, P64 * X**3 + X + Y),
     # the windows, y in [4, 5] and z in [2, 5], are the result's exponent ranges
     "window_above_zero": (Y * X**2 + Z * Y**2, Z * X**2 - Y * Z**2 * X + Y * Z),
 }
@@ -193,7 +196,7 @@ def test_linear_operand_never_evaluates(monkeypatch):
         (Y * X - 1, Z**2 + Y),  # q constant in x
         (X - Y * Z, X + 2 * Z),  # both linear
         (X + Y, X**3 - 2 * Y * X + 5),  # deg p < deg q, both odd
-        (FIRST_PRIME * X**2 + X + Y, X - Y),  # a coefficient above the prime cap
+        ((2**1023 + 1) * X**2 + X + Y, X - Y),  # a 1024-bit coefficient
         (Y * X**2 + Z * Y**2, Z * X - Y * Z**2 + Y * Z),
         (X, X),  # no permutation avoids the zero entries
         (X * Y, X**2 + X * Z),
@@ -203,18 +206,17 @@ def test_linear_operand_never_evaluates(monkeypatch):
     assert resultant(P((X - Y) * (X + 1)), P((X - Y) * Z), 0, "x") == {}
 
 
-P64 = next(resultants._primes(64))
-
-
 def _sylvester_mod(a: list[int], b: list[int], p: int) -> int:
     x = sympy.Symbol("x")
     poly_a, poly_b = (sympy.Poly(c[::-1], x).as_expr() for c in (a, b))
     return int(sylvester(poly_a, poly_b, x).det(method="berkowitz")) % p
 
 
-def _res_univariate(a: list[int], b: list[int], p: int) -> int:
-    num, den = resultants._res_univariate(a, b, p)
-    return num * pow(den, -1, p) % p
+def _res_batch(pairs: list[tuple[list[int], list[int]]], p: int) -> list[int]:
+    """Res of each pair mod p, by one batched Euclid over pairs of shared degrees."""
+    a, b = ([list(column) for column in zip(*side)] for side in zip(*pairs))
+    nums, dens = resultants._res_batch(a, b, p)
+    return [u * pow(v, -1, p) % p for u, v in zip(nums, dens)]
 
 
 UNIVARIATE_CASES = {
@@ -240,7 +242,7 @@ UNIVARIATE_CASES = {
 
 @pytest.mark.parametrize("a, b", UNIVARIATE_CASES.values(), ids=UNIVARIATE_CASES.keys())
 def test_univariate_resultant_matches_sylvester_mod_p(a, b):
-    assert _res_univariate(a, b, P64) == _sylvester_mod(a, b, P64)
+    assert _res_batch([(a, b)], P64) == [_sylvester_mod(a, b, P64)]
 
 
 # small coefficients make remainders drop degree or vanish; residues do not
@@ -255,14 +257,7 @@ _univariate_mod_p = st.builds(
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(_univariate_mod_p, _univariate_mod_p)
 def test_univariate_resultant_matches_sylvester_on_random_lists(a, b):
-    assert _res_univariate(a, b, P64) == _sylvester_mod(a, b, P64)
-
-
-def _res_batch(pairs: list[tuple[list[int], list[int]]], p: int) -> list[int]:
-    """Res of each pair mod p, by one batched Euclid over pairs of shared degrees."""
-    a, b = ([list(column) for column in zip(*side)] for side in zip(*pairs))
-    nums, dens = resultants._res_batch(a, b, p)
-    return [u * pow(v, -1, p) % p for u, v in zip(nums, dens)]
+    assert _res_batch([(a, b)], P64) == [_sylvester_mod(a, b, P64)]
 
 
 # degrees 4 and 3 in each pair; the first remainder has degree 2, degree 1
@@ -384,20 +379,3 @@ def test_resultant_budget_refuses_before_evaluating(monkeypatch):
     q = X**25 - 7**120 * Y**100 * Z**200 + 1
     with pytest.raises(EliminationOverflowError, match="budget"):
         resultant(P(p), P(q), 0, "x")
-
-
-def test_several_small_primes_give_the_one_prime_elimination(monkeypatch):
-    # with 64-bit primes the last (2,3,2) resultant needs four of them
-    system = build_system(BlockDecomposition((2, 3, 2)))
-    one_prime = resultants.eliminate_resultant(system.polys, system.variables, "x13")
-    primes = set()
-
-    def recording_res_mod(f, g, df, dg, windows, p):
-        primes.add(p)
-        return res_mod(f, g, df, dg, windows, p)
-
-    res_mod = resultants._res_mod
-    monkeypatch.setattr(resultants, "MAX_PRIME_BITS", 64)
-    monkeypatch.setattr(resultants, "_res_mod", recording_res_mod)
-    assert resultants.eliminate_resultant(system.polys, system.variables, "x13") == one_prime
-    assert len(primes) == 4 and all(p.bit_length() == 64 for p in primes)
