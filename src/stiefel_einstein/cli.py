@@ -218,11 +218,12 @@ def _cmd_ricci(args) -> int:
     decomp = _decomp(args)
     coords = {l: Fraction(v) for l, v in _parse_coords(args.coords, decomp).items()}
     comp = ricci(InvariantMetric(decomp, coords))  # exact, so no float overflows midway
+    residual = comp.residual()  # None when lambda <= 0
     out = {
         "components": {f"r{l.name}": _fmt(to_float(v, f"r{l.name}"))
                        for l, v in sorted(comp.values.items())},
         "lambda_candidate": _fmt(to_float(comp.einstein_constant_candidate, "lambda")),
-        "residual": _fmt(to_float(comp.residual(), "the residual")),
+        "residual": None if residual is None else _fmt(to_float(residual, "the residual")),
     }
     _emit(args, json.dumps(out, indent=1, sort_keys=True) + "\n")
     return EXIT_OK

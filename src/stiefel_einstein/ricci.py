@@ -57,10 +57,11 @@ class RicciComponents(Record):
         vals = list(self.values.values())
         return sum(vals) / len(vals)
 
-    def residual(self) -> Scalar:
-        """max_i |r_i - lambda| / lambda with lambda the component mean."""
+    def residual(self) -> Scalar | None:
+        """max_i |r_i - lambda| / lambda with lambda the component mean;
+        None when lambda <= 0, where the ratio measures nothing."""
         lam = self.einstein_constant_candidate
-        return max(abs(v - lam) for v in self.values.values()) / lam
+        return max(abs(v - lam) for v in self.values.values()) / lam if lam > 0 else None
 
 
 def ricci_general(table: TripleTable, metric: InvariantMetric) -> RicciComponents:

@@ -64,7 +64,7 @@ class EinsteinSystem(Record):
 
 
 class EinsteinSolution(Record):
-    """A certified positive solution in the gauge x23 = 1."""
+    """A certified positive solution; solve reports it in the gauge x23 = 1."""
 
     decomp: BlockDecomposition
     coords: dict[ModuleLabel, float]
@@ -267,15 +267,14 @@ def certify(
     coords: dict[ModuleLabel, float | Fraction],
     decomp: BlockDecomposition,
     tol: float = CERTIFY_TOL,
-    jensen: list[dict[ModuleLabel, Fraction]] | None = None,
 ) -> EinsteinSolution | Rejection:
     """Exact-rational certification of a candidate coordinate vector.
 
     The Ricci mean lambda and residual are evaluated exactly at the given
     coordinates, in integers (see _lambda_and_residual); the candidate is
     accepted iff all coordinates are positive, lambda > 0 and
-    max |r_i - lambda| / lambda <= tol; jensen is jensen_points(decomp), if
-    known.  A value to report that overflows a float is a DomainError.
+    max |r_i - lambda| / lambda <= tol; these tests and _classify are
+    scale-free.  A value to report that overflows a float is a DomainError.
     """
     exact = {}
     for lbl, c in coords.items():
@@ -294,24 +293,19 @@ def certify(
         coords={l: to_float(c, f"x{l.name}") for l, c in exact.items()},
         lam=to_float(lam, "lambda"),
         residual=residual,
-        classification=_classify(exact, decomp, jensen),
+        classification=_classify(exact),
     )
 
 
-def _classify(
-    exact: dict[ModuleLabel, Fraction], decomp: BlockDecomposition, jensen: list | None
-) -> str:
-    unit = [c for l, c in exact.items() if not _jensen_scaled(l)]
-    scaled = [c for l, c in exact.items() if _jensen_scaled(l)]
-    if any(abs(c - 1) > JENSEN_MATCH_TOL for c in unit):
-        return "New"
-    if max(scaled) - min(scaled) > JENSEN_MATCH_TOL:
-        return "New"
-    for point in jensen_points(decomp) if jensen is None else jensen:
-        ref = next(c for l, c in point.items() if _jensen_scaled(l))
-        if all(abs(d - ref) <= JENSEN_MATCH_TOL for d in scaled):
-            return "Jensen"
-    return "New"
+def _classify(exact: dict[ModuleLabel, Fraction]) -> str:
+    """"Jensen" iff the Einstein point is on the equal-off-diagonal ansatz:
+    divided by x23, x13 is within JENSEN_MATCH_TOL of 1 and the
+    _jensen_scaled coordinates of each other.  No root is matched: the only
+    Einstein points on the ansatz are the roots of jensen_quadratic."""
+    unit = exact[OffDiag(2, 3)]
+    scaled = [c / unit for l, c in exact.items() if _jensen_scaled(l)]
+    off = max(abs(exact[OffDiag(1, 3)] / unit - 1), max(scaled) - min(scaled))
+    return "New" if off > JENSEN_MATCH_TOL else "Jensen"
 
 
 # -- elimination and back-substitution --------------------------------------
@@ -405,9 +399,8 @@ def solve(system: EinsteinSystem) -> list[EinsteinSolution]:
     """
     decomp = system.decomp
     solutions: list[EinsteinSolution] = []
-    jensen = jensen_points(decomp)
-    for point in jensen:
-        result = certify(point, decomp, CERTIFY_TOL, jensen)
+    for point in jensen_points(decomp):
+        result = certify(point, decomp, CERTIFY_TOL)
         if isinstance(result, EinsteinSolution):
             solutions.append(result)
     eliminant, pivots = _eliminate(system)
@@ -422,7 +415,7 @@ def solve(system: EinsteinSystem) -> list[EinsteinSolution]:
             for j, lbl in enumerate(_free_labels(decomp)):  # x_lbl is column j
                 coords[lbl] = point[j]
             coords[OffDiag(1, 3)] = r13  # reported x13: lies in intervals.x13
-            result = certify(coords, decomp, CERTIFY_TOL, jensen)
+            result = certify(coords, decomp, CERTIFY_TOL)
             if isinstance(result, EinsteinSolution):
                 solutions.append(
                     replace(result, intervals={"x13": (refined.lo, refined.hi)})

@@ -45,7 +45,7 @@ def test_exact_lambda_and_residual_match_fraction_ricci(point):
     comp = ricci_general(triples_closed_form(d), InvariantMetric(d, coords))
     lam, residual = solver._lambda_and_residual(d, coords)
     assert lam == comp.einstein_constant_candidate
-    assert residual == (comp.residual() if lam > 0 else None)
+    assert residual == comp.residual()  # both None when lambda <= 0
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)

@@ -52,6 +52,20 @@ def test_ricci_values(capsys):
     assert data["lambda_candidate"] == 0.275
 
 
+@pytest.mark.parametrize("coords, lam", [
+    ("x2=1/1000,x12=1/1000,x13=1/1000,x23=1", -62249.90625),
+    ("x2=1,x12=4,x13=16/175,x23=1", 0.0),  # the exact mean is 0
+], ids=["negative", "zero"])
+def test_ricci_residual_is_null_at_nonpositive_lambda(capsys, coords, lam):
+    # max |r - lambda| / lambda measures nothing at lambda <= 0, and at
+    # lambda = 0 it is not defined
+    code, out, _ = run(capsys, "ricci", "--blocks", "1,3,2", "--coords", coords)
+    assert code == EXIT_OK
+    data = json.loads(out)
+    assert data["lambda_candidate"] == lam
+    assert data["residual"] is None
+
+
 def test_solve_pretty_and_json(capsys):
     code, out, _ = run(
         capsys, "solve", "--blocks", "1,3,2", "--format", "pretty"
@@ -206,27 +220,39 @@ def test_certify_rejects_nonpositive_lambda(capsys):
 
 
 def test_certify_exact_jensen_point(capsys):
-    # rational approximation of (4 - sqrt(6))/5 good to ~1e-11
+    # rational approximation of (4 - sqrt(6))/5 good to ~1e-11, then the
+    # README example, on the equal-off-diagonal ansatz but 5e-8 from that
+    # root: the ansatz alone makes it Jensen
     from stiefel_einstein.fixtures import jensen_x2
 
     lo, _ = jensen_x2(6)
     approx = lo.limit_denominator(10**12)
-    coords = f"x2={approx},x12={approx},x13=1,x23=1"
-    code, out, _ = run(
-        capsys, "certify", "--blocks", "1,3,2", "--coords", coords,
-        "--tol", "1e-9",
-    )
-    assert code == EXIT_OK
-    data = json.loads(out)
-    assert data["accepted"] is True
-    assert data["classification"] == "Jensen"
+    readme = "310102/1000000"
+    for x, tol in [(approx, "1e-9"), (readme, "1e-3")]:
+        code, out, _ = run(
+            capsys, "certify", "--blocks", "1,3,2",
+            "--coords", f"x2={x},x12={x},x13=1,x23=1", "--tol", tol,
+        )
+        assert code == EXIT_OK
+        data = json.loads(out)
+        assert data["accepted"] is True
+        assert data["classification"] == "Jensen"
+        assert data["branch"] == "jensen"
+    # a point on the ansatz away from both roots is not an Einstein metric
+    code, out, _ = run(capsys, "certify", "--blocks", "1,3,2",
+                       "--coords", "x2=1,x12=1,x13=1,x23=1", "--tol", "1e-3")
+    assert code == EXIT_DOMAIN
+    assert json.loads(out)["reason"].startswith("Einstein residual")
 
 
 @pytest.mark.parametrize("blocks, coords", [
     ("1,1,4", "x12=8/5,x13=1,x23=1"),
     # x1 = x12 = (4 + sqrt(11)) / 5
     ("2,1,3", "x1=1.4633249580710799,x12=1.4633249580710799,x13=1,x23=1"),
-], ids=["114", "213"])
+    # the same metrics scaled by 7: classification is scale-free
+    ("1,1,4", "x12=56/5,x13=7,x23=7"),
+    ("2,1,3", "x1=10.2432747064975593,x12=10.2432747064975593,x13=7,x23=7"),
+], ids=["114", "213", "114-scaled", "213-scaled"])
 def test_certify_accepts_jensen_metrics_with_k2_1(capsys, blocks, coords):
     # solve needs k2 >= 2, certify does not: with k1 = k2 = 1 the Jensen
     # numerator is linear, x12 = 2(n - 2) / (n - 1)

@@ -310,6 +310,23 @@ def test_every_shape_up_to_n8_solves(blocks):
         assert ivs == isolation_oracle(*args, **kwargs)
 
 
+@pytest.mark.parametrize("blocks", SMALL_SHAPES,
+                         ids=["".join(map(str, b)) for b in SMALL_SHAPES])
+def test_scaled_solutions_certify_alike(blocks):
+    # the Ricci components scale by 1/t when the metric scales by t, so a
+    # reported solution scaled by t certifies with the same residual and
+    # classification and with lambda / t
+    for sol in traced_solve(blocks).solutions:
+        coords = {l: Fraction(c) for l, c in sol.coords.items()}
+        base = certify(coords, sol.decomp)
+        assert base.classification == sol.classification
+        for t in (Fraction(2), Fraction(1, 3)):
+            scaled = certify({l: c * t for l, c in coords.items()}, sol.decomp)
+            assert scaled.classification == base.classification
+            assert scaled.residual == base.residual
+            assert scaled.lam == pytest.approx(base.lam / t, rel=1e-15)
+
+
 def test_close_x12_roots_on_243_match_the_oracle():
     # one x12 pivot of the (2,4,3) lift has two roots near 1.10819418755439,
     # less than 1e-15 apart
@@ -443,7 +460,8 @@ def test_lift_substitution_matches_fraction_subs(monkeypatch):
 
 
 def test_solve_computes_jensen_points_once(monkeypatch):
-    # classification of the certified Jensen candidates reuses solve's points
+    # solve computes the Jensen points once, for the x13 = 1 branch, and
+    # certify classifies by the ansatz, with no call at all
     calls = []
 
     def counting(decomp, *args):
@@ -455,6 +473,13 @@ def test_solve_computes_jensen_points_once(monkeypatch):
     sols = solve(build_system(BlockDecomposition((1, 3, 2))))
     assert [s.classification for s in sols].count("Jensen") == 2
     assert len(calls) == 1
+
+    def refuse(decomp, *args):
+        raise AssertionError("certify computed the Jensen points")
+
+    monkeypatch.setattr(solver, "jensen_points", refuse)
+    point = next(s for s in sols if s.classification == "Jensen")
+    assert certify(point.coords, point.decomp).classification == "Jensen"
 
 
 @pytest.mark.parametrize("blocks", [(1, 3, 2), (2, 3, 2), (3, 3, 2)])
