@@ -109,13 +109,13 @@ def _parse_coeff(text: str) -> Fraction | float | None:
 
 
 def _parse_tol(text: str) -> float:
-    """A tolerance: a float >= 0 (so not NaN)."""
+    """A tolerance: a finite float >= 0."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not value >= 0:
-        raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
     return value
 
 

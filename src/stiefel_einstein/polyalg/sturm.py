@@ -1,5 +1,4 @@
-"""Real-root counting, isolation, and refinement: Descartes' rule of signs
-on the Sturm bisection tree.
+"""Real-root counting, isolation, and refinement by Descartes' rule of signs.
 
 Univariate polynomials are ascending coefficient lists, integer or
 rational.  Each entry point reads its list once into a primitive integer
@@ -7,15 +6,15 @@ list (coefficient gcd 1), and an IsolatingInterval carries one; all else
 stays in integers.  The square-free part is f / gcd(f, f'), the gcd by
 GCDHEU (Char, Geddes & Gonnet, J. Symbolic Comput. 7, 1989), or else the
 last member of the primitive PRS of f and f'.  Isolation bisects (lo, hi]
-at the midpoints, nudged off roots, that a Sturm recursion takes, and
-decides each cell by Descartes' rule of signs (Collins & Akritas, SYMSAC
-1976); a subtree that holds one root gives its top cell, where the Sturm
-recursion stops.  A cell that kept a pair of roots through 8, 16, 32, ...
-halvings in a row may part it in one step: where exact signs show one root
-in each half of a grid cell, those halves are the tree's intervals.  All
-intervals are half-open, (lo, hi].  Refinement returns the cell that halving
-an isolating interval ends in, reached by quadratic interval refinement on
-the grid of those cells.
+at midpoints and decides each cell by Descartes' rule of signs (Collins &
+Akritas, SYMSAC 1976); a cell with fewer than two sign variations is an
+interval, and a root on a midpoint ends the left half.  A cell that kept
+a pair of roots through 8, 16, 32, ... halvings in a row may part it in
+one step: where exact signs show one root in each half of a grid cell,
+those halves are intervals.  All intervals are half-open, (lo, hi], and
+cells of the halving tree of the start interval.  Refinement returns the
+cell that halving an isolating interval ends in, reached by quadratic
+interval refinement on the grid of those cells.
 """
 
 from __future__ import annotations
@@ -270,7 +269,9 @@ def _pair(q: ZCoeffs) -> list[Fraction] | None:
 def isolate_real_roots(
     p, lo: Fraction | None = None, hi: Fraction | None = None
 ) -> list[IsolatingInterval]:
-    """Disjoint isolating intervals for all distinct real roots in (lo, hi].
+    """Disjoint isolating intervals for all distinct real roots in (lo, hi],
+    in increasing order: cells of the halving tree of (lo, hi], the Cauchy
+    bound standing in for an infinite end.
 
     The polynomial's square-free part is taken internally, so multiple roots
     are isolated once.
@@ -285,35 +286,21 @@ def isolate_real_roots(
         return []
     coeffs, out, q = tuple(f), [], _cell(f, a, b)
     # cells (x, y, q, k, t), k = _descartes(q), t the halvings in a row whose
-    # other half held no root, depth first without recursion; a split cell comes
-    # back as (x, y, None, n, 0) after its halves, and replaces out[n] if that
-    # is all they found
+    # other half held no root, depth first without recursion
     todo = [(a, b, q, _descartes(q), 0)]
     while todo:
         x, y, q, k, t = todo.pop()
-        if q is None:
-            if len(out) == k + 1:
-                out[k] = IsolatingInterval(x, y, coeffs)
-        elif k < 2:
+        if k < 2:
             out += [IsolatingInterval(x, y, coeffs)] * k
         elif t >= 8 and not t & (t - 1) and _descartes(q, 3) == 2 and (cut := _pair(q)):
-            # at most two roots, one in each half of a grid cell: the tree
-            # would split down to that cell and give its halves
+            # at most two roots: the halves of that grid cell each hold one root
             ends = [x + (y - x) * u for u in cut]
             out += [IsolatingInterval(*ends[:2], coeffs), IsolatingInterval(*ends[1:], coeffs)]
         else:
             mid, left = (x + y) / 2, _halve(q)
-            if sum(left):
-                right = _shift(left)
-            else:
-                # nudge off a root so interval endpoints stay off the variety;
-                # once a 1/16 step would reach y, halve the gap to y instead
-                while _sign_at(f, mid) == 0:
-                    step = (y - x) / 16
-                    mid = mid + step if mid + step < y else (mid + y) / 2
-                left, right = _cell(f, x, mid), _cell(f, mid, y)
+            right = _shift(left)
             kl, kr = _descartes(left), _descartes(right)
-            todo += [(x, y, None, len(out), 0), (mid, y, right, kr, 0 if kl else t + 1),
+            todo += [(mid, y, right, kr, 0 if kl else t + 1),
                      (x, mid, left, kl, 0 if kr else t + 1)]
     return out
 

@@ -455,18 +455,17 @@ class PositivityRow(Record):
 
 
 def positivity_report(n_values: list[int]) -> list[PositivityRow]:
-    """Sign checks and x13-root brackets for blocks (1, 3, n-4)."""
+    """Sign checks and x13-root brackets for blocks (1, 3, n-4): alpha13 is
+    (0, 1] and beta13 is (1, 2] when h1 has exactly one root there, else None."""
     rows = []
     for n in n_values:
         if n < 6:
             raise DomainError("positivity report requires n >= 6")
         h1 = h1_coeffs(n)
-        roots = isolate_real_roots(h1, lo=Fraction(0), hi=Fraction(2))
-        alpha = next(
-            ((iv.lo, iv.hi) for iv in roots if iv.hi <= 1), None
-        )
-        beta = next(
-            ((iv.lo, iv.hi) for iv in roots if iv.lo >= 1), None
+        alpha, beta = (
+            (Fraction(lo), Fraction(lo + 1))
+            if len(isolate_real_roots(h1, Fraction(lo), Fraction(lo + 1))) == 1 else None
+            for lo in (0, 1)
         )
         rows.append(
             PositivityRow(

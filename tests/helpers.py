@@ -1,10 +1,10 @@
 """Coefficient-list helpers shared by the test modules, and the oracles the
 Sturm layer must agree with: the halving loop behind root refinement, the
-two-PRS square-free part and root isolation, and the Fraction
-Stern-Brocot walk; the one the resultant's degree windows must agree with,
-least and greatest assignments over the Sylvester matrix; a loader for
-the scripts in tools/; and one traced CLI solve per shape, which the
-shape-space tests share."""
+two-PRS square-free part and root count, the cells root isolation must
+give, and the Fraction Stern-Brocot walk; the one the resultant's degree
+windows must agree with, least and greatest assignments over the Sylvester
+matrix; a loader for the scripts in tools/; and one traced CLI solve per
+shape, which the shape-space tests share."""
 
 from __future__ import annotations
 
@@ -194,53 +194,44 @@ def _variations(chain: list[list[int]], x: Fraction | None, at_inf: int = 0) -> 
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+@functools.lru_cache(maxsize=4)
+def _oracle_chain(p: tuple) -> list[list[int]] | None:
+    """The Sturm sequence of p's square-free part, None when that is constant;
+    cached, as a check counts the roots of one p in many intervals."""
+    f = squarefree_oracle(p)
+    return _chain(f) if _degree(f) >= 1 else None
+
+
 def count_oracle(p, lo: Fraction | None = None, hi: Fraction | None = None) -> int:
     """Distinct real roots of p in (lo, hi] for lo < hi, by the two-PRS chain."""
-    f = squarefree_oracle(p)
-    if _degree(f) < 1:
+    chain = _oracle_chain(tuple(p))
+    if chain is None:
         return 0
-    chain = _chain(f)
     va = _variations(chain, lo) if lo is not None else _variations(chain, None, -1)
     vb = _variations(chain, hi) if hi is not None else _variations(chain, None, +1)
     return va - vb
 
 
-def isolation_oracle(
-    p, lo: Fraction | None = None, hi: Fraction | None = None
-) -> list[IsolatingInterval]:
-    """Isolating intervals of the real roots of p in (lo, hi] by bisection
-    on the two-PRS chain, nudging a midpoint off a root by 1/16 of its
-    interval, or by half its gap to the interval's end once that step would
-    reach it."""
-    f = squarefree_oracle(p)
-    if _degree(f) < 1:
-        return []
-    chain = _chain(f)
-    bound = root_bound(f)
+def assert_isolates(
+    ivs: list[IsolatingInterval], p, lo: Fraction | None = None, hi: Fraction | None = None
+) -> None:
+    """ivs, from isolate_real_roots(p, lo, hi), are sorted disjoint cells of
+    the halving tree of the start interval (a, b], (a + (b - a) m / 2^j,
+    a + (b - a) (m + 1) / 2^j], inside (lo, hi]; each holds one root of p by
+    the two-PRS count, and there are as many as (lo, hi] holds."""
+    assert len(ivs) == count_oracle(p, lo, hi)
+    if not ivs:
+        return
+    bound = root_bound(_oracle_chain(tuple(p))[0])  # of the square-free part
     a = lo if lo is not None else -bound
     b = hi if hi is not None else bound
-    if a >= b:
-        return []
-    out: list[IsolatingInterval] = []
-
-    def recurse(x: Fraction, y: Fraction, vx: int, vy: int) -> None:
-        k = vx - vy
-        if k == 0:
-            return
-        if k == 1:
-            out.append(IsolatingInterval(x, y, tuple(f)))
-            return
-        mid = (x + y) / 2
-        while _sign_at(f, mid) == 0:
-            step = (y - x) / 16
-            mid = mid + step if mid + step < y else (mid + y) / 2
-        vm = _variations(chain, mid)
-        recurse(x, mid, vx, vm)
-        recurse(mid, y, vm, vy)
-
-    recurse(a, b, _variations(chain, a), _variations(chain, b))
-    out.sort(key=lambda iv: iv.lo)
-    return out
+    assert all(iv.hi <= nxt.lo for iv, nxt in zip(ivs, ivs[1:]))
+    for iv in ivs:
+        assert a <= iv.lo < iv.hi <= b
+        assert count_oracle(p, iv.lo, iv.hi) == 1, iv
+        start, width = (iv.lo - a) / (b - a), (iv.hi - iv.lo) / (b - a)
+        assert width.numerator == 1 and width.denominator.bit_count() == 1, iv
+        assert (start / width).denominator == 1, iv
 
 
 def simplest_oracle(lo: Fraction, hi: Fraction) -> Fraction:

@@ -354,9 +354,9 @@ def test_bad_usage_is_domain_error(capsys):
             assert code == EXIT_DOMAIN and not out
             assert err.startswith("error: --coords") and what in err
             assert "x2, x12, x13, x23" in err
-    # a negative, NaN or non-numeric tolerance
+    # a negative, NaN, infinite or non-numeric tolerance
     for cmd, extra in [("solve", []), ("certify", ["--coords", "x2=1,x12=1,x13=1,x23=1"])]:
-        for tol in ("-1", "nan", "abc"):
+        for tol in ("-1", "nan", "inf", "abc"):
             code, out, err = run(capsys, cmd, "--blocks", "1,3,2", *extra, f"--tol={tol}")
             assert code == EXIT_DOMAIN and not out
             assert err.startswith("error:") and "--tol" in err

@@ -32,7 +32,7 @@ from stiefel_einstein.solver import (
 )
 from stiefel_einstein.triples import dims, triples_closed_form
 
-from helpers import divides, isolation_oracle, tool, traced_solve
+from helpers import assert_isolates, divides, tool, traced_solve
 
 
 def _proportional(p: dict, q: dict) -> bool:
@@ -300,14 +300,15 @@ def test_every_shape_up_to_n8_solves(blocks):
     # the CLI solve exits 0, so no DegenerateSystemError from the elimination
     # or the Jensen quadratic; every positive root of the quadratic certifies
     # as a Jensen metric; each isolation in that solve, of the eliminant and
-    # of every lift pivot, gives the cells of the two-PRS Sturm recursion
+    # of every lift pivot, gives halving-tree cells that the two-PRS count
+    # finds one root in each, as many as it finds in all
     run = traced_solve(blocks)
     quad = jensen_quadratic(BlockDecomposition(blocks))
     jensen = [s for s in run.solutions if s.classification == "Jensen"]
     assert len(jensen) == len(isolate_real_roots(quad, lo=Fraction(0)))
     assert run.isolations
     for args, kwargs, ivs in run.isolations:
-        assert ivs == isolation_oracle(*args, **kwargs)
+        assert_isolates(ivs, *args, **kwargs)
 
 
 @pytest.mark.parametrize("blocks", SMALL_SHAPES,
@@ -337,7 +338,7 @@ def test_close_x12_roots_on_243_match_the_oracle():
     args, kwargs, ivs = close[0]
     first, second = (iv for iv in ivs if abs(iv.lo - near) < 1e-12)
     assert second.hi - first.lo < Fraction(1, 10**15)
-    assert ivs == isolation_oracle(*args, **kwargs)
+    assert_isolates(ivs, *args, **kwargs)
 
 
 def test_groebner_eliminant_proportional_to_h1():
@@ -671,9 +672,9 @@ def test_positivity_report_row():
     assert row.h1_at_1 < 0
     assert row.h1_at_2 > 0
     assert row.h2_alternating and row.h3_alternating
-    assert row.alpha13 is not None and row.beta13 is not None
-    assert 0 <= row.alpha13[0] < row.alpha13[1] <= 1
-    assert 1 <= row.beta13[0] < row.beta13[1] <= 2
+    # h1 has one root in each of (0, 1] and (1, 2], so those are the brackets
+    for row in positivity_report(list(range(6, 61))):
+        assert row.alpha13 == (0, 1) and row.beta13 == (1, 2), row.n
     with pytest.raises(DomainError):
         positivity_report([5])
 

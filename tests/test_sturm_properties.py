@@ -21,9 +21,9 @@ from stiefel_einstein.polyalg import (
 )
 from stiefel_einstein.so_algebra import BlockDecomposition
 from helpers import (
+    assert_isolates,
     count_oracle,
     halving_oracle,
-    isolation_oracle,
     simplest_oracle,
     squarefree_oracle,
 )
@@ -116,13 +116,13 @@ def test_one_prs_matches_the_two_prs_oracle(factors, point):
             ends.append(root)
     sf = squarefree_part(p)
     assert sf == squarefree_oracle(p)
-    assert isolate_real_roots(p) == isolation_oracle(p)
+    assert_isolates(isolate_real_roots(p), p)
     for lo in ends:
         for hi in ends:
             if lo is not None and hi is not None and lo >= hi:
                 continue
             assert count_real_roots(p, lo, hi) == count_oracle(p, lo, hi), (lo, hi)
-            assert isolate_real_roots(p, lo, hi) == isolation_oracle(p, lo, hi), (lo, hi)
+            assert_isolates(isolate_real_roots(p, lo, hi), p, lo, hi)
 
 
 
@@ -160,7 +160,7 @@ def test_tight_pairs_match_the_two_prs_oracle(factors, k, r, e, real):
         for lo in ends:
             for hi in ends:
                 if lo is None or hi is None or lo < hi:
-                    assert isolate_real_roots(p, lo, hi) == isolation_oracle(p, lo, hi)
+                    assert_isolates(isolate_real_roots(p, lo, hi), p, lo, hi)
     if real and e >= 24:
         assert any(cut is not None for cut in results)
 
@@ -218,8 +218,8 @@ def test_heuristic_squarefree_part_matches_the_prs_oracle(first, rest):
     assert squarefree_part(p) == squarefree_oracle(p)
 
 
-# the roots 8/16 .. 16/16 put the midpoint of (0, 1] and its eight 1/16
-# nudges on roots; the ninth nudge, to 17/16, would leave (0, 1]
+# the roots 8/16 .. 16/16 are 1 and midpoints of the halving of (0, 1]:
+# 1/2, then 9/16 .. 15/16 four halvings deeper
 _GRID = [1]
 for _i in range(9):
     _GRID = _times(_GRID, [-(8 + _i), 16])
@@ -227,13 +227,15 @@ for _i in range(9):
 
 @pytest.mark.parametrize("p", [_GRID, _times(_GRID, [-21, 20])],
                          ids=["grid_roots", "grid_roots_and_a_root_past_hi"])
-def test_midpoint_nudge_stays_inside_the_interval(p):
+def test_roots_on_midpoints_end_their_cells(p):
+    # a root on a midpoint is the hi of the left cell, and refinement keeps it
     ivs = isolate_real_roots(p, lo=Fraction(0), hi=Fraction(1))
     assert len(ivs) == 9
+    assert_isolates(ivs, p, Fraction(0), Fraction(1))
     for iv in ivs:
-        assert 0 <= iv.lo < iv.hi <= 1
+        assert sum(c * iv.hi**i for i, c in enumerate(p)) == 0
         assert count_real_roots(p, iv.lo, iv.hi) == 1
-    assert isolation_oracle(p, Fraction(0), Fraction(1)) == ivs
+        assert bisect_to_width(iv, Fraction(1, 10**20)).hi == iv.hi
 
 
 _widths = st.builds(lambda p, e: Fraction(p, 10**e), st.integers(1, 9), st.integers(0, 30))

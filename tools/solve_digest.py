@@ -8,6 +8,12 @@ k1, k3 >= 1, k2 >= 2 and k1 + k2 + k3 <= N (84 for N = 10, 165 for N = 12)
 are taken in the order (n, k1, k2), and their reports are hashed one after
 another; one pass gives the digest of every smaller N too.  Prints the shape
 count, the digest and the wall time.
+
+Reference digests, for checking a change to isolation or refinement on
+more shapes than the tests pin:
+
+    N = 12: 165 a0f90e79aca911b08acd538268be67cf17aac3c90816ba151ce31d075e46576b
+    N = 14: 286 1bb2911cc23b1f76a9f9e47039490a0815a23a79a5c350317b6ea7b9f78a47cb
 """
 
 from __future__ import annotations
