@@ -9,13 +9,17 @@ one prime (Collins, JACM 18, 1971): the least Proth prime k 2^e + 1, proven by
 Proth's theorem, of the least multiple of 64 bits that exceeds twice the
 Goldstein-Graham coefficient bound (SIAM Review 16, 1974).  Degree windows,
 from the Newton polygons of the operands, fix its points; with the bound they
-fix its cost before any evaluation.  The points of each variable are a run of
-consecutive integers, and every coefficient is evaluated over the run by
-Horner on its dense row.  The run of the last variable takes one Euclidean
-resultant on pseudo-remainders whose coefficients are lists over its points,
-as a numerator and a denominator per point.  One modular inverse per run
-serves all its denominators (Montgomery, Math. Comp. 48, 1987), and forward
-differences interpolate the run.
+fix its cost before any evaluation.  In one other variable y, a wide window
+also takes the roots of the operands near var = 1 and var = -1, and bounds
+the orders of the resultant at y = 1 and y = -1: the run interpolates it over
+y^lo (y - 1)^up (y + 1)^down, on fewer points, and multiplies that back.  The
+points of each variable are a run of consecutive integers from 2 up, and
+every coefficient is evaluated over the run by Horner on its dense row.  The
+run of the last variable takes one Euclidean resultant on pseudo-remainders
+whose coefficients are lists over its points, as a numerator and a
+denominator per point.  One modular inverse per run serves all its
+denominators (Montgomery, Math. Comp. 48, 1987), and forward differences
+interpolate the run.
 Elimination strips the content and every monomial factor from its
 generators and from each resultant, and chains resultants against a
 low-degree pivot; a resultant that vanishes identically is a
@@ -38,6 +42,12 @@ Poly = dict[tuple[int, ...], int]
 # Most 64-bit words of modulus x evaluation points one resultant may take;
 # the largest call of a (3,3,2) solve takes 6 x 117 = 702.
 RESULTANT_BUDGET = 50_000
+
+# Least window, in points, at which a modular resultant in one other variable
+# looks for factors y - 1, y + 1 and a higher power of y (see _windows).  The
+# bounds cost 0.3-0.7 ms: on the shapes with n <= 16 they broke even on
+# 49-point windows and cut 81- and 117-point resultants by a quarter.
+REFINE_POINTS = 50
 
 # Bases tried in Proth's test; a prime that all of them leave at 1 is skipped
 PROTH_BASES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -130,43 +140,128 @@ def _inverses(xs: list[int], p: int) -> list[int]:
     return out[::-1]
 
 
-def _low(f: list, g: list) -> int:
-    """A lower bound on the order of Res_var(f, g) in a valuation of the
-    other variables, from the orders of the coefficients of f and g in var,
-    ascending, None for a zero one.  By Poisson's formula
-    Res = lc(f)^(deg g) prod g(alpha) over the roots alpha of f, as Puiseux
-    series: k0 of them are 0, where g(0) = g_0, and each edge (k1, v1)-(k2, v2)
-    of the lower hull of the points (k, ord f_k) holds k2 - k1 roots of order
-    (v1 - v2) / (k2 - k1), where ord g(alpha) >= min_k (ord g_k + k ord alpha)."""
+def _hull(f: list) -> list[tuple[int, int]]:
+    """The lower convex hull of the points (k, f[k]), f[k] not None."""
     hull: list[tuple[int, int]] = []
     for k, v in ((k, v) for k, v in enumerate(f) if v is not None):
         while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (v - hull[-2][1])
                                  <= (hull[-1][1] - hull[-2][1]) * (k - hull[-2][0])):
             hull.pop()
         hull.append((k, v))
-    k0 = hull[0][0]
-    low = (len(g) - 1) * f[-1] + (k0 * g[0] if k0 else 0)
+    return hull
+
+
+def _roots(f: list, g: list):
+    """(d, count, bound) for each class of roots alpha of f as Puiseux series,
+    from the orders of the coefficients of f and g in var, ascending, None
+    for a zero one: count roots whose order has the sign of d, and a lower
+    bound on the sum of their ord g(alpha).  The k0 zero coefficients of f give
+    k0 roots alpha = 0, with g(0) = g_0, and d = 1; each edge (k1, v1)-(k2, v2)
+    of the lower hull of the points (k, ord f_k) gives d = v1 - v2 and
+    k2 - k1 roots of order d / (k2 - k1), where
+    ord g(alpha) >= min_k (ord g_k + k ord alpha)."""
+    hull = _hull(f)
+    if k0 := hull[0][0]:
+        yield 1, k0, k0 * g[0]
     for (k1, v1), (k2, v2) in zip(hull, hull[1:]):
-        low += min((k2 - k1) * w - k * (v2 - v1) for k, w in enumerate(g) if w is not None)
+        yield v1 - v2, k2 - k1, min((k2 - k1) * w - k * (v2 - v1)
+                                    for k, w in enumerate(g) if w is not None)
+
+
+def _low(f: list, g: list, centres: list = ()) -> int:
+    """A lower bound on the order of Res_var(f, g) in a valuation of the
+    other variables, from the orders of the coefficients of f and g in var,
+    ascending, None for a zero one.  By Poisson's formula
+    Res = lc(f)^(deg g) prod g(alpha) over the roots alpha of f as Puiseux
+    series, whose ord g(alpha) _roots bounds; it bounds each root of order 0
+    by m0 = min_k ord g_k.  For each centre c != 0, centres holds the orders
+    of the coefficients of f(c + var) and g(c + var): the roots with value c
+    at the valuation's point are c plus the roots of positive order of
+    f(c + var), and the bound of _roots on those replaces m0 for them."""
+    low = (len(g) - 1) * f[-1] + sum(bound for _, _, bound in _roots(f, g))
+    m0 = min(w for w in g if w is not None)
+    for fc, gc in centres:
+        low += sum(bound - count * m0 for d, count, bound in _roots(fc, gc) if d > 0)
     return low
 
 
-def _windows(f: dict, g: dict, df: int, dg: int) -> list[tuple[int, int]] | None:
-    """For each other variable y, a window [lo, hi] holding every y-exponent
-    of Res_var(f, g) (keyed as in _res_mod), or None when f(0) = g(0) = 0, so
-    that Res is 0: with both leads nonzero, the only way that every term of
-    the Sylvester determinant holds a zero entry.  lo is the tighter of the
-    bounds _low gives on ord_y Res(f, g) and ord_y Res(g, f); hi the same on
-    the order at infinity, -deg_y."""
+def _rows(h: dict, d: int) -> list[list[int]]:
+    """The coefficients of h in var, ascending, for h in one other variable y
+    keyed (y-exponent, var-exponent): dense rows in y, ascending, of one
+    length."""
+    rows = [[0] * (1 + max(m[0] for m in h)) for _ in range(d + 1)]
+    for (e, k), c in h.items():
+        rows[k][e] = c
+    return rows
+
+
+def _shift(rows: list[list[int]], c: int) -> list[list[int]]:
+    """The rows of h(c + var) from those of h(var) (see _rows), by the
+    Taylor shift's triangle of additions."""
+    rows = list(rows)
+    for i in range(len(rows) - 1):
+        for j in range(len(rows) - 2, i - 1, -1):
+            rows[j] = [u + c * v for u, v in zip(rows[j], rows[j + 1])]
+    return rows
+
+
+def _order(row: list[int], y0: int) -> int | None:
+    """The order at y = y0 of a dense row, ascending in y (see _rows), None
+    for a zero row: at y0 = 0 its least exponent, otherwise the number of
+    exact divisions by y - y0, by synthetic division."""
+    if not any(row):
+        return None
+    if not y0:
+        return next(e for e, c in enumerate(row) if c)
+    order = 0
+    while True:
+        quotient, v = [], 0
+        for c in reversed(row):
+            v = v * y0 + c
+            quotient.append(v)
+        if v:
+            return order
+        row, order = quotient[-2::-1], order + 1
+
+
+def _bound(ords: list[list], centres: list = ()) -> int:
+    """The tighter of the bounds _low gives on the order of Res(f, g) and of
+    Res(g, f), from ords, the orders of the coefficients of f and of g, and
+    the same at each centre (see _low)."""
+    return max(_low(*ords, centres), _low(*ords[::-1], [pair[::-1] for pair in centres]))
+
+
+def _windows(f: dict, g: dict, df: int, dg: int) -> list[tuple[int, int, int, int]] | None:
+    """For each other variable y, a window (lo, hi, up, down): every y-exponent
+    of Res_var(f, g) (keyed as in _res_mod) lies in [lo, hi], and
+    (y - 1)^up (y + 1)^down divides it; or None when Res is 0.  lo is the
+    _bound on ord_y Res, hi minus the same on the order at infinity, -deg_y.
+    up and down are 0 but for one other variable and a window [lo, hi] of at
+    least REFINE_POINTS points; there lo also takes the centres var = 1 and
+    var = -1 (see _low), and up and down are the _bound at y = 1 and y = -1.
+    Res is 0 when f(c) = g(c) = 0 for c = 0 (with both leads nonzero, the
+    only way that every term of the Sylvester determinant holds a zero
+    entry), or for c = 1 or -1 where those are looked at, or when
+    lo + up + down > hi."""
     if all(m[-1] for m in f) and all(m[-1] for m in g):
         return None
-    out = []
-    for t in range(len(next(iter(f))) - 1):
+    out, others = [], len(next(iter(f))) - 1
+    for t in range(others):
         exps = [[[m[t] for m in h if m[-1] == k] for k in range(d + 1)]
                 for h, d in ((f, df), (g, dg))]  # y-exponents of each coefficient
         low = [[min(e) if e else None for e in ex] for ex in exps]
         high = [[-max(e) if e else None for e in ex] for ex in exps]
-        out.append((max(_low(*low), _low(*low[::-1])), -max(_low(*high), _low(*high[::-1]))))
+        lo, hi, up, down = _bound(low), -_bound(high), 0, 0
+        if others == 1 and hi - lo + 1 >= REFINE_POINTS:
+            rows = _rows(f, df), _rows(g, dg)
+            shifted = [[_shift(h, c) for h in rows] for c in (1, -1)]
+            if any(not any(fc[0]) and not any(gc[0]) for fc, gc in shifted):
+                return None  # var - c divides f and g
+            lo = _bound(low, [[[_order(row, 0) for row in h] for h in pair] for pair in shifted])
+            up, down = (_bound([[_order(row, y0) for row in h] for h in rows]) for y0 in (1, -1))
+        if lo + up + down > hi:
+            return None
+        out.append((lo, hi, up, down))
     return out
 
 
@@ -182,11 +277,11 @@ def _values(row: list[int], xs: range, p: int) -> list[int]:
 
 
 def _run(leads: list[list[list[int]]], n: int, p: int) -> int:
-    """The least s >= 1 such that both leading coefficients survive mod p at
+    """The least s >= 2 such that both leading coefficients survive mod p at
     every point x = s, ..., s + n - 1.  Each lead comes as its dense rows in
     the first other variable and survives at x when one of them is nonzero
     there; a run that meets a vanishing point restarts after it."""
-    dead = [0]
+    dead = [1]
     while dead:
         xs = range(dead[-1] + 1, dead[-1] + 1 + n)
         alive = [map(any, zip(*(_values(row, xs, p) for row in lead))) for lead in leads]
@@ -194,29 +289,32 @@ def _run(leads: list[list[list[int]]], n: int, p: int) -> int:
     return xs[0]
 
 
-def _res_mod(f: dict, g: dict, df: int, dg: int, windows: list[tuple[int, int]], p: int) -> dict:
+def _res_mod(f: dict, g: dict, df: int, dg: int, windows: list[tuple[int, int, int, int]],
+             p: int) -> dict:
     """Res_var(f, g) mod p, keyed by the exponents of the other variables, for
     f and g of degrees df and dg in var whose leading coefficients do not
     vanish mod p, unless one of them has degree 0 (see _res_batch).
 
     f and g map (exponents of the other variables, exponent of var) to
-    residues; windows[i] = (lo, hi) holds the result's exponents in the i-th
-    other variable (see _windows).  The first is set to the first run of
-    N = hi - lo + 1 consecutive points x = s, ..., s + N - 1 where both
-    leading coefficients survive (see _run), every coefficient evaluated over
-    the run from its dense row in that variable by Horner.  If it is the last
-    other variable the run takes one Euclid (see _res_batch); otherwise each
-    point recurses.  One inverse serves the run's denominators, times x^lo
-    and (N - 1)!; forward differences then give the Newton form
-    sum_k D^k binom(x - s, k), which is expanded by Horner in integers,
-    times (N - 1)!, and reduced once per coefficient.
+    residues; windows[i] = (lo, hi, up, down) bounds the result in the i-th
+    other variable x (see _windows): its x-exponents lie in [lo, hi], and
+    (x - 1)^up (x + 1)^down divides it.  x is set to the first run of
+    N = hi - lo - up - down + 1 consecutive points x = s, ..., s + N - 1
+    where both leading coefficients survive (see _run), every coefficient
+    evaluated over the run from its dense row in x by Horner.  If x is the
+    last other variable the run takes one Euclid (see _res_batch); otherwise
+    each point recurses.  One inverse serves the run's denominators, times
+    x^lo (x - 1)^up (x + 1)^down, and (N - 1)!; forward differences then give
+    the Newton form sum_k D^k binom(x - s, k) of the quotient, which is
+    expanded by Horner in integers, times (N - 1)!, multiplied back by
+    (x - 1)^up (x + 1)^down, and reduced once per coefficient.
     """
     if not windows:
         (num,), (den,) = _res_batch(*([[h.get((e,), 0)] for e in range(d + 1)]
                                       for h, d in ((f, df), (g, dg))), p)
         return {(): v} if (v := num * pow(den, -1, p) % p) else {}
-    lo, hi = windows[0]
-    n = hi - lo + 1
+    lo, hi, up, down = windows[0]
+    n = hi - lo - up - down + 1
     split: list[dict] = [{}, {}]  # {rest of the key: {first exponent: c}}
     for part, h in zip(split, (f, g)):
         for m, c in h.items():
@@ -234,7 +332,8 @@ def _res_mod(f: dict, g: dict, df: int, dg: int, windows: list[tuple[int, int]],
         vals = [_res_mod(*({k: v[j] for k, v in part.items() if v[j]} for part in at),
                          df, dg, windows[1:], p) for j in range(n)]
         dens = [1] * n
-    *inv, inv_fact = _inverses([d * x**lo for d, x in zip(dens, xs)] + [factorial(n - 1)], p)
+    *inv, inv_fact = _inverses([d * x**lo * (x - 1)**up * (x + 1)**down for d, x in zip(dens, xs)]
+                               + [factorial(n - 1)], p)
     x, out = xs[-1], {}  # the run ends at x
     for key in set().union(*vals):
         diff = [v.get(key, 0) * u % p for v, u in zip(vals, inv)]
@@ -246,6 +345,9 @@ def _res_mod(f: dict, g: dict, df: int, dg: int, windows: list[tuple[int, int]],
             node = x - n + 1 + k
             coeffs = ([diff[k] * weight - node * coeffs[0]]
                       + [u - node * v for u, v in zip(coeffs, coeffs[1:])] + [coeffs[-1]])
+        for c in [1] * up + [-1] * down:  # times x - c
+            coeffs = ([-c * coeffs[0]] + [u - c * v for u, v in zip(coeffs, coeffs[1:])]
+                      + [coeffs[-1]])
         out.update(((e + lo,) + key, v) for e, u in enumerate(coeffs) if (v := u * inv_fact % p))
     return out
 
@@ -316,7 +418,7 @@ def resultant(f: Poly, g: Poly, i: int, var: str) -> Poly:
     bound2 = sum(v * v for v in l1[0]) ** dg * sum(v * v for v in l1[1]) ** df  # B^2
     need = (bound2.bit_length() + 1) // 2 + 2  # 2^(need - 1) > 2B
     words = -(-need // 64)  # the prime exceeds 2^(64 words - 1) >= 2^(need - 1)
-    points = prod(hi - lo + 1 for lo, hi in windows)
+    points = prod(hi - lo - up - down + 1 for lo, hi, up, down in windows)
     if words * points > RESULTANT_BUDGET:
         raise EliminationOverflowError(
             f"resultant in {var}: {words} words x {points} points "

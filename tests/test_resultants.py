@@ -8,6 +8,9 @@ Res_x(x + 1, x^3), whose Sylvester determinant is -1.
 
 from __future__ import annotations
 
+import math
+from unittest.mock import patch
+
 import pytest
 
 from stiefel_einstein.errors import EliminationOverflowError
@@ -22,7 +25,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 from sympy.polys.subresultants_qq_zz import sylvester  # noqa: E402
 
-from helpers import int_poly, sympy_expr, tool, traced_solve, window_oracle  # noqa: E402
+from helpers import (  # noqa: E402
+    divides, int_poly, sympy_expr, tool, traced_solve, univariate, window_oracle,
+)
 
 V = ("x", "y", "z")
 X, Y, Z = sympy.symbols(V)
@@ -87,8 +92,8 @@ def test_resultant_without_permutation_is_zero_before_evaluating(monkeypatch):
     assert resultant(P(X**2 * Y), P(X**3 + X**2 * Z), 0, "x") == {}
 
 
-# the leading coefficient vanishes at y = 3, inside the first run y = 1 .. 5,
-# and in the trivariate case also at z = 2, inside every run in z
+# the leading coefficient vanishes at y = 3, inside the first run y = 2 .. 6,
+# and in the trivariate case also at z = 2, the first point of every run in z
 RESTART_CASES = {
     "bivariate": ((Y - 3) * X**2 + X + Y, X**2 - Y * X + 2),
     "trivariate": ((Y - 3) * (Z - 2) * X**2 + Z * X + Y, X**2 - Y * Z * X + Z + 2),
@@ -101,7 +106,7 @@ def test_run_restarts_after_a_vanishing_leading_coefficient(p, q, monkeypatch):
 
     def recording_run(*args):
         s = run(*args)
-        skipped.append(s > 1)
+        skipped.append(s > 2)
         return s
 
     run = resultants._run
@@ -323,16 +328,36 @@ def test_newton_windows_lie_in_the_assignment_windows_and_hold_the_determinant(p
     if windows is None:
         assert not det
         return
-    assert all(olo <= lo <= hi <= ohi for (lo, hi), (olo, ohi) in zip(windows, oracle))
+    assert all(olo <= lo <= hi <= ohi for (lo, hi, _, _), (olo, ohi) in zip(windows, oracle))
     for exponents in det.monoms() if det else ():
-        assert all(lo <= e <= hi for e, (lo, hi) in zip(exponents, windows))
+        assert all(lo <= e <= hi for e, (lo, hi, _, _) in zip(exponents, windows))
 
 
-def test_windows_equal_the_assignment_windows_on_every_shape_up_to_n8():
+def _holds(window: tuple[int, int, int, int], r: dict) -> bool:
+    """Whether r, keyed (y-exponent, 0), has its y-exponents in [lo, hi] and
+    is divided by (y - 1)^up (y + 1)^down, by sympy's remainder."""
+    lo, hi, up, down = window
+    coeffs = univariate(r, 0)
+    factor = sympy.Poly((Y - 1)**up * (Y + 1)**down, Y).all_coeffs()[::-1]
+    return (len(coeffs) - 1 <= hi and not any(coeffs[:lo])
+            and divides([int(c) for c in factor], coeffs))
+
+
+def test_windows_tighten_the_assignment_windows_on_every_shape_up_to_n8():
+    refined = 0
     for blocks in tool("solve_digest").shapes(8):
-        # one modular resultant per shape
+        # one modular resultant per shape, in x12 with x13 left
         ((args, _, got),) = traced_solve(blocks).windows
-        assert got == window_oracle(*args)
+        ((olo, ohi),), ((lo, hi, up, down),) = window_oracle(*args), got
+        assert hi == ohi and olo <= lo
+        if ohi - olo + 1 < resultants.REFINE_POINTS:
+            assert (lo, up, down) == (olo, 0, 0)
+            continue
+        # the window holds the resultant interpolated on [olo, ohi]
+        refined += 1
+        with patch.object(resultants, "REFINE_POINTS", math.inf):
+            assert _holds(got[0], resultant(*args[:2], 1, "x"))
+    assert refined == 10
 
 
 def test_windows_hold_every_exponent_of_the_232_resultants(monkeypatch):
@@ -354,7 +379,7 @@ def test_windows_hold_every_exponent_of_the_232_resultants(monkeypatch):
         used = {j for h in (f, g) for m in h for j, e in enumerate(m) if e}
         others = [j for j in sorted(used) if j != i]
         assert len(others) == len(calls[-1])
-        for j, (lo, hi) in zip(others, calls[-1]):
+        for j, (lo, hi, _, _) in zip(others, calls[-1]):
             assert lo <= min(m[j] for m in r) and max(m[j] for m in r) <= hi
         return r
 
@@ -365,9 +390,75 @@ def test_windows_hold_every_exponent_of_the_232_resultants(monkeypatch):
     resultants.eliminate_resultant(system.polys, system.variables, "x13")
     assert len(resultant_calls) == 6 and len(calls) == 1
     # the last step, in x12, interpolates x13 (the only other variable left)
-    # over 81 points (the row-sum degree bound asked for 161); the result has
-    # x13-degree 80
-    assert calls[-1] == [(16, 96)]
+    # over 96 - 28 - 8 - 4 + 1 = 57 points (81 from the orders at x13 = 0 of
+    # the coefficients alone, 161 from the row-sum degree bound); the result
+    # has x13-degree 80 and orders 40, 10 and 8 at x13 = 0, 1 and -1
+    assert calls[-1] == [(28, 96, 8, 4)]
+
+
+@st.composite
+def _meeting(draw):
+    """f and g that meet in (x - s)^2 at y = 0, f with a factor (y - t)^k:
+    f = (y - t)^k ((x - s)^2 (a + b y) + y u), g = (x - s)^2 (c + d y) + y v,
+    a and c nonzero, u and v of degree at most 2 and 3 in x and 1 in y."""
+    s, t = (draw(st.sampled_from((1, -1))) for _ in range(2))
+    k = draw(st.integers(1, 2))
+    a, c = draw(_integer), draw(_integer)
+    b, d = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+
+    def small(dx):
+        return sympy_expr(draw(st.dictionaries(
+            st.tuples(st.integers(0, dx), st.integers(0, 1), st.just(0)),
+            st.integers(-5, 5).filter(bool), max_size=4)), V)
+
+    return ((Y - t)**k * ((X - s)**2 * (a + b * Y) + Y * small(2)),
+            (X - s)**2 * (c + d * Y) + Y * small(3))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(_meeting())
+def test_refined_windows_take_fewer_points_and_match_sylvester(pair):
+    # the cut-off only weighs the bounds' cost: at 0 every window is refined
+    def recording(*args):
+        calls.append((args, windows(*args)))
+        return calls[-1][1]
+
+    calls, windows = [], resultants._windows
+    with patch.object(resultants, "REFINE_POINTS", 0), \
+            patch.object(resultants, "_windows", recording):
+        r = resultant(*map(P, pair), 0, "x")
+    # the Sylvester determinant over Z[y]
+    det = DomainMatrix.from_Matrix(sylvester(*pair, X)).convert_to(sympy.ZZ[Y]).det()
+    assert sympy.expand(sympy_expr(r, V) - det.as_expr()) == 0
+    ((args, got),) = calls
+    with patch.object(resultants, "REFINE_POINTS", math.inf):
+        ((plo, phi, _, _),) = windows(*args)
+    if got is not None:  # None: the operands share a factor, and Res is 0
+        # the roots of f at x = s raise lo; (y - t)^k gives up or down
+        ((lo, hi, up, down),) = got
+        assert lo > plo and up + down > 0 and hi == phi
+        assert hi - lo - up - down < phi - plo
+
+
+# Res is 0: x - 1 or x + 1 divides both, or the factor x + y - 1 they share
+# leaves bounds at y = 0, 1 and -1 that add up past the degree bound
+SHARED = {
+    "x_minus_1": ((X - 1) * (X**2 + Y), (X - 1) * (X**2 - Y + 2)),
+    "x_plus_1": ((X + 1) * (Y * X**2 + 1), (X + 1)**2 * (X - Y)),
+    "past_the_degree": (X * (Y + 1) * (X + Y - 1), (X - 1) * (Y - 1) * (Y + 1)**2 * (X + Y - 1)),
+}
+
+
+@pytest.mark.parametrize("p, q", SHARED.values(), ids=SHARED.keys())
+def test_refined_windows_find_a_zero_resultant_before_evaluating(p, q, monkeypatch):
+    assert _matches_sylvester(p, q)
+
+    def evaluate(*args):
+        raise AssertionError("evaluation started")
+
+    monkeypatch.setattr(resultants, "REFINE_POINTS", 0)
+    monkeypatch.setattr(resultants, "_res_mod", evaluate)
+    assert resultant(P(p), P(q), 0, "x") == {}
 
 
 def test_resultant_budget_refuses_before_evaluating(monkeypatch):
