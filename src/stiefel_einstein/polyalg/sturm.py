@@ -5,16 +5,17 @@ rational.  Each entry point reads its list once into a primitive integer
 list (coefficient gcd 1), and an IsolatingInterval carries one; all else
 stays in integers.  The square-free part is f / gcd(f, f'), the gcd by
 GCDHEU (Char, Geddes & Gonnet, J. Symbolic Comput. 7, 1989), or else the
-last member of the primitive PRS of f and f'.  Isolation bisects (lo, hi]
-at midpoints and decides each cell by Descartes' rule of signs (Collins &
-Akritas, SYMSAC 1976); a cell with fewer than two sign variations is an
-interval, and a root on a midpoint ends the left half.  A cell that kept
-a pair of roots through 8, 16, 32, ... halvings in a row may part it in
-one step: where exact signs show one root in each half of a grid cell,
-those halves are intervals.  All intervals are half-open, (lo, hi], and
-cells of the halving tree of the start interval.  Refinement returns the
-cell that halving an isolating interval ends in, reached by quadratic
-interval refinement on the grid of those cells.
+last member of the primitive PRS of f and f'.  Isolation bisects (lo, hi],
+an infinite end at -B or B for the power-of-two root_bound B, at midpoints
+and decides each cell by Descartes' rule of signs (Collins & Akritas,
+SYMSAC 1976); a cell with fewer than two sign variations is an interval,
+and a root on a midpoint ends the left half.  A cell that kept a pair of
+roots through 8, 16, 32, ... halvings in a row may part it in one step:
+where exact signs show one root in each half of a grid cell, those halves
+are intervals.  All intervals are half-open, (lo, hi], and cells of the
+halving tree of the start interval, dyadic when its ends are.  Refinement
+returns the cell that halving an isolating interval ends in, reached by
+quadratic interval refinement on the grid of those cells.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def _sign_at(c: ZCoeffs, x: Fraction) -> int:
 
 def _normalize_input(p: list) -> ZCoeffs:
     """The integer or rational coefficient list p as a primitive integer list."""
-    c = _strip([Fraction(a) for a in p])
+    c = _strip(list(p))
     den = math.lcm(*(a.denominator for a in c))
     return _primitive([a.numerator * (den // a.denominator) for a in c])
 
@@ -133,7 +134,7 @@ def squarefree_part(p) -> ZCoeffs:
     c = _normalize_input(p)
     if c and c[-1] < 0:
         c = [-a for a in c]
-    if _degree(c) < 1:
+    if _degree(c) < 2:  # a primitive linear c is square-free
         return c
     a, b = c, _primitive(_derivative(c))
     if (sf := _gcdheu(a, b)) is not None:
@@ -149,13 +150,15 @@ def count_real_roots(p, lo: Fraction | None = None, hi: Fraction | None = None) 
     return len(isolate_real_roots(p, lo, hi))
 
 
-def root_bound(c: list) -> Fraction:
-    """Cauchy bound: all real roots lie in [-M, M].  Unchanged by scaling c."""
+def root_bound(c: ZCoeffs) -> Fraction:
+    """B = 2^(e + 1) > |z| for every complex root z of the integer list c, 1
+    if c has no nonzero a_k below its lead a_d: Fujiwara's bound (Tohoku
+    Math. J. 10, 1916) 2 max(|a_k/a_d|^(1/(d-k)), |a_0/2a_d|^(1/d)) is below
+    it, e the greatest ceil((bitlen a_k - bitlen a_d + [k>0]) / (d - k))."""
     c = _strip(list(c))
-    if _degree(c) < 1:
-        return Fraction(1)
-    lc = abs(c[-1])
-    return 1 + max(Fraction(abs(a), lc) for a in c[:-1])
+    d, top = _degree(c), c[-1].bit_length() if c else 0
+    return Fraction(2) ** (1 + max((-((top - a.bit_length() - (k > 0)) // (d - k))
+                                    for k, a in enumerate(c[:-1]) if a), default=-1))
 
 
 class IsolatingInterval(Record):
@@ -270,18 +273,15 @@ def isolate_real_roots(
     p, lo: Fraction | None = None, hi: Fraction | None = None
 ) -> list[IsolatingInterval]:
     """Disjoint isolating intervals for all distinct real roots in (lo, hi],
-    in increasing order: cells of the halving tree of (lo, hi], the Cauchy
-    bound standing in for an infinite end.
-
-    The polynomial's square-free part is taken internally, so multiple roots
-    are isolated once.
+    in increasing order: cells of the halving tree of (lo, hi], -B and B for
+    the power-of-two root_bound B standing in for infinite ends.  The
+    square-free part is taken internally, so a multiple root is isolated once.
     """
     f = squarefree_part(p)
     if _degree(f) < 1:
         return []
     bound = root_bound(f)
-    a = lo if lo is not None else -bound
-    b = hi if hi is not None else bound
+    a, b = -bound if lo is None else lo, bound if hi is None else hi
     if a >= b:
         return []
     coeffs, out, q = tuple(f), [], _cell(f, a, b)

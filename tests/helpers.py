@@ -1,10 +1,11 @@
 """Coefficient-list helpers shared by the test modules, and the oracles the
 Sturm layer must agree with: the halving loop behind root refinement, the
 two-PRS square-free part and root count, the cells root isolation must
-give, and the Fraction Stern-Brocot walk; the one the resultant's degree
-windows must agree with, least and greatest assignments over the Sylvester
-matrix; a loader for the scripts in tools/; and one traced CLI solve per
-shape, which the shape-space tests share."""
+give, the Schur-Cohn test behind the root bound, and the Fraction
+Stern-Brocot walk; the one the resultant's degree windows must agree with,
+least and greatest assignments over the Sylvester matrix; a loader for the
+scripts in tools/; and one traced CLI solve per shape, which the
+shape-space tests share."""
 
 from __future__ import annotations
 
@@ -232,6 +233,21 @@ def assert_isolates(
         start, width = (iv.lo - a) / (b - a), (iv.hi - iv.lo) / (b - a)
         assert width.numerator == 1 and width.denominator.bit_count() == 1, iv
         assert (start / width).denominator == 1, iv
+
+
+def roots_below(c: list[int], bound: Fraction) -> bool:
+    """Whether every complex root z of the integer list c, c[-1] != 0, has
+    |z| < bound, by the Schur-Cohn test on p(u) = c(bound u) cleared of
+    denominators: p of degree n has all its roots in |u| < 1 iff |p_n| > |p_0|
+    and (p_n p - p_0 p*) / u, p* the reversed p, has all its n - 1 roots there
+    (by Rouche's theorem on |u| = 1, where |p*| = |p|)."""
+    n, d = bound.numerator, bound.denominator
+    p = [a * n**i * d ** (len(c) - 1 - i) for i, a in enumerate(c)]
+    while len(p) > 1:
+        if abs(p[-1]) <= abs(p[0]):
+            return False
+        p = _primitive([p[-1] * a - p[0] * b for a, b in zip(p, reversed(p))][1:])
+    return True
 
 
 def simplest_oracle(lo: Fraction, hi: Fraction) -> Fraction:

@@ -42,9 +42,9 @@ def P(expr) -> dict:
 
 def _matches_sylvester(p, q) -> bool:
     """Whether Res_x(p, q), for sympy expressions p and q with integer
-    coefficients, is the determinant of their Sylvester matrix."""
-    want = sylvester(p, q, X).det(method="berkowitz")
-    return sympy.expand(sympy_expr(resultant(P(p), P(q), 0, "x"), V) - want) == 0
+    coefficients, is the determinant of their Sylvester matrix over Z[y, z]."""
+    want = DomainMatrix.from_Matrix(sylvester(p, q, X)).convert_to(sympy.ZZ[Y, Z]).det()
+    return sympy.expand(sympy_expr(resultant(P(p), P(q), 0, "x"), V) - want.as_expr()) == 0
 
 
 CASES = {
@@ -214,7 +214,8 @@ def test_linear_operand_never_evaluates(monkeypatch):
 def _sylvester_mod(a: list[int], b: list[int], p: int) -> int:
     x = sympy.Symbol("x")
     poly_a, poly_b = (sympy.Poly(c[::-1], x).as_expr() for c in (a, b))
-    return int(sylvester(poly_a, poly_b, x).det(method="berkowitz")) % p
+    return int(DomainMatrix.from_Matrix(sylvester(poly_a, poly_b, x)).convert_to(
+        sympy.ZZ).det()) % p
 
 
 def _res_batch(pairs: list[tuple[list[int], list[int]]], p: int) -> list[int]:

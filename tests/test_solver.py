@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -524,23 +526,22 @@ def test_solve_uses_no_ricci_term_loop(monkeypatch):
     assert [s.to_json() for s in solve(build_system(d))] == want
 
 
-# sha256 of CLI reports, as computed when build_system, jensen_quadratic and
-# certify still derived the Ricci formula by Fraction polynomial arithmetic
+# sha256 of CLI reports, whose intervals and residuals come from isolation on
+# the halving tree of (0, B], B the power-of-two root bound
 REPORT_SHA256 = {
     ("sweep", "--blocks", "1,3,R", "--n", "6..30", "--format", "json"):
-        "e4ccc470ff32329430836793c87b2a6f75a46afc11934c94e304eda0a641669b",
+        "d2c5c27a423f933578e50274149f5f82b0d81a4f0c701ae8c8f510147c267e07",
     ("solve", "--blocks", "2,4,3"):
-        "de32c8d58fac0756924c807d4fa5d6fb2816e33f4200ea2eb3c2e666435698fc",
+        "049e853b082ed77d242384774e425b50318849f303d5cd062fdb1abedf898874",
     ("solve", "--blocks", "2,3,2"):
-        "6b273419506a58dd2ad2ac5295a280cf10c1ed5318b88e51502dc2d6dea27523",
+        "1cc88bf66868c58b1934e413df544d39f05196e2ad5e1d7782d01608beef7e5d",
     ("solve", "--blocks", "3,3,2"):
-        "7d5c70745e06d899483d51c85263464e5fc986d1293ab8d4687c9b11cdfbea13",
+        "80a5bc5b1d1c65a267113f7996efe4e6842a642ffaa05affac66f5510fedc2a6",
     # seven lift candidates here fail certification
     ("solve", "--blocks", "3,6,1"):
-        "c153ee25df5c2b70717fc52b567af9602818664ec6182ea3106960b63d733a2d",
-    # as computed when every resultant was still taken modulo a prime
+        "beaa0daa7faa9df1fb00e19c9b912c309cc6a6ca2fdabaa9129015370e128330",
     ("solve", "--blocks", "1,4,2"):
-        "6007aecb180f34cde62e65a011116b0ba1f2dabaf29d70a02d3353d4cee7bf7f",
+        "2b19d202115d9268d6e7095ff33eb3df89f503745ed5985ef873a38d768e4011",
 }
 
 
@@ -555,11 +556,10 @@ def test_reports_are_pinned(tmp_path, argv):
 
 
 # tools/solve_digest.py N: one sha256 over the solve --format json reports of
-# every shape with n <= N, 35 for N = 8 and 84 for N = 10; N = 8 as computed
-# before the modular resultant ran one Euclid per run of points
+# every shape with n <= N, 35 for N = 8 and 84 for N = 10
 SOLVE_DIGEST = {
-    8: "7b617322c952cb807398997598743b6ab3bbf6e5d370f824f2c95d7d77e9e9d5",
-    10: "aef7b2bdc5ca2273ae08caff1a68409f703bdbb4697bdd29767391d081dd4a1e",
+    8: "4c38cab5985afc96bac89152411bc29e9c9741f9bdee598458e6adc32cb95aa9",
+    10: "d1df3f7d7b1423e4541737ad1ebd6f06f2e5021df24545a8ac8780e2e6a47eb4",
 }
 
 
@@ -569,6 +569,60 @@ def test_reports_of_every_shape_up_to_n_are_pinned(n_max):
     for shape in tool("solve_digest").shapes(n_max):
         sha.update(traced_solve(shape).report.encode())
     assert sha.hexdigest() == SOLVE_DIGEST[n_max]
+
+
+def _mutated(dump: dict, mutate) -> dict:
+    """A deep copy of the dump, with mutate applied to the first h-branch
+    solution of (2,3,2)."""
+    new = json.loads(json.dumps(dump))
+    mutate(next(s for s in new["2,3,2"]["solutions"] if s["branch"] == "h"))
+    return new
+
+
+def _set_x13_interval(sol: dict, lo: Fraction, hi: Fraction) -> None:
+    sol["intervals"]["x13"] = [[lo.numerator, lo.denominator], [hi.numerator, hi.denominator]]
+
+
+def _x13_interval(sol: dict) -> tuple[Fraction, Fraction]:
+    return tuple(Fraction(*end) for end in sol["intervals"]["x13"])
+
+
+def _moved_past(sol: dict) -> None:  # (hi, 2 hi - lo] misses (lo, hi]
+    lo, hi = _x13_interval(sol)
+    _set_x13_interval(sol, hi, 2 * hi - lo)
+
+
+@pytest.mark.parametrize("mutate, problem", [
+    (lambda s: s["coords"].update(x13=s["coords"]["x13"] * (1 + 1e-10)), "x13 "),
+    (_moved_past, "misses"),
+    (lambda s: s.update(residual=2 * solver.CERTIFY_TOL), "residual"),
+    (lambda s: s.update(classification="Jensen"), "classification"),
+    (lambda s: s.update({"lambda": s["lambda"] * (1 + 1e-12)}), "lambda"),
+    (lambda s: s.update(branch="jensen"), "branch"),
+], ids=["coordinate", "interval", "residual", "classification", "lambda", "branch"])
+def test_report_comparison_flags_each_disagreement(mutate, problem):
+    compare = tool("solve_digest").compare
+    old = {",".join(map(str, s)): json.loads(traced_solve(s).report)
+           for s in ((2, 3, 2), (1, 4, 2))}
+    assert compare(old, old) == ([], Counter())
+    problems, _ = compare(old, _mutated(old, mutate))
+    assert len(problems) == 1 and problem in problems[0]
+    assert compare(old, {"2,3,2": old["2,3,2"]})[0] == ["shapes differ: ['1,4,2']"]
+
+
+def test_report_comparison_counts_what_isolation_may_move():
+    old = {"2,3,2": json.loads(traced_solve((2, 3, 2)).report)}
+
+    def moved(sol):  # a narrower interval, a new residual, a last digit
+        lo, hi = _x13_interval(sol)
+        _set_x13_interval(sol, lo, (lo + hi) / 2)
+        sol["residual"] = solver.CERTIFY_TOL
+        sol["coords"]["x13"] *= 1 + 1e-12
+
+    problems, changed = tool("solve_digest").compare(old, _mutated(old, moved))
+    assert problems == [] and changed == {"residuals": 1, "intervals": 1, "coordinates": 1}
+    dropped = {"2,3,2": {**old["2,3,2"], "solutions": old["2,3,2"]["solutions"][1:]}}
+    assert tool("solve_digest").compare(old, dropped)[0] == ["2,3,2: 4 -> 3 solutions"]
 
 
 def _swap_blocks(coords: dict) -> dict:

@@ -1,6 +1,6 @@
 """Hypothesis properties of the Sturm layer's square-free parts, root
-counts, isolation, interval points and refinement, and where the isolation
-walk's two-root step runs."""
+bound, root counts, isolation, interval points and refinement, and where
+the isolation walk's two-root step runs."""
 
 from __future__ import annotations
 
@@ -19,11 +19,13 @@ from stiefel_einstein.polyalg import (
     squarefree_part,
     sturm,
 )
+from stiefel_einstein.polyalg.sturm import root_bound
 from stiefel_einstein.so_algebra import BlockDecomposition
 from helpers import (
     assert_isolates,
     count_oracle,
     halving_oracle,
+    roots_below,
     simplest_oracle,
     squarefree_oracle,
 )
@@ -167,7 +169,7 @@ def test_tight_pairs_match_the_two_prs_oracle(factors, k, r, e, real):
 
 def test_tight_x12_pairs_on_243_take_few_descartes_tests():
     # at the two eliminant roots on 7x^2 - 18x + 7 the x12 pivot has two real
-    # roots about 2e-21 apart, which halving alone parts in 143 and 163 tests
+    # roots about 2e-21 apart, which halving alone parts in 145 and 157 tests
     counts, where = {}, [None]
     univariate_at, descartes = solver._univariate_at, sturm._descartes
     system = solver.build_system(BlockDecomposition((2, 4, 3)))
@@ -216,6 +218,48 @@ def test_heuristic_squarefree_part_matches_the_prs_oracle(first, rest):
         for _ in range(mult):
             p = _times(p, coeffs)
     assert squarefree_part(p) == squarefree_oracle(p)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.one_of(st.integers(-(2**200), 2**200), _signed),
+       st.one_of(st.integers(-(2**200), 2**200), _signed).filter(bool))
+def test_linear_squarefree_part_takes_no_gcd(a, b):
+    # a primitive linear list with a positive lead is its own square-free part
+    with mock.patch.object(sturm, "_gcdheu", side_effect=AssertionError("gcd taken")):
+        assert squarefree_part([a, b]) == squarefree_oracle([a, b])
+
+
+# degree 1 to 12: coefficients of 1 to 300 bits, of either sign, each after a
+# run of up to 3 zeros
+_bound_coeffs = st.lists(
+    st.tuples(st.integers(0, 3), st.sampled_from([0, 3, 40, 150, 299]),
+              st.integers(0, 2**299), st.booleans()),
+    min_size=1, max_size=8,
+).map(lambda runs: [x for zeros, b, m, neg in runs
+                    for x in [0] * zeros + [(-1) ** neg * ((1 << b) | m % (1 << b))]]
+      ).filter(lambda c: 1 <= len(c) - 1 <= 12)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_bound_coeffs)
+@example([-(2**300) + 1, 1])  # the root 2^300 - 1 lies 1 below B = 2^300
+@example([-2 * (2**299 - 1) ** 2, -(2**299 - 1), 1])  # Fujiwara's bound: a root, 2^300 - 2
+def test_root_bound_is_a_power_of_two_above_every_root(c):
+    bound = root_bound(c)
+    assert (bound.numerator * bound.denominator).bit_count() == 1
+    assert roots_below(c, bound)
+
+
+def test_root_bound_edge_cases():
+    for k in (0, 1, 40, 300):
+        assert root_bound([-(2**k), 1]) == 2 ** (k + 1)  # x - 2^k
+        assert root_bound([2**k, -1]) == 2 ** (k + 1)  # a negative lead
+        # the oracle refuses a bound that a real or complex root reaches
+        assert not roots_below([-(2**k), 1], Fraction(2**k))
+        assert not roots_below([4**k, 0, 1], Fraction(2**k))  # roots +-2^k i
+        assert roots_below([4**k, 0, 1], Fraction(2**k + 1))
+    assert root_bound([0, 1]) == 1  # x: no coefficient below the lead
+    assert root_bound([-1, 2**40]) == Fraction(1, 2**39)  # root 2^-40, B < 1
 
 
 # the roots 8/16 .. 16/16 are 1 and midpoints of the halving of (0, 1]:
