@@ -9,6 +9,7 @@ from .sturm import (
     alternating_sign_check,
     bisect_to_width,
     count_real_roots,
+    descartes_bound,
     isolate_real_roots,
     squarefree_part,
 )
@@ -20,6 +21,7 @@ __all__ = [
     "alternating_sign_check",
     "bisect_to_width",
     "count_real_roots",
+    "descartes_bound",
     "isolate_real_roots",
     "squarefree_part",
 ]

@@ -195,13 +195,17 @@ def _rows(h: dict, d: int) -> list[list[int]]:
     return rows
 
 
-def _shift(rows: list[list[int]], c: int) -> list[list[int]]:
+def _shift(rows: list[list[int]], c: int, least: int) -> list[list[int]]:
     """The rows of h(c + var) from those of h(var) (see _rows), by the
-    Taylor shift's triangle of additions."""
+    Taylor shift's triangle of additions, up to the first of order least at
+    y = 0, the least order of any row of h or of h(c + var): pass i of the
+    triangle leaves row i final.  Only those rows enter _low's bound."""
     rows = list(rows)
-    for i in range(len(rows) - 1):
+    for i in range(len(rows)):
         for j in range(len(rows) - 2, i - 1, -1):
             rows[j] = [u + c * v for u, v in zip(rows[j], rows[j + 1])]
+        if _order(rows[i], 0) == least:
+            return rows[: i + 1]
     return rows
 
 
@@ -254,7 +258,8 @@ def _windows(f: dict, g: dict, df: int, dg: int) -> list[tuple[int, int, int, in
         lo, hi, up, down = _bound(low), -_bound(high), 0, 0
         if others == 1 and hi - lo + 1 >= REFINE_POINTS:
             rows = _rows(f, df), _rows(g, dg)
-            shifted = [[_shift(h, c) for h in rows] for c in (1, -1)]
+            least = [min(v for v in h if v is not None) for h in low]
+            shifted = [[_shift(h, c, m) for h, m in zip(rows, least)] for c in (1, -1)]
             if any(not any(fc[0]) and not any(gc[0]) for fc, gc in shifted):
                 return None  # var - c divides f and g
             lo = _bound(low, [[[_order(row, 0) for row in h] for h in pair] for pair in shifted])
@@ -448,7 +453,7 @@ def _primitive(h: Poly) -> Poly:
 
 def eliminate_resultant(
     gens: list[Poly], variables: tuple[str, ...], keep: str
-) -> tuple[Poly, list[tuple[str, Poly]]]:
+) -> tuple[Poly, list[tuple[str, Poly]], Poly | None]:
     """Univariate eliminant in keep via successive pairwise resultants, for
     integer polynomials keyed by exponent tuples over variables.
 
@@ -463,10 +468,12 @@ def eliminate_resultant(
     DegenerateSystemError.  The generators, and every resultant, are
     normalized by _primitive.
 
-    Returns (eliminant, pivots): pivots lists (var, pivot) in elimination
-    order, each pivot a polynomial in var and the variables eliminated after
-    it.  Read backwards from keep they form a triangular set for lifting a
-    root of the eliminant to a full solution.
+    Returns (eliminant, pivots, partner): pivots lists (var, pivot) in
+    elimination order, each pivot a polynomial in var and the variables
+    eliminated after it.  Read backwards from keep they form a triangular
+    set for lifting a root of the eliminant to a full solution.  partner is
+    the generator H whose resultant with the last pivot P is the eliminant,
+    up to _primitive, or None when the eliminant is no such resultant.
     """
     polys = [_primitive(h) for h in gens if h]
     if not polys:
@@ -474,6 +481,7 @@ def eliminate_resultant(
     if keep not in variables:
         raise DomainError(f"variable {keep!r} not in {variables}")
     pivots: list[tuple[str, Poly]] = []
+    partners: list[tuple[Poly, Poly]] = []  # (resultant, H) of the last step
     for i, var in enumerate(variables):
         if var == keep:
             continue
@@ -483,6 +491,7 @@ def eliminate_resultant(
             continue
         pivot = min(using, key=lambda h: (max(m[i] for m in h), max(map(sum, h))))
         pivots.append((var, pivot))
+        partners = []
         for h in using:
             if h is pivot:
                 continue
@@ -495,10 +504,12 @@ def eliminate_resultant(
             r = _primitive(r)
             if any(map(any, r)):
                 polys.append(r)
+                partners.append((r, h))
     k = variables.index(keep)
     final = [h for h in polys if any(m[k] for m in h)]
     if not final:
         raise DegenerateSystemError(
             f"elimination produced no constraint on {keep!r}"
         )
-    return min(final, key=lambda h: max(m[k] for m in h)), pivots
+    eliminant = min(final, key=lambda h: max(m[k] for m in h))
+    return eliminant, pivots, next((h for r, h in partners if r is eliminant), None)

@@ -269,6 +269,15 @@ def _pair(q: ZCoeffs) -> list[Fraction] | None:
     return [Fraction(u, one) for u in cut] if v0 * v1 < 0 and v1 * v2 < 0 else None
 
 
+def descartes_bound(p, lo: Fraction, hi: Fraction) -> int:
+    """Descartes' rule of signs on the cell (lo, hi] of the nonzero p: the
+    sign variations that bound its roots in (lo, hi), counted with
+    multiplicity, plus one for a root at hi, up to 2.  0 proves that p has
+    no root in (lo, hi]."""
+    c = _normalize_input(p)
+    return _descartes(_cell(c, lo, hi)) if _degree(c) > 0 else 0
+
+
 def isolate_real_roots(
     p, lo: Fraction | None = None, hi: Fraction | None = None
 ) -> list[IsolatingInterval]:

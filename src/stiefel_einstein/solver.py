@@ -5,16 +5,20 @@ as integer polynomials keyed by exponent tuples, off the integer Laurent
 form of the general Ricci formula (TripleTable.laurent: integer
 coefficients times Laurent monomials over one shared denominator).  solve
 eliminates to a univariate polynomial in x13 by iterated resultants,
-isolates its real roots, lifts each root exactly through the triangular
-set of resultant pivots (one univariate root isolation per variable), and
-certifies each candidate with the exact Ricci mean and residual, evaluated
-from the same form in integers.  The x13 = 1
-branch is handled in closed form via the classical equal-off-diagonal
-quadratic, also read off that form.
+isolates its real roots, and lifts each root through the triangular set of
+resultant pivots: a simple root through one candidate, the one common root
+of the last pivot and its partner (a float Euclid, then exact Newton steps,
+then the linear pivots in closed form), any other root, or a candidate that
+does not certify, by a branch search (one univariate root isolation per
+variable).  It certifies each candidate with the exact Ricci mean and
+residual, evaluated from the same form in integers.  The x13 = 1 branch is
+handled in closed form via the classical equal-off-diagonal quadratic, also
+read off that form.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import accumulate
 
@@ -36,12 +40,15 @@ from .fixtures import (
     sqrt_fraction,
 )
 from .polyalg import (
+    IsolatingInterval,
     alternating_sign_check,
     bisect_to_width,
+    descartes_bound,
     eliminate_resultant,
     isolate_real_roots,
 )
 from .polyalg.resultants import Poly, _primitive
+from .polyalg.sturm import _derivative, _horner, _quotient, _scaled
 from .record import Record, replace
 from .ricci import InvariantMetric
 from .so_algebra import BlockDecomposition, Diag, ModuleLabel, OffDiag
@@ -51,6 +58,7 @@ CERTIFY_TOL = 1e-10
 JENSEN_MATCH_TOL = 1e-8
 REPORT_WIDTH = Fraction(1, 10**15)
 LIFT_WIDTH = Fraction(1, 10**20)
+NEWTON_STEPS = 8  # most exact Newton steps one lift candidate takes
 JENSEN_DIGITS = 50  # decimals of the closed-form equal-off-diagonal roots
 
 
@@ -310,22 +318,26 @@ def _classify(exact: dict[ModuleLabel, Fraction]) -> str:
 
 # -- elimination and back-substitution --------------------------------------
 
-def _eliminate(system: EinsteinSystem) -> tuple[list[int], list[tuple[str, Poly]]]:
+def _eliminate(
+    system: EinsteinSystem,
+) -> tuple[list[int], list[tuple[str, Poly]], Poly | None]:
     """Univariate x13-eliminant of the system by iterated resultants, as
     primitive integer coefficients with every (x13 - 1) factor divided out:
     that root is the closed-form branch.  x13 - 1 is monic, so synthetic
     division keeps the quotient integral (and primitive, by Gauss's lemma).
-    The resultant pivots are passed on for the lift (see _lift).
+    The resultant pivots, and the partner of the last one (see
+    eliminate_resultant), are passed on for the lift (see _candidate and
+    _lift).
 
     The eliminant may carry extraneous factors; their roots find no
     certified lift and drop out in solve.
     """
-    elim, pivots = eliminate_resultant(system.polys, system.variables, "x13")
+    elim, pivots, partner = eliminate_resultant(system.polys, system.variables, "x13")
     coeffs = _univariate(elim, system.variables.index("x13"))
     while len(coeffs) > 1 and sum(coeffs) == 0:
         # quotient coefficient k is c_(k+1) + ... + c_deg
         coeffs = list(accumulate(coeffs[:0:-1]))[::-1]
-    return coeffs, pivots
+    return coeffs, pivots, partner
 
 
 def groebner_eliminant(system: EinsteinSystem) -> list[int]:
@@ -368,7 +380,8 @@ def _univariate_at(pivot: Poly, at: int, point: dict[int, Fraction]) -> list[int
 def _lift(pivots: list[tuple[int, Poly]], point: dict[int, Fraction]):
     """Yield the positive points above point on the triangular pivot set,
     each pivot given with the column of its variable, and points keyed by
-    column.
+    column: the branch search, which solve runs at repeated eliminant roots
+    and after a candidate (see _candidate) that does not certify.
 
     The last pivot, with point substituted in integers (see _univariate_at),
     is univariate in its variable; each positive root is refined to width
@@ -385,17 +398,143 @@ def _lift(pivots: list[tuple[int, Poly]], point: dict[int, Fraction]):
         yield from _lift(pivots[:-1], {**point, at: root})
 
 
+def _lead(h: Poly, at: int, k: int) -> list[int]:
+    """Ascending coefficients in variable k of the leading coefficient of h
+    in variable at, for h in those two variables only."""
+    top = max(m[at] for m in h)
+    return _univariate({m: c for m, c in h.items() if m[at] == top}, k)
+
+
+def _simple_roots(
+    eliminant: list[int], roots: list[IsolatingInterval], leads: list[list[int]]
+) -> list[bool]:
+    """For each isolating interval iv of roots, cells of the square-free
+    part of eliminant, whether its root is simple in eliminant and no lead
+    vanishes in its cell: eliminant / iv.coeffs, whose roots are the
+    repeated roots of eliminant, and each lead have no root in (iv.lo,
+    iv.hi], by one Descartes count each (see descartes_bound)."""
+    if not roots:
+        return []
+    guards = [_quotient(eliminant, roots[0].coeffs), *leads]
+    return [not any(descartes_bound(g, iv.lo, iv.hi) for g in guards) for iv in roots]
+
+
+def _round(x: Fraction) -> Fraction:
+    """The simplest rational in (x - LIFT_WIDTH / 2, x + LIFT_WIDTH / 2]."""
+    return IsolatingInterval(x - LIFT_WIDTH / 2, x + LIFT_WIDTH / 2, ()).simplest()
+
+
+def _unit(r: list) -> list[float]:
+    """The list r over its largest coefficient in absolute value, as floats,
+    less its zero top coefficients."""
+    top = max(map(abs, r), default=0)
+    r = [c / top for c in r] if top else []
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _float_root(a: list[int], b: list[int]) -> float | None:
+    """The root of the linear remainder in the Euclidean sequence of the
+    ascending integer lists a and b, in floats, each remainder scaled by
+    _unit; None when the sequence has no linear member or the root is not
+    finite.  Where a and b share exactly one root, it estimates that root."""
+    a, b = sorted((_unit(a), _unit(b)), key=len, reverse=True)
+    while len(b) > 2:
+        for k in range(len(a) - len(b), -1, -1):  # a mod b, less its top
+            q = a[k + len(b) - 1] / b[-1]
+            for i, c in enumerate(b):
+                a[k + i] -= q * c
+        a, b = b, _unit(a[: len(b) - 1])
+    if len(b) < 2:
+        return None
+    root = -b[0] / b[1]
+    return root if math.isfinite(root) else None
+
+
+def _newton(p: list[int], x: float) -> Fraction | None:
+    """A root of the ascending integer list p by exact Newton steps from x,
+    each iterate rounded to the simplest rational within LIFT_WIDTH (see
+    _round): the iterate after the first step of at most LIFT_WIDTH, or None
+    after NEWTON_STEPS steps or where p' vanishes.  With x = n / d, the step
+    p(x) / p'(x) is d^deg p(x) / (d d^(deg-1) p'(x)), two _horner values."""
+    dp, x = _derivative(p), Fraction(x)
+    for _ in range(NEWTON_STEPS):
+        n, d = x.numerator, x.denominator
+        den = _horner(_scaled(dp, d), n) * d
+        if not den:
+            return None
+        step = Fraction(_horner(_scaled(p, d), n), den)
+        x = _round(x - step)
+        if abs(step) <= LIFT_WIDTH:
+            return x
+    return None
+
+
+def _candidate(pivots: list[tuple[int, Poly]], partner: Poly, point: dict[int, Fraction]):
+    """Yield the one point above point, keyed by column, that solve takes a
+    simple eliminant root through, or nothing.
+
+    The last pivot P and its partner H, with point substituted in integers
+    (see _univariate_at), share exactly one root (see solve).  Its float
+    estimate (see _float_root) starts exact Newton steps on P (see _newton);
+    every other pivot must be linear in its variable, a1 x + a0 with a1 != 0
+    at the point so far, and x = -a0 / a1 is rounded by _round."""
+    (at, last), rest = pivots[-1], pivots[:-1]
+    p = _univariate_at(last, at, point)
+    start = _float_root(p, _univariate_at(partner, at, point))
+    x = None if start is None else _newton(p, start)
+    if x is None:
+        return
+    point = {**point, at: x}
+    for at, pivot in reversed(rest):
+        c = _univariate_at(pivot, at, point)
+        if len(c) != 2 or not c[1]:
+            return
+        point = {**point, at: _round(Fraction(-c[0], c[1]))}
+    yield point
+
+
+def _certified(
+    decomp: BlockDecomposition, points, r13: float
+) -> list[EinsteinSolution]:
+    """The solutions certify accepts at CERTIFY_TOL among the lifted points,
+    keyed by column, each with x13 reported as r13."""
+    found = []
+    for point in points:
+        coords: dict[ModuleLabel, float | Fraction] = {OffDiag(2, 3): Fraction(1)}
+        for j, lbl in enumerate(_free_labels(decomp)):  # x_lbl is column j
+            coords[lbl] = point[j]
+        coords[OffDiag(1, 3)] = r13  # reported x13: lies in intervals.x13
+        result = certify(coords, decomp, CERTIFY_TOL)
+        if isinstance(result, EinsteinSolution):
+            found.append(result)
+    return found
+
+
 def solve(system: EinsteinSystem) -> list[EinsteinSolution]:
     """All certified positive Einstein solutions found, sorted by x13.
 
     The x13 = 1 branch is produced from the closed-form quadratic.  The
     remaining branch comes from the positive real roots of the resultant
-    eliminant (see _eliminate): each root is refined to width REPORT_WIDTH,
-    which gives the reported x13 (the float of the midpoint) and its
-    interval, then further to LIFT_WIDTH; the simplest rational in that
-    interval is lifted through the resultant pivots (see _lift) and
-    certified exactly at CERTIFY_TOL.  Roots with no certified lift
-    contribute nothing; an empty h-branch is legal.
+    eliminant E (see _eliminate): each root is refined to width
+    REPORT_WIDTH, which gives the reported x13 (the float of the midpoint)
+    and its interval, then further to LIFT_WIDTH; the simplest rational in
+    that interval is lifted through the resultant pivots and certified
+    exactly at CERTIFY_TOL.
+
+    A root that is simple in E, with neither lead in x12 of the last pivot
+    P and its partner H vanishing in its REPORT_WIDTH cell (see
+    _simple_roots; a wider isolating cell may end at x13 = 1, where a lead
+    of H vanishes on some shapes), is lifted through one candidate (see
+    _candidate).  Such a root alpha is simple in
+    Res(P, H), and every common root of P(alpha, .) and H(alpha, .) adds at
+    least 1 to the order of that resultant at alpha (Collins,
+    "Subresultants and reduced polynomial remainder sequences", JACM 14,
+    1967), so they share exactly one root.  Every other root, and a simple
+    root whose candidate does not certify, takes the branch search (see
+    _lift).  Roots with no certified lift contribute nothing; an empty
+    h-branch is legal.
     """
     decomp = system.decomp
     solutions: list[EinsteinSolution] = []
@@ -403,23 +542,23 @@ def solve(system: EinsteinSystem) -> list[EinsteinSolution]:
         result = certify(point, decomp, CERTIFY_TOL)
         if isinstance(result, EinsteinSolution):
             solutions.append(result)
-    eliminant, pivots = _eliminate(system)
+    eliminant, pivots, partner = _eliminate(system)
     pivots = [(system.variables.index(var), pivot) for var, pivot in pivots]
     k = system.variables.index("x13")
-    for iv in isolate_real_roots(eliminant, lo=Fraction(0)):
-        refined = bisect_to_width(iv, REPORT_WIDTH)
+    cells = [bisect_to_width(iv, REPORT_WIDTH)
+             for iv in isolate_real_roots(eliminant, lo=Fraction(0))]
+    if partner is None:
+        simple = [False] * len(cells)
+    else:
+        at, last = pivots[-1]
+        simple = _simple_roots(eliminant, cells, [_lead(last, at, k), _lead(partner, at, k)])
+    for refined, is_simple in zip(cells, simple):
         r13 = float(refined.midpoint())
         root = bisect_to_width(refined, LIFT_WIDTH).simplest()
-        for point in _lift(pivots, {k: root}):
-            coords: dict[ModuleLabel, float | Fraction] = {OffDiag(2, 3): Fraction(1)}
-            for j, lbl in enumerate(_free_labels(decomp)):  # x_lbl is column j
-                coords[lbl] = point[j]
-            coords[OffDiag(1, 3)] = r13  # reported x13: lies in intervals.x13
-            result = certify(coords, decomp, CERTIFY_TOL)
-            if isinstance(result, EinsteinSolution):
-                solutions.append(
-                    replace(result, intervals={"x13": (refined.lo, refined.hi)})
-                )
+        found = _certified(decomp, _candidate(pivots, partner, {k: root}), r13) if is_simple else []
+        if not found:
+            found = _certified(decomp, _lift(pivots, {k: root}), r13)
+        solutions += [replace(s, intervals={"x13": (refined.lo, refined.hi)}) for s in found]
     solutions.sort(key=lambda s: s.coords[OffDiag(1, 3)])
     return solutions
 

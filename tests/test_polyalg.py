@@ -95,7 +95,7 @@ def test_resultant_of_quadratics():
 
 
 def test_eliminate_resultant_circle_line():
-    elim, _ = eliminate_resultant([P("x**2 + y**2 - 4"), P("x - y")], V, "y")
+    elim, _, _ = eliminate_resultant([P("x**2 + y**2 - 4"), P("x - y")], V, "y")
     coeffs = univariate(elim, 1)
     # roots must be y = +-sqrt(2)
     w = Fraction(1, 10**9)
@@ -118,7 +118,7 @@ def test_eliminate_resultant_returns_least_degree_constraint():
     # the eliminant is the one of least degree, not their gcd y - 1: its
     # extra root 3 is for back-substitution to reject
     cubic = P("(y - 1)*(y - 2)*(y - 4)")
-    elim, pivots = eliminate_resultant([cubic, P("(y - 1)*(y - 3)")], V, "y")
+    elim, pivots, _ = eliminate_resultant([cubic, P("(y - 1)*(y - 3)")], V, "y")
     assert elim == P("(y - 1)*(y - 3)") and pivots == []
 
 
@@ -376,7 +376,7 @@ def test_isolation_runs_no_prs_on_eliminants(monkeypatch):
     # cells, so the eliminants take no pseudo-remainder
     prems = _counted(monkeypatch, sturm, "_prem")
     for blocks in ((2, 3, 2), (2, 4, 3)):
-        eliminant, _ = _eliminate(build_system(BlockDecomposition(blocks)))
+        eliminant, _, _ = _eliminate(build_system(BlockDecomposition(blocks)))
         assert isolate_real_roots(eliminant, lo=Fraction(0))
     assert prems == []
 
@@ -394,7 +394,7 @@ def test_heuristic_gcd_retries_after_a_failed_division(monkeypatch):
 
 @pytest.mark.parametrize("blocks", [(2, 3, 2), (2, 4, 3)])
 def test_prs_fallback_matches_the_heuristic_gcd(monkeypatch, blocks):
-    eliminant, _ = _eliminate(build_system(BlockDecomposition(blocks)))
+    eliminant, _, _ = _eliminate(build_system(BlockDecomposition(blocks)))
     heuristic = squarefree_part(eliminant)
     monkeypatch.setattr(sturm, "_gcdheu", lambda f, g: None)
     prems = _counted(monkeypatch, sturm, "_prem")

@@ -123,7 +123,9 @@ def test_generators_eliminate_as_their_primitive_parts():
         assert eliminate_resultant(list(map(P, scaled)), V, "y") == want
     # Res_x(yx + 1, x^2 - 2) = 1 - 2y^2 leads with -2: the strip negates it
     elim = eliminate_resultant([P(3 * (X**2 - 2)), P(-5 * (Y * X + 1))], V, "y")
-    assert elim == (P(2 * Y**2 - 1), [("x", P(Y * X + 1))])
+    assert elim[:2] == (P(2 * Y**2 - 1), [("x", P(Y * X + 1))])
+    # the eliminant is the resultant of the pivot with x^2 - 2, its partner
+    assert elim[2] == P(X**2 - 2)
 
 
 def _shifted(terms: dict, a: int, b: int) -> dict:

@@ -357,14 +357,14 @@ def test_resultant_eliminant_divisible_by_h1(n):
     # the eliminant solve uses may carry extraneous factors (spurious roots
     # are rejected later by certification) but must contain h1 exactly
     system = build_system(BlockDecomposition((1, 3, n - 4)))
-    eliminant, _ = _eliminate(system)
+    eliminant, _, _ = _eliminate(system)
     assert divides(h1_coeffs(n), eliminant)
 
 
 @pytest.mark.parametrize("blocks", [(1, 3, 2), (2, 3, 2), (2, 4, 3), (3, 3, 2)])
 def test_eliminant_has_no_root_at_one(blocks):
     # every (x13 - 1) factor is divided out, so solve skips no root near 1
-    eliminant, _ = _eliminate(build_system(BlockDecomposition(blocks)))
+    eliminant, _, _ = _eliminate(build_system(BlockDecomposition(blocks)))
     assert sum(eliminant) != 0
     assert all(type(c) is int for c in eliminant)
 
@@ -393,7 +393,7 @@ def test_elimination_is_pinned(blocks):
 
 
 def _elimination_text(system, elimination) -> str:
-    coeffs, pivots = elimination
+    coeffs, pivots, _ = elimination
     return repr((coeffs, [
         (var, system.variables, sorted((m, Fraction(c)) for m, c in pivot.items()))
         for var, pivot in pivots
@@ -417,16 +417,20 @@ def test_eliminations_of_every_shape_up_to_n8_are_pinned():
 def test_lift_points_have_short_denominators(monkeypatch):
     # each level is seeded with the simplest rational in an interval of
     # width LIFT_WIDTH, not its midpoint, whose denominator grows with the
-    # leading coefficients of the pivots (thousands of bits on (2,4,3))
+    # leading coefficients of the pivots (thousands of bits on (2,4,3)); in
+    # the branch search and the one-candidate lift alike
     points = []
 
-    def recording_lift(pivots, point):
-        for p in lift(pivots, point):
-            points.append(p)
-            yield p
+    def recording(lift):
+        def recorded(*args):
+            for p in lift(*args):
+                points.append(p)
+                yield p
 
-    lift = solver._lift
-    monkeypatch.setattr(solver, "_lift", recording_lift)
+        return recorded
+
+    for name in ("_lift", "_candidate"):
+        monkeypatch.setattr(solver, name, recording(getattr(solver, name)))
     sols = solve(build_system(BlockDecomposition((2, 4, 3))))
     assert len(sols) == 4 and points
     for p in points:
@@ -460,6 +464,80 @@ def test_lift_substitution_matches_fraction_subs(monkeypatch):
         ratio = next(Fraction(c) / e for c, e in zip(coeffs, exact) if e)
         assert ratio > 0
         assert coeffs[: len(exact)] == [ratio * e for e in exact]
+
+
+def _routes(monkeypatch) -> dict[str, list]:
+    """Record, for each solve after the call, the x13 root (a float) of
+    each candidate with the points it yields, and of each branch search."""
+    routes: dict[str, list] = {"candidate": [], "branch": []}
+    candidate, lift = solver._candidate, solver._lift
+
+    def recorded_candidate(pivots, partner, point):
+        points = list(candidate(pivots, partner, point))
+        routes["candidate"].append((float(*point.values()), points))
+        yield from points
+
+    def recorded_lift(pivots, point):
+        if len(point) == 1:  # not a step of the search's own recursion
+            routes["branch"].append(float(*point.values()))
+        yield from lift(pivots, point)
+
+    monkeypatch.setattr(solver, "_candidate", recorded_candidate)
+    monkeypatch.setattr(solver, "_lift", recorded_lift)
+    return routes
+
+
+def test_243_lifts_its_simple_roots_through_one_candidate(monkeypatch):
+    # the two roots of Q_6 = 7x^2 - 18x + 7, (9 -+ 4 sqrt 2) / 7, are
+    # repeated eliminant roots and take the branch search; the two New
+    # metrics come from one candidate each, as the traced CLI solve found them
+    want = traced_solve((2, 4, 3)).solutions
+    routes = _routes(monkeypatch)
+    sols = solve(build_system(BlockDecomposition((2, 4, 3))))
+    assert routes["branch"] == pytest.approx([(9 - 4 * 2**0.5) / 7, (9 + 4 * 2**0.5) / 7])
+    assert [x for x, _ in routes["candidate"]] == pytest.approx([0.444626, 1.107417], abs=1e-6)
+    assert all(len(points) == 1 for _, points in routes["candidate"])
+    assert [s.to_json() for s in sols] == [s.to_json() for s in want]
+    assert len(sols) == 4
+
+
+def test_failed_candidate_falls_back_to_the_branch_search(monkeypatch):
+    # at x13 ~ 0.7607 on (7,3,4) the last pivot has x12 roots near 0.51077,
+    # 0.64991, 1.25601 and 1.25614, and 0.64991 is the common root with its
+    # partner; Newton sent to 0.51077 instead gives a candidate that certify
+    # rejects, and the branch search finds the metric
+    want = traced_solve((7, 3, 4)).solutions
+    newton = solver._newton
+
+    def wrong_root(p, x):
+        root = newton(p, x)
+        return newton(p, 0.5) if root is not None and abs(root - 0.64991) < 1e-5 else root
+
+    monkeypatch.setattr(solver, "_newton", wrong_root)
+    routes = _routes(monkeypatch)
+    sols = solve(build_system(BlockDecomposition((7, 3, 4))))
+    ((x13, (point,)),) = [(x, p) for x, p in routes["candidate"] if abs(x - 0.7607) < 1e-4]
+    assert abs(point[2] - Fraction(0.51077)) < 1e-5  # column 2 is x12
+    # 3/4 and 4/3 are the roots of Q_5 = 12x^2 - 25x + 12
+    assert routes["branch"] == pytest.approx([0.75, x13, 4 / 3])
+    # the branch search's x12 is another rational within LIFT_WIDTH, so only
+    # the residual of that solution may move
+    problems, changed = tool("solve_digest").compare(
+        *({"7,3,4": {"solutions": [s.to_json() for s in run]}} for run in (want, sols)))
+    assert problems == [] and set(+changed) <= {"residuals"}
+    assert len(sols) == 8
+
+
+def test_simple_roots_are_told_by_one_descartes_count():
+    # (x - 2)^2 (x - 3)(x + 1): 2 is a double root, 3 a simple one, and a
+    # lead that vanishes at 3 sends that root to the branch search too
+    f = [-12, 4, 9, -6, 1]
+    roots = isolate_real_roots(f, lo=Fraction(0))
+    assert len(roots) == 2 and roots[0].hi < 3 <= roots[1].hi
+    assert solver._simple_roots(f, roots, []) == [False, True]
+    assert solver._simple_roots(f, roots, [[-3, 1]]) == [False, False]
+    assert solver._simple_roots(f, roots, [[7]]) == [False, True]
+    assert solver._simple_roots(f, [], [[-3, 1]]) == []
 
 
 def test_solve_computes_jensen_points_once(monkeypatch):
@@ -527,21 +605,23 @@ def test_solve_uses_no_ricci_term_loop(monkeypatch):
 
 
 # sha256 of CLI reports, whose intervals and residuals come from isolation on
-# the halving tree of (0, B], B the power-of-two root bound
+# the halving tree of (0, B], B the power-of-two root bound, and whose
+# residuals come from the one-candidate lift at every simple eliminant root
 REPORT_SHA256 = {
     ("sweep", "--blocks", "1,3,R", "--n", "6..30", "--format", "json"):
-        "d2c5c27a423f933578e50274149f5f82b0d81a4f0c701ae8c8f510147c267e07",
+        "d939c9192574349aa53291e5de56c31a5fee215244a59b2fa9638570e899c088",
     ("solve", "--blocks", "2,4,3"):
-        "049e853b082ed77d242384774e425b50318849f303d5cd062fdb1abedf898874",
+        "a8ca597787823fffd627b2153efb122c3f3ea22de5f44e9fb3de0dd547dd1820",
     ("solve", "--blocks", "2,3,2"):
-        "1cc88bf66868c58b1934e413df544d39f05196e2ad5e1d7782d01608beef7e5d",
+        "9a28f6758a04e2a2f8831f44f3f0883dbbe9a0ef423aa5abc1744ae6fe811707",
     ("solve", "--blocks", "3,3,2"):
-        "80a5bc5b1d1c65a267113f7996efe4e6842a642ffaa05affac66f5510fedc2a6",
-    # seven lift candidates here fail certification
+        "63fa8c0e59032e0d4a0fb3c3be127d707f46c0da61c4906331f26ccaff445610",
+    # the branch search at every root offered certify seven candidates here
+    # that failed; one candidate per root offers none
     ("solve", "--blocks", "3,6,1"):
-        "beaa0daa7faa9df1fb00e19c9b912c309cc6a6ca2fdabaa9129015370e128330",
+        "83fc661e469921db97078e8b55100886da90a050ddfe90a72f33c60ddeb01a54",
     ("solve", "--blocks", "1,4,2"):
-        "2b19d202115d9268d6e7095ff33eb3df89f503745ed5985ef873a38d768e4011",
+        "c1e4b15b0f2dd86d2d036ca4352854ef4c9a2591bc2bd733e30d5080ecfcd1af",
 }
 
 
@@ -558,8 +638,8 @@ def test_reports_are_pinned(tmp_path, argv):
 # tools/solve_digest.py N: one sha256 over the solve --format json reports of
 # every shape with n <= N, 35 for N = 8 and 84 for N = 10
 SOLVE_DIGEST = {
-    8: "4c38cab5985afc96bac89152411bc29e9c9741f9bdee598458e6adc32cb95aa9",
-    10: "d1df3f7d7b1423e4541737ad1ebd6f06f2e5021df24545a8ac8780e2e6a47eb4",
+    8: "495188153ccb8783f61a73141f306d2cfea4c14cbe4a1fd767abe0144eaf66cf",
+    10: "2990a7a201a1871f1b8d5ebc1cb2b66beac72b36970028aa00d9e8b32f9f91e1",
 }
 
 
@@ -673,7 +753,7 @@ def test_eliminant_positive_roots_match_sympy():
     # eliminant does not vanish at x13 = 0 (its constant term is
     # 5733089280000); sympy's isolating intervals count its positive roots
     sympy = pytest.importorskip("sympy")
-    eliminant, _ = _eliminate(build_system(BlockDecomposition((2, 3, 2))))
+    eliminant, _, _ = _eliminate(build_system(BlockDecomposition((2, 3, 2))))
     x = sympy.Symbol("x")
     poly = sympy.Poly(eliminant[::-1], x)
     positive = sum(1 for (_, hi), _ in poly.intervals() if hi > 0)

@@ -15,6 +15,7 @@ from stiefel_einstein.polyalg import (
     IsolatingInterval,
     bisect_to_width,
     count_real_roots,
+    descartes_bound,
     isolate_real_roots,
     squarefree_part,
     sturm,
@@ -126,6 +127,24 @@ def test_one_prs_matches_the_two_prs_oracle(factors, point):
             assert count_real_roots(p, lo, hi) == count_oracle(p, lo, hi), (lo, hi)
             assert_isolates(isolate_real_roots(p, lo, hi), p, lo, hi)
 
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_factors, _signed, _signed)
+def test_descartes_bound_covers_every_root_in_the_cell(factors, a, b):
+    # at least the distinct roots in (lo, hi], up to 2, so 0 proves none;
+    # the ends take every rational root, simple and multiple, and two
+    # free points
+    p, ends = [1], [a, b]
+    for (coeffs, root), mult in factors:
+        for _ in range(mult):
+            p = _times(p, coeffs)
+        if root is not None:
+            ends.append(root)
+    for lo in ends:
+        for hi in ends:
+            if lo < hi:
+                assert min(count_oracle(p, lo, hi), 2) <= descartes_bound(p, lo, hi) <= 2
 
 
 def _pair_steps():
